@@ -7,8 +7,7 @@ use crate::harness::{
 use crate::paper::{self, PaperError};
 use crate::table::{breakdown_cells, ms, pct, TextTable};
 use lumos_core::manipulate::Transform;
-use lumos_core::{BuildOptions, InterStreamMode, Lumos, RendezvousMode, SimOptions};
-use lumos_dpro::Dpro;
+use lumos_core::{BuildOptions, Dpro, InterStreamMode, Lumos, RendezvousMode, SimOptions};
 use lumos_model::ModelConfig;
 use lumos_trace::{sm_utilization, BreakdownExt, Dur, RankId};
 

@@ -11,9 +11,8 @@
 use lumos_calib::CalibrationArtifact;
 use lumos_cluster::{EngineOutput, GroundTruthCluster, JitterModel, SimConfig};
 use lumos_core::manipulate::Transform;
-use lumos_core::Lumos;
+use lumos_core::{Dpro, Lumos};
 use lumos_cost::AnalyticalCostModel;
-use lumos_dpro::Dpro;
 use lumos_trace::{Breakdown, BreakdownExt, ClusterTrace, Dur};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};

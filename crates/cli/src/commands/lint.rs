@@ -1,7 +1,7 @@
 //! `lumos lint` — static verification of lowered multi-rank programs:
 //! lower every candidate of a configuration space (or one setup, or a
-//! serialized job) and prove it deadlock-free *without* running the
-//! engine, via [`lumos_cluster::verify`].
+//! serialized job) and prove it deadlock-free before any costed
+//! simulation, via [`lumos_cluster::verify`].
 
 use crate::args::{ArgSet, ArgSpec};
 use crate::common::parse_model;
@@ -31,13 +31,15 @@ pub const SPEC: ArgSpec = ArgSpec {
 pub const HELP: &str = "lumos lint [<space.toml>] [--model NAME] [--max-gpus N] [--threads N]\n\
     lumos lint --model NAME --tp N --pp N --dp N [--microbatches N]\n\
     lumos lint --job job.json\n\
-  Statically verifies lowered multi-rank programs without running the\n\
-  engine: referential integrity, collective consistency (every member\n\
-  of a communicator issues every (group, seq) instance with matching\n\
-  kind and payload), point-to-point send/recv matching, and deadlock\n\
-  freedom via a cross-rank wait-for graph. Violations are reported as\n\
-  named cycles (`rank 0 stream 13 waits on ... -> cycle repeats`) and\n\
-  exit nonzero; see docs/verify-checks.md for the full catalogue.\n\
+  Statically verifies lowered multi-rank programs before any costed\n\
+  simulation: referential integrity, collective consistency (every\n\
+  member of a communicator issues every (group, seq) instance with\n\
+  matching kind and payload), point-to-point send/recv matching, and\n\
+  deadlock freedom by one engine run with every cost at zero.\n\
+  Deadlocks are reported as the engine's cross-rank wait-for chain\n\
+  (`rank 0 stream stream13 ... waits on ... -> cycle repeats`); every\n\
+  violation exits nonzero. See docs/verify-checks.md for the full\n\
+  catalogue.\n\
   With a space file, every candidate in the grid (tp x pp x dp x\n\
   microbatches x schedules x arch; the interleave axis is ignored —\n\
   chunk lowering replays as 1F1B) that passes shape validation and\n\

@@ -73,8 +73,11 @@ pub const HELP: &str = "lumos search [<trace.json>] [--setup setup.json] [--spac
   the objective. Memory stays proportional to --top (pass --keep-all\n\
   to retain every result instead, disabling bound skipping). With\n\
   --model instead of a trace file, the base iteration is profiled on\n\
-  the ground-truth cluster first; --progress reports completion to\n\
-  stderr. The setup sidecar defaults to <trace>.setup.json.\n\
+  the ground-truth cluster first. The report is byte-identical across\n\
+  runs and --threads; --progress reports completion, and at the end\n\
+  the counters that depend on thread scheduling (evaluated, bound\n\
+  skips, stage-cost memo hits), to stderr. The setup sidecar defaults\n\
+  to <trace>.setup.json.\n\
   With --calib (a `lumos calibrate` artifact) the trace file is\n\
   optional and never re-ingested: the artifact's fitted tables and\n\
   block library are shared across the whole search, byte-identically\n\
@@ -373,6 +376,22 @@ pub fn run(args: &ArgSet, out: &mut dyn Write) -> Result<(), CliError> {
 
     let calib = calibration_from(args, out, opts.gpus_per_node)?;
     let report = search_calibrated(&calib, &file.space, &opts)?;
+    if args.has("progress") {
+        // Scheduling-dependent counters: telemetry, never the report.
+        let s = &report.stats;
+        eprintln!(
+            "  ... done on {} threads: {} evaluated ({:.1}%), {} infeasible; {:.1}% skipped \
+             without full simulation ({} by the lower bound); stage-cost memo {} hits / {} misses",
+            report.threads,
+            s.evaluated,
+            s.visit_percent(),
+            s.infeasible,
+            s.skip_percent(),
+            s.bound_skipped,
+            report.memo.hits,
+            report.memo.misses
+        );
+    }
     if args.has("json") {
         // One shared schema with the daemon: both sides encode through
         // `response_line` on the same response struct, which is what

@@ -15,6 +15,19 @@
 //! Execution is deterministic — wake order never affects computed
 //! timestamps, only the order in which they are discovered.
 //!
+//! # Deadlocks
+//!
+//! Whether an entity blocks is purely structural (stream order, event
+//! record/wait, token signal/wait, collective rendezvous); costs only
+//! move clocks. So a job stalls under every cost model or none. When
+//! the wake queue empties with work left, the engine walks the
+//! cross-rank wait-for graph of its own final state and returns
+//! [`EngineError::Deadlock`] with the named chain: rank → entity →
+//! awaited resource → rank → …, closing with `cycle repeats` when the
+//! chain loops. [`crate::verify`] decides deadlock freedom by one
+//! cost-free run of this engine, so `lumos lint` and a stalled
+//! simulation print the same chain.
+//!
 //! # Execution modes
 //!
 //! The engine is generic over an event sink (see [`crate::sink`]).
@@ -42,6 +55,51 @@ use std::fmt;
 /// it through a blocking synchronize.
 const SYNC_POLL_LATENCY: Dur = Dur(500);
 
+/// Longest deadlock chain reported before the walk gives up.
+const MAX_CHAIN: usize = 64;
+
+/// One step of a reported deadlock chain: who waits, and on what.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CycleStep {
+    /// Global rank of the stuck entity.
+    pub rank: u32,
+    /// The stuck entity, e.g. `"stream stream13 (entry 0/2)"` or
+    /// `"ThreadId(1) thread (op 3/7)"`.
+    pub entity: String,
+    /// The resource it waits on, e.g.
+    /// `"AllReduce group 7 seq 0 (1/2 arrived; awaiting rank 1)"`.
+    pub waits_on: String,
+}
+
+impl fmt::Display for CycleStep {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "rank {} {} waits on {}",
+            self.rank, self.entity, self.waits_on
+        )
+    }
+}
+
+/// Writes a deadlock chain as `step -> step -> …`, ending in
+/// `-> cycle repeats` when it closes on itself.
+pub(crate) fn write_chain(
+    f: &mut fmt::Formatter<'_>,
+    chain: &[CycleStep],
+    cycle: bool,
+) -> fmt::Result {
+    for (i, step) in chain.iter().enumerate() {
+        if i > 0 {
+            write!(f, " -> ")?;
+        }
+        write!(f, "{step}")?;
+    }
+    if cycle {
+        write!(f, " -> cycle repeats")?;
+    }
+    Ok(())
+}
+
 /// Errors from engine execution.
 #[derive(Debug)]
 #[non_exhaustive]
@@ -50,8 +108,12 @@ pub enum EngineError {
     /// remains. Indicates an ill-formed program (e.g. mismatched
     /// collective sequences).
     Deadlock {
-        /// Human-readable stuck-entity report.
-        detail: String,
+        /// The wait-for chain, stuck entity by stuck entity.
+        chain: Vec<CycleStep>,
+        /// `true` when the chain closes on itself (a true cycle);
+        /// `false` when it dead-ends in a resource nothing will
+        /// produce.
+        cycle: bool,
     },
     /// A collective launch referenced a communicator group absent from
     /// [`LoweredJob::groups`].
@@ -72,7 +134,10 @@ pub enum EngineError {
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EngineError::Deadlock { detail } => write!(f, "execution deadlocked: {detail}"),
+            EngineError::Deadlock { chain, cycle } => {
+                write!(f, "execution deadlocked: ")?;
+                write_chain(f, chain, *cycle)
+            }
             EngineError::UnknownGroup { group } => {
                 write!(
                     f,
@@ -230,8 +295,10 @@ impl<'a> PreparedJob<'a> {
     }
 }
 
+/// A schedulable entity: an entry of the wake queue, and a node of
+/// the wait-for graph walked at a deadlock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Wake {
+enum Entity {
     Thread(usize),
     Stream(usize),
 }
@@ -245,7 +312,8 @@ enum Blocked {
     DeviceDrain {
         pending: usize,
     },
-    Token,
+    /// Waiting for the dense cross-thread token to be signaled.
+    Token(u32),
     Done,
 }
 
@@ -328,7 +396,7 @@ struct Engine<'p, C: CostModel, S: EventSink> {
     events: Vec<EventState>,
     tokens: Vec<TokenState>,
     collectives: Vec<CollState>,
-    queue: VecDeque<Wake>,
+    queue: VecDeque<Entity>,
     queued_threads: Vec<bool>,
     queued_streams: Vec<bool>,
     next_corr: u64,
@@ -389,8 +457,12 @@ impl<'p, C: CostModel, S: EventSink> Engine<'p, C, S> {
             jitter: jitter.compile(iteration),
             threads,
             streams,
-            events: (0..prep.n_events).map(|_| EventState::default()).collect(),
-            tokens: (0..prep.n_tokens).map(|_| TokenState::default()).collect(),
+            events: (0..prep.raw_events.len())
+                .map(|_| EventState::default())
+                .collect(),
+            tokens: (0..prep.raw_tokens.len())
+                .map(|_| TokenState::default())
+                .collect(),
             collectives: prep
                 .collectives
                 .iter()
@@ -425,14 +497,14 @@ impl<'p, C: CostModel, S: EventSink> Engine<'p, C, S> {
     fn wake_thread(&mut self, i: usize) {
         if !self.queued_threads[i] {
             self.queued_threads[i] = true;
-            self.queue.push_back(Wake::Thread(i));
+            self.queue.push_back(Entity::Thread(i));
         }
     }
 
     fn wake_stream(&mut self, i: usize) {
         if !self.queued_streams[i] {
             self.queued_streams[i] = true;
-            self.queue.push_back(Wake::Stream(i));
+            self.queue.push_back(Entity::Stream(i));
         }
     }
 
@@ -445,11 +517,11 @@ impl<'p, C: CostModel, S: EventSink> Engine<'p, C, S> {
                 break;
             }
             match w {
-                Wake::Thread(i) => {
+                Entity::Thread(i) => {
                     self.queued_threads[i] = false;
                     self.run_thread(i);
                 }
-                Wake::Stream(i) => {
+                Entity::Stream(i) => {
                     self.queued_streams[i] = false;
                     self.run_stream(i);
                 }
@@ -458,114 +530,205 @@ impl<'p, C: CostModel, S: EventSink> Engine<'p, C, S> {
         if let Some(e) = self.fatal.take() {
             return Err(e);
         }
-        self.check_quiescent()?;
+        self.diagnose()?;
         Ok(self.sink)
     }
 
-    fn check_quiescent(&self) -> Result<(), EngineError> {
-        let mut stuck = Vec::new();
-        for (i, t) in self.threads.iter().enumerate() {
-            if !matches!(t.blocked, Blocked::Done) {
+    /// At quiescence: `Ok` if every thread and stream finished;
+    /// otherwise walks the wait-for graph from the first stuck entity
+    /// and reports the chain.
+    fn diagnose(&self) -> Result<(), EngineError> {
+        let stuck_thread = self
+            .threads
+            .iter()
+            .position(|t| !matches!(t.blocked, Blocked::Done))
+            .map(Entity::Thread);
+        let stuck_stream = self
+            .streams
+            .iter()
+            .position(|s| s.head < s.entries.len())
+            .map(Entity::Stream);
+        let Some(mut node) = stuck_thread.or(stuck_stream) else {
+            return Ok(());
+        };
+        let mut chain: Vec<CycleStep> = Vec::new();
+        let mut visited: Vec<Entity> = Vec::new();
+        let mut cycle = false;
+        while chain.len() < MAX_CHAIN {
+            if let Some(pos) = visited.iter().position(|n| *n == node) {
+                chain.drain(..pos);
+                cycle = true;
+                break;
+            }
+            visited.push(node);
+            let (rank, entity) = self.describe(node);
+            let (next, waits_on) = match node {
+                Entity::Thread(i) => self.thread_edge(i),
+                Entity::Stream(si) => self.stream_edge(si),
+            };
+            chain.push(CycleStep {
+                rank,
+                entity,
+                waits_on,
+            });
+            match next {
+                Some(n) => node = n,
+                None => break,
+            }
+        }
+        Err(EngineError::Deadlock { chain, cycle })
+    }
+
+    /// The rank and display name of a stuck entity.
+    fn describe(&self, node: Entity) -> (u32, String) {
+        match node {
+            Entity::Thread(i) => {
                 let meta = &self.prep.threads[i];
-                stuck.push(format!(
-                    "thread #{i} (rank {} {:?}) at pc {}/{} blocked {}",
-                    meta.rank,
-                    meta.tid,
-                    t.pc,
-                    meta.ops.len(),
-                    self.describe_thread_block(i)
-                ));
+                let pc = self.threads[i].pc;
+                let entity = format!("{:?} thread (op {pc}/{})", meta.tid, meta.ops.len());
+                (meta.rank, entity)
             }
-        }
-        for (si, s) in self.streams.iter().enumerate() {
-            if s.head < s.entries.len() {
+            Entity::Stream(si) => {
                 let meta = self.prep.streams[si];
-                stuck.push(format!(
-                    "stream rank {} {} drained {}/{}, head: {}",
-                    meta.rank,
-                    meta.sid,
-                    s.head,
-                    s.entries.len(),
-                    self.describe_stream_head(si)
-                ));
+                let s = &self.streams[si];
+                let entity = format!("stream {} (entry {}/{})", meta.sid, s.head, s.entries.len());
+                (meta.rank, entity)
             }
-        }
-        if stuck.is_empty() {
-            Ok(())
-        } else {
-            stuck.truncate(16);
-            Err(EngineError::Deadlock {
-                detail: stuck.join("; "),
-            })
         }
     }
 
-    /// Names the resource a non-done thread is blocked on, for the
-    /// deadlock report.
-    fn describe_thread_block(&self, i: usize) -> String {
+    /// Ops thread `j` has not dispatched yet.
+    fn pending_ops(&self, j: usize) -> &[ExecOp] {
+        let ops = self.prep.threads[j].ops.as_slice();
+        &ops[self.threads[j].pc.min(ops.len())..]
+    }
+
+    /// Entries stream `si` has not drained yet.
+    fn pending_entries(&self, si: usize) -> &[Entry] {
+        let s = &self.streams[si];
+        &s.entries[s.head..]
+    }
+
+    /// The wait-for edge out of a stuck thread: what it awaits, and
+    /// the entity expected to produce it (`None` when nothing
+    /// remaining can).
+    fn thread_edge(&self, i: usize) -> (Option<Entity>, String) {
         match self.threads[i].blocked {
             Blocked::StreamDrain | Blocked::DeviceDrain { .. } => {
-                let targets: Vec<String> = self
-                    .streams
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.drain_waiters.iter().any(|&(t, _)| t == i))
-                    .map(|(si, _)| self.prep.streams[si].sid.to_string())
-                    .collect();
-                format!("draining stream(s) {}", targets.join(", "))
-            }
-            Blocked::Token => {
-                let t = &self.threads[i];
-                let token =
-                    t.pc.checked_sub(1)
-                        .and_then(|pc| match self.prep.threads[i].ops.get(pc) {
-                            Some(ExecOp::WaitPeer { token }) => Some(*token),
-                            _ => None,
-                        });
-                match token {
-                    Some(tk) => format!("waiting for cross-thread token #{tk}"),
-                    None => "waiting for a cross-thread token".to_string(),
+                let owed = (0..self.streams.len())
+                    .find(|&si| self.streams[si].drain_waiters.iter().any(|&(t, _)| t == i));
+                match owed {
+                    Some(si) => {
+                        let meta = self.prep.streams[si];
+                        let desc = format!("drain of stream {} on rank {}", meta.sid, meta.rank);
+                        (Some(Entity::Stream(si)), desc)
+                    }
+                    None => (None, "a stream drain no stream owes".to_string()),
                 }
             }
-            ref other => format!("{other:?}"),
+            Blocked::Token(token) => {
+                let raw = self.prep.raw_tokens[token as usize];
+                let prog = self.prep.threads[i].prog;
+                let signaler = (0..self.threads.len()).find(|&j| {
+                    self.prep.threads[j].prog == prog
+                        && self
+                            .pending_ops(j)
+                            .iter()
+                            .any(|op| matches!(op, ExecOp::SignalPeer { token: t } if *t == token))
+                });
+                match signaler {
+                    Some(j) => {
+                        let meta = &self.prep.threads[j];
+                        let desc =
+                            format!("token {raw} signaled by rank {} {:?}", meta.rank, meta.tid);
+                        (Some(Entity::Thread(j)), desc)
+                    }
+                    None => (
+                        None,
+                        format!("token {raw} — which nothing remaining will signal"),
+                    ),
+                }
+            }
+            Blocked::Ready | Blocked::Done => (None, "nothing (not actually blocked)".to_string()),
         }
     }
 
-    /// Names the entry a stuck stream is parked on: the collective
-    /// rendezvous (with its group, seq, and missing member ranks) or
-    /// the event it waits for.
-    fn describe_stream_head(&self, si: usize) -> String {
-        let s = &self.streams[si];
-        match s.entries[s.head] {
-            Entry::Collective { class, coll, .. } => {
-                let info = self.prep.collectives[coll as usize];
+    /// The wait-for edge out of a stuck stream: the collective
+    /// rendezvous (with the first member that has not arrived) or the
+    /// event its head entry waits for, and who will provide it.
+    fn stream_edge(&self, si: usize) -> (Option<Entity>, String) {
+        let prep = self.prep;
+        match self.pending_entries(si).first() {
+            Some(&Entry::Collective { class, coll, .. }) => {
+                let info = prep.collectives[coll as usize];
                 let arrivals = &self.collectives[coll as usize].arrivals;
-                let arrived: std::collections::BTreeSet<u32> = arrivals
-                    .iter()
-                    .map(|&(o, _)| self.prep.streams[o].rank)
-                    .collect();
-                let missing: Vec<String> = info
+                let awaiting = info
                     .members
                     .iter()
-                    .filter(|r| !arrived.contains(r))
-                    .map(|r| r.to_string())
-                    .collect();
+                    .copied()
+                    .find(|&r| !arrivals.iter().any(|&(o, _)| prep.streams[o].rank == r));
                 let kind = match class {
                     KernelClass::Collective(m) => format!("{:?}", m.kind),
                     _ => "collective".to_string(),
                 };
-                format!(
-                    "collective {kind} group {} seq {} ({}/{} arrived; missing rank(s) {})",
+                let desc = format!(
+                    "{kind} group {} seq {} ({}/{} arrived{})",
                     info.group,
                     info.seq,
                     arrivals.len(),
                     info.expected,
-                    missing.join(", ")
-                )
+                    awaiting.map_or(String::new(), |m| format!("; awaiting rank {m}")),
+                );
+                let Some(m) = awaiting else {
+                    return (None, format!("{desc} — which nothing will resolve"));
+                };
+                let holder = (0..self.streams.len()).find(|&sj| {
+                    prep.streams[sj].rank == m
+                        && self.pending_entries(sj).iter().any(|e| {
+                            matches!(e, Entry::Collective { coll: c, arrived: false, .. } if *c == coll)
+                        })
+                });
+                if let Some(sj) = holder {
+                    return (Some(Entity::Stream(sj)), desc);
+                }
+                let launcher = (0..self.threads.len()).find(|&j| {
+                    prep.threads[j].rank == m
+                        && self.pending_ops(j).iter().any(
+                            |op| matches!(op, ExecOp::LaunchColl { coll: c, .. } if *c == coll),
+                        )
+                });
+                match launcher {
+                    Some(j) => (Some(Entity::Thread(j)), desc),
+                    None => (None, format!("{desc} — which rank {m} will never launch")),
+                }
             }
-            Entry::WaitEv { event } => format!("waiting on event #{event}"),
-            Entry::Record { .. } => "event record (runnable)".to_string(),
-            Entry::Kernel { .. } => "kernel (runnable)".to_string(),
+            Some(&Entry::WaitEv { event }) => {
+                let raw = prep.raw_events[event as usize];
+                let desc = format!(
+                    "completion of event {raw} on rank {}",
+                    prep.streams[si].rank
+                );
+                let holder = (0..self.streams.len()).find(|&sj| {
+                    self.pending_entries(sj)
+                        .iter()
+                        .any(|e| matches!(e, Entry::Record { event: ev } if *ev == event))
+                });
+                if let Some(sj) = holder {
+                    return (Some(Entity::Stream(sj)), desc);
+                }
+                let recorder = (0..self.threads.len()).find(|&j| {
+                    self.pending_ops(j).iter().any(
+                        |op| matches!(op, ExecOp::EventRecord { event: ev, .. } if *ev == event),
+                    )
+                });
+                match recorder {
+                    Some(j) => (Some(Entity::Thread(j)), desc),
+                    None => (None, format!("{desc} — which nothing will record")),
+                }
+            }
+            Some(Entry::Kernel { .. } | Entry::Record { .. }) | None => {
+                (None, "nothing (head entry is always runnable)".to_string())
+            }
         }
     }
 
@@ -611,7 +774,7 @@ impl<'p, C: CostModel, S: EventSink> Engine<'p, C, S> {
                 t.blocked = Blocked::Ready;
                 self.sink.runtime(prog, tid, kind, 0, start, end - start);
             }
-            Blocked::Token => {
+            Blocked::Token(_) => {
                 // Token time folded into clock by the waker.
                 self.threads[i].blocked = Blocked::Ready;
             }
@@ -668,12 +831,7 @@ impl<'p, C: CostModel, S: EventSink> Engine<'p, C, S> {
                     };
                     self.enqueue(stream as usize, entry, clock);
                 }
-                ExecOp::EventRecord {
-                    event,
-                    raw_event,
-                    stream,
-                    raw_stream,
-                } => {
+                ExecOp::EventRecord { event, stream } => {
                     let dur = self.host_dur(i, rank, self.oh.event_call);
                     let t = &mut self.threads[i];
                     let clock = t.clock;
@@ -682,8 +840,8 @@ impl<'p, C: CostModel, S: EventSink> Engine<'p, C, S> {
                         prog,
                         tid,
                         CudaRuntimeKind::EventRecord {
-                            event: raw_event as u64,
-                            stream: raw_stream,
+                            event: prep.raw_events[event as usize] as u64,
+                            stream: prep.streams[stream as usize].sid,
                         },
                         0,
                         clock,
@@ -691,12 +849,7 @@ impl<'p, C: CostModel, S: EventSink> Engine<'p, C, S> {
                     );
                     self.enqueue(stream as usize, Entry::Record { event }, clock);
                 }
-                ExecOp::StreamWait {
-                    event,
-                    raw_event,
-                    stream,
-                    raw_stream,
-                } => {
+                ExecOp::StreamWait { event, stream } => {
                     let dur = self.host_dur(i, rank, self.oh.event_call);
                     let t = &mut self.threads[i];
                     let clock = t.clock;
@@ -705,8 +858,8 @@ impl<'p, C: CostModel, S: EventSink> Engine<'p, C, S> {
                         prog,
                         tid,
                         CudaRuntimeKind::StreamWaitEvent {
-                            stream: raw_stream,
-                            event: raw_event as u64,
+                            stream: prep.streams[stream as usize].sid,
+                            event: prep.raw_events[event as usize] as u64,
                         },
                         0,
                         clock,
@@ -714,10 +867,12 @@ impl<'p, C: CostModel, S: EventSink> Engine<'p, C, S> {
                     );
                     self.enqueue(stream as usize, Entry::WaitEv { event }, clock);
                 }
-                ExecOp::StreamSync { stream, raw_stream } => {
+                ExecOp::StreamSync { stream } => {
                     let si = stream as usize;
                     let upto = self.streams[si].entries.len();
-                    let kind = CudaRuntimeKind::StreamSynchronize { stream: raw_stream };
+                    let kind = CudaRuntimeKind::StreamSynchronize {
+                        stream: prep.streams[si].sid,
+                    };
                     if self.begin_sync(i, prog, rank, kind, &[(si, upto)]) {
                         self.threads[i].pc += 1;
                         continue;
@@ -757,7 +912,7 @@ impl<'p, C: CostModel, S: EventSink> Engine<'p, C, S> {
                         }
                         None => {
                             state.waiters.push(i);
-                            self.threads[i].blocked = Blocked::Token;
+                            self.threads[i].blocked = Blocked::Token(token);
                             self.threads[i].pc += 1;
                             return;
                         }
@@ -1209,7 +1364,7 @@ mod tests {
         assert!(msg.contains("AllReduce"), "{msg}");
         assert!(msg.contains("group 99"), "{msg}");
         assert!(msg.contains("seq 0"), "{msg}");
-        assert!(msg.contains("missing rank(s) 1"), "{msg}");
+        assert!(msg.contains("awaiting rank 1"), "{msg}");
     }
 
     #[test]

@@ -31,9 +31,8 @@ use std::sync::Arc;
 
 /// A host instruction with all operands resolved to dense indices.
 ///
-/// Raw ids (`raw_event`, `raw_stream`) are kept alongside their dense
-/// counterparts because full-trace emission must reproduce the
-/// original CUDA-runtime operands in trace events.
+/// Full-trace emission recovers the original CUDA-runtime operands
+/// through [`PreparedJob::raw_events`] and [`PStream::sid`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum ExecOp {
     /// Framework operator dispatch.
@@ -55,21 +54,11 @@ pub(crate) enum ExecOp {
         coll: u32,
     },
     /// `cudaEventRecord`.
-    EventRecord {
-        event: u32,
-        raw_event: u32,
-        stream: u32,
-        raw_stream: StreamId,
-    },
+    EventRecord { event: u32, stream: u32 },
     /// `cudaStreamWaitEvent`.
-    StreamWait {
-        event: u32,
-        raw_event: u32,
-        stream: u32,
-        raw_stream: StreamId,
-    },
+    StreamWait { event: u32, stream: u32 },
     /// `cudaStreamSynchronize`.
-    StreamSync { stream: u32, raw_stream: StreamId },
+    StreamSync { stream: u32 },
     /// `cudaDeviceSynchronize`.
     DeviceSync,
     /// Cross-thread token post.
@@ -138,8 +127,12 @@ pub struct PreparedJob<'a> {
     pub(crate) streams: Vec<PStream>,
     /// Dense stream indices per program (DeviceSync targets).
     pub(crate) rank_streams: Vec<Vec<u32>>,
-    pub(crate) n_events: usize,
-    pub(crate) n_tokens: usize,
+    /// Per-rank CUDA event id of each dense event (trace operands,
+    /// deadlock diagnostics).
+    pub(crate) raw_events: Vec<u32>,
+    /// Per-rank token id of each dense cross-thread token (deadlock
+    /// diagnostics).
+    pub(crate) raw_tokens: Vec<u32>,
     pub(crate) collectives: Vec<PColl<'a>>,
     /// Distinct non-collective kernel classes, indexed by
     /// `ExecOp::Launch::cost`. Cost models price kernels purely by
@@ -169,6 +162,8 @@ impl<'a> PreparedJob<'a> {
         let mut stream_index: HashMap<(u32, StreamId), u32> = HashMap::new();
         let mut event_index: HashMap<(u32, u32), u32> = HashMap::new();
         let mut token_index: HashMap<(u32, u32), u32> = HashMap::new();
+        let mut raw_events: Vec<u32> = Vec::new();
+        let mut raw_tokens: Vec<u32> = Vec::new();
         let mut coll_index: HashMap<(u64, u32), u32> = HashMap::new();
         let mut collectives: Vec<PColl<'a>> = Vec::new();
         let mut class_index: HashMap<KernelClass, u32> = HashMap::new();
@@ -265,42 +260,29 @@ impl<'a> PreparedJob<'a> {
                         HostOp::EventRecord { event, stream } => {
                             let si = stream_of(stream, &mut streams, &mut rank_streams);
                             streams[si as usize].entries_hint += 1;
-                            let next = event_index.len() as u32;
                             ExecOp::EventRecord {
-                                event: *event_index.entry((prog, event)).or_insert(next),
-                                raw_event: event,
+                                event: dense_id(&mut event_index, &mut raw_events, prog, event),
                                 stream: si,
-                                raw_stream: stream,
                             }
                         }
                         HostOp::StreamWait { stream, event } => {
                             let si = stream_of(stream, &mut streams, &mut rank_streams);
                             streams[si as usize].entries_hint += 1;
-                            let next = event_index.len() as u32;
                             ExecOp::StreamWait {
-                                event: *event_index.entry((prog, event)).or_insert(next),
-                                raw_event: event,
+                                event: dense_id(&mut event_index, &mut raw_events, prog, event),
                                 stream: si,
-                                raw_stream: stream,
                             }
                         }
                         HostOp::StreamSync { stream } => ExecOp::StreamSync {
                             stream: stream_of(stream, &mut streams, &mut rank_streams),
-                            raw_stream: stream,
                         },
                         HostOp::DeviceSync => ExecOp::DeviceSync,
-                        HostOp::SignalPeer { token } => {
-                            let next = token_index.len() as u32;
-                            ExecOp::SignalPeer {
-                                token: *token_index.entry((prog, token)).or_insert(next),
-                            }
-                        }
-                        HostOp::WaitPeer { token } => {
-                            let next = token_index.len() as u32;
-                            ExecOp::WaitPeer {
-                                token: *token_index.entry((prog, token)).or_insert(next),
-                            }
-                        }
+                        HostOp::SignalPeer { token } => ExecOp::SignalPeer {
+                            token: dense_id(&mut token_index, &mut raw_tokens, prog, token),
+                        },
+                        HostOp::WaitPeer { token } => ExecOp::WaitPeer {
+                            token: dense_id(&mut token_index, &mut raw_tokens, prog, token),
+                        },
                         HostOp::AnnotationBegin { name } => ExecOp::AnnotationBegin {
                             name: check_name(name)?,
                         },
@@ -322,8 +304,8 @@ impl<'a> PreparedJob<'a> {
             threads,
             streams,
             rank_streams,
-            n_events: event_index.len(),
-            n_tokens: token_index.len(),
+            raw_events,
+            raw_tokens,
             collectives,
             kernel_classes,
             ranks,
@@ -344,4 +326,13 @@ impl<'a> PreparedJob<'a> {
             .and_then(|p| p.names.get(id))
             .unwrap_or(&self.unknown_name)
     }
+}
+
+/// The dense id of per-program id `raw` in program `prog`, assigning
+/// the next one (and recording `raw` for it) on first sight.
+fn dense_id(index: &mut HashMap<(u32, u32), u32>, raws: &mut Vec<u32>, prog: u32, raw: u32) -> u32 {
+    *index.entry((prog, raw)).or_insert_with(|| {
+        raws.push(raw);
+        (raws.len() - 1) as u32
+    })
 }

@@ -56,7 +56,7 @@ pub mod scenario;
 mod sink;
 mod verify;
 
-pub use engine::{execute, execute_metrics, EngineError, EngineOutput};
+pub use engine::{execute, execute_metrics, CycleStep, EngineError, EngineOutput};
 pub use exec::PreparedJob;
 pub use inference::lower_inference;
 pub use jitter::JitterModel;
@@ -67,4 +67,4 @@ pub use program::{
 pub use run::{profile, profile_inference, ClusterError, GroundTruthCluster, MeasuredStats};
 pub use scenario::{FaultSpec, FaultSpecError, Realization, RunScenario};
 pub use sink::{EngineMetrics, RankMetrics, StreamBusy};
-pub use verify::{verify, CycleStep, GroupEntry, PortableJob, VerifyError, VerifyReport};
+pub use verify::{verify, GroupEntry, PortableJob, VerifyError, VerifyReport};

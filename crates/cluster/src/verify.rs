@@ -1,11 +1,7 @@
-//! Static whole-job verification: prove a [`LoweredJob`] well-formed
-//! and deadlock-free **before** the engine runs it.
+//! Whole-job verification: prove a [`LoweredJob`] well-formed and
+//! deadlock-free **before** a costed simulation of it runs.
 //!
-//! The engine's runtime deadlock latch ([`crate::engine::EngineError::Deadlock`])
-//! fires only after simulation work has been wasted, and historically
-//! reported little more than "no entity could make progress". This
-//! module performs the same control-flow analysis statically, in four
-//! phases, each with a typed diagnostic:
+//! Four phases, each with a typed diagnostic:
 //!
 //! 1. **Referential integrity** — every [`crate::program::NameId`]
 //!    resolves, annotations balance, cross-thread tokens are signaled
@@ -21,52 +17,31 @@
 //!    ([`CollectiveKind::SendRecv`]) must be issued by both members of
 //!    their pair group; a lone send (or recv) is reported with the
 //!    ranks present and missing.
-//! 4. **Deadlock freedom** — an abstract, costless scheduler replays
-//!    the exact wake discipline of [`crate::engine`] (threads block on
-//!    stream drains and tokens; streams stall on collective rendezvous
-//!    and event waits). Which entity blocks is purely structural —
-//!    costs only move clocks — so the abstract run gets stuck if and
-//!    only if the real engine would. At quiescence-with-work the
-//!    cross-rank wait-for graph is walked and the cycle (or dead-end
-//!    chain) is reported step by step: rank → entity → waited-on
-//!    resource → rank → …
+//! 4. **Deadlock freedom** — one run of the engine itself, through
+//!    the metrics-only path with every cost at zero. Which entity
+//!    blocks is purely structural — costs only move clocks — so this
+//!    run stalls if and only if every costed run of the job would. A
+//!    stall comes back as the engine's own
+//!    [`crate::EngineError::Deadlock`] report: the cross-rank wait-for
+//!    chain, step by step (rank → entity → waited-on resource → rank →
+//!    …), which [`VerifyError::Deadlock`] carries unchanged.
 //!
 //! Zero false positives is a hard requirement: every job the engine
 //! executes successfully must pass [`verify`] clean. The proptest
 //! suite in `tests/verify.rs` holds both directions.
 
-use crate::exec::{ExecOp, PreparedJob};
+use crate::engine::{write_chain, CycleStep, EngineError};
+use crate::exec::PreparedJob;
+use crate::jitter::JitterModel;
 use crate::lower::{LoweredJob, SimConfig};
 use crate::program::{HostOp, KernelSpec, Program};
+use lumos_cost::{CostModel, HostOverheads};
 use lumos_model::{ModelConfig, Parallelism};
-use lumos_trace::{CollectiveKind, KernelClass, ThreadId};
+use lumos_trace::{CollectiveKind, Dur, KernelClass, ThreadId};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet};
 use std::error::Error;
 use std::fmt;
-
-/// One step of a reported deadlock chain: who waits, and on what.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CycleStep {
-    /// Global rank of the stuck entity.
-    pub rank: u32,
-    /// The stuck entity, e.g. `"stream 13 (entry 0/2)"` or
-    /// `"ThreadId(1) thread (op 3/7)"`.
-    pub entity: String,
-    /// The resource it waits on, e.g.
-    /// `"AllReduce group 7 seq 0 (1/2 arrived; awaiting rank 1)"`.
-    pub waits_on: String,
-}
-
-impl fmt::Display for CycleStep {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "rank {} {} waits on {}",
-            self.rank, self.entity, self.waits_on
-        )
-    }
-}
 
 /// A violation found by static verification. The taxonomy follows the
 /// four check phases (see the module docs); `docs/verify-checks.md`
@@ -331,16 +306,7 @@ impl fmt::Display for VerifyError {
             }
             VerifyError::Deadlock { chain, cycle } => {
                 write!(f, "static deadlock: ")?;
-                for (i, step) in chain.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " -> ")?;
-                    }
-                    write!(f, "{step}")?;
-                }
-                if *cycle {
-                    write!(f, " -> cycle repeats")?;
-                }
-                Ok(())
+                write_chain(f, chain, *cycle)
             }
             VerifyError::Malformed { detail } => write!(f, "malformed job: {detail}"),
         }
@@ -537,10 +503,8 @@ pub fn verify(job: &LoweredJob) -> Result<VerifyReport, VerifyError> {
             }
         }
     }
-    let mut kinds: HashMap<(u64, u32), CollectiveKind> = HashMap::new();
     for (&(group, seq), issues) in &instances {
         let first = &issues[0];
-        kinds.insert((group, seq), first.kind);
         for issue in &issues[1..] {
             if issue.kind != first.kind {
                 return Err(VerifyError::CollectiveKindMismatch {
@@ -607,587 +571,39 @@ pub fn verify(job: &LoweredJob) -> Result<VerifyReport, VerifyError> {
         }
     }
 
-    // Phase 4: deadlock freedom over the dense prepared form. After
-    // phases 1-3, preparation cannot fail; the catch-all keeps this
-    // panic-free for inputs that somehow slip through.
-    let prep = PreparedJob::new(job).map_err(|e| VerifyError::Malformed {
+    // Phase 4: deadlock freedom, by one cost-free engine run. After
+    // phases 1-3 neither preparation nor the run can fail except by
+    // deadlock; the catch-all keeps this panic-free for inputs that
+    // somehow slip through.
+    let malformed = |e: EngineError| VerifyError::Malformed {
         detail: e.to_string(),
-    })?;
+    };
+    let prep = PreparedJob::new(job).map_err(malformed)?;
     report.streams = prep.streams.len();
-    report.events = prep.n_events;
-    report.tokens = prep.n_tokens;
-    AbstractRun::new(&prep, job).check(&kinds)?;
-    Ok(report)
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AWake {
-    Thread(usize),
-    Stream(usize),
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Node {
-    Thread(usize),
-    Stream(usize),
-}
-
-#[derive(Debug, Clone, Copy)]
-enum ABlock {
-    Ready,
-    StreamDrain,
-    DeviceDrain(usize),
-    Token(u32),
-    Done,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum AEntry {
-    Kernel,
-    Coll { coll: u32, arrived: bool },
-    Record { event: u32 },
-    WaitEv { event: u32 },
-}
-
-struct AThread {
-    pc: usize,
-    blocked: ABlock,
-}
-
-#[derive(Default)]
-struct AStream {
-    entries: Vec<AEntry>,
-    head: usize,
-    /// Threads waiting for this stream to drain `upto` entries.
-    waiters: Vec<(usize, usize)>,
-}
-
-#[derive(Default)]
-struct AEvent {
-    completed: bool,
-    waiting: Vec<usize>,
-}
-
-#[derive(Default)]
-struct AToken {
-    signaled: bool,
-    waiters: Vec<usize>,
-}
-
-#[derive(Default)]
-struct AColl {
-    arrivals: Vec<usize>,
-    resolved: bool,
-}
-
-/// The abstract scheduler: a costless replay of the engine's wake
-/// discipline. Mirrors `engine::Engine::{run, run_thread, run_stream,
-/// begin_sync, advance_head, process_collective}` exactly — same
-/// initial wake order, same FIFO wake queue with dedup flags, same
-/// blocking rules — so its terminal stuck set matches the engine's.
-struct AbstractRun<'p, 'a> {
-    prep: &'p PreparedJob<'a>,
-    threads: Vec<AThread>,
-    streams: Vec<AStream>,
-    events: Vec<AEvent>,
-    tokens: Vec<AToken>,
-    colls: Vec<AColl>,
-    queue: VecDeque<AWake>,
-    queued_threads: Vec<bool>,
-    queued_streams: Vec<bool>,
-    /// Raw (per-rank) event id per dense event index, for diagnostics.
-    raw_event: Vec<u32>,
-    /// Raw token id per dense token index, for diagnostics.
-    raw_token: Vec<u32>,
-}
-
-impl<'p, 'a> AbstractRun<'p, 'a> {
-    fn new(prep: &'p PreparedJob<'a>, job: &LoweredJob) -> Self {
-        let (raw_event, raw_token) = raw_ids(job);
-        AbstractRun {
-            prep,
-            threads: prep
-                .threads
-                .iter()
-                .map(|_| AThread {
-                    pc: 0,
-                    blocked: ABlock::Ready,
-                })
-                .collect(),
-            streams: prep.streams.iter().map(|_| AStream::default()).collect(),
-            events: (0..prep.n_events).map(|_| AEvent::default()).collect(),
-            tokens: (0..prep.n_tokens).map(|_| AToken::default()).collect(),
-            colls: prep.collectives.iter().map(|_| AColl::default()).collect(),
-            queue: VecDeque::new(),
-            queued_threads: vec![false; prep.threads.len()],
-            queued_streams: vec![false; prep.streams.len()],
-            raw_event,
-            raw_token,
-        }
-    }
-
-    fn wake_thread(&mut self, i: usize) {
-        if !self.queued_threads[i] {
-            self.queued_threads[i] = true;
-            self.queue.push_back(AWake::Thread(i));
-        }
-    }
-
-    fn wake_stream(&mut self, i: usize) {
-        if !self.queued_streams[i] {
-            self.queued_streams[i] = true;
-            self.queue.push_back(AWake::Stream(i));
-        }
-    }
-
-    /// Runs to quiescence, then reports any remaining work as a
-    /// [`VerifyError::Deadlock`] chain.
-    fn check(mut self, kinds: &HashMap<(u64, u32), CollectiveKind>) -> Result<(), VerifyError> {
-        for i in 0..self.threads.len() {
-            self.wake_thread(i);
-        }
-        while let Some(w) = self.queue.pop_front() {
-            match w {
-                AWake::Thread(i) => {
-                    self.queued_threads[i] = false;
-                    self.run_thread(i);
-                }
-                AWake::Stream(i) => {
-                    self.queued_streams[i] = false;
-                    self.run_stream(i);
-                }
-            }
-        }
-        self.diagnose(kinds)
-    }
-
-    fn run_thread(&mut self, i: usize) {
-        let prep = self.prep;
-        let ops = prep.threads[i].ops.as_slice();
-        match self.threads[i].blocked {
-            ABlock::Done => return,
-            ABlock::Ready => {}
-            ABlock::DeviceDrain(pending) if pending > 0 => return,
-            ABlock::StreamDrain | ABlock::DeviceDrain(_) | ABlock::Token(_) => {
-                self.threads[i].blocked = ABlock::Ready;
-            }
-        }
-        while self.threads[i].pc < ops.len() {
-            match ops[self.threads[i].pc] {
-                ExecOp::CpuOp { .. } | ExecOp::AnnotationBegin { .. } | ExecOp::AnnotationEnd => {}
-                ExecOp::Launch { stream, .. } => self.enqueue(stream as usize, AEntry::Kernel),
-                ExecOp::LaunchColl { stream, coll, .. } => self.enqueue(
-                    stream as usize,
-                    AEntry::Coll {
-                        coll,
-                        arrived: false,
-                    },
-                ),
-                ExecOp::EventRecord { event, stream, .. } => {
-                    self.enqueue(stream as usize, AEntry::Record { event });
-                }
-                ExecOp::StreamWait { event, stream, .. } => {
-                    self.enqueue(stream as usize, AEntry::WaitEv { event });
-                }
-                ExecOp::StreamSync { stream, .. } => {
-                    let si = stream as usize;
-                    let upto = self.streams[si].entries.len();
-                    if !self.begin_sync(i, &[(si, upto)]) {
-                        self.threads[i].pc += 1;
-                        return;
-                    }
-                }
-                ExecOp::DeviceSync => {
-                    let targets: Vec<(usize, usize)> = prep.rank_streams
-                        [prep.threads[i].prog as usize]
-                        .iter()
-                        .map(|&si| (si as usize, self.streams[si as usize].entries.len()))
-                        .collect();
-                    if !self.begin_sync(i, &targets) {
-                        self.threads[i].pc += 1;
-                        return;
-                    }
-                }
-                ExecOp::SignalPeer { token } => {
-                    let tk = &mut self.tokens[token as usize];
-                    tk.signaled = true;
-                    let waiters = std::mem::take(&mut tk.waiters);
-                    for w in waiters {
-                        self.wake_thread(w);
-                    }
-                }
-                ExecOp::WaitPeer { token } => {
-                    if !self.tokens[token as usize].signaled {
-                        self.tokens[token as usize].waiters.push(i);
-                        self.threads[i].blocked = ABlock::Token(token);
-                        self.threads[i].pc += 1;
-                        return;
-                    }
-                }
-            }
-            self.threads[i].pc += 1;
-        }
-        self.threads[i].blocked = ABlock::Done;
-    }
-
-    /// Mirrors `Engine::begin_sync`: registers drain waiters, returns
-    /// `true` when all targets are already drained.
-    fn begin_sync(&mut self, thread: usize, targets: &[(usize, usize)]) -> bool {
-        let mut pending = 0;
-        for &(si, upto) in targets {
-            if self.streams[si].head < upto {
-                self.streams[si].waiters.push((thread, upto));
-                pending += 1;
-            }
-        }
-        if pending == 0 {
-            true
-        } else {
-            self.threads[thread].blocked = if targets.len() == 1 {
-                ABlock::StreamDrain
-            } else {
-                ABlock::DeviceDrain(pending)
-            };
-            false
-        }
-    }
-
-    fn enqueue(&mut self, si: usize, entry: AEntry) {
-        self.streams[si].entries.push(entry);
-        self.wake_stream(si);
-    }
-
-    fn run_stream(&mut self, si: usize) {
-        loop {
-            let head = self.streams[si].head;
-            if head >= self.streams[si].entries.len() {
-                return;
-            }
-            match self.streams[si].entries[head] {
-                AEntry::Kernel => self.advance_head(si),
-                AEntry::Record { event } => {
-                    let ev = &mut self.events[event as usize];
-                    ev.completed = true;
-                    let waiters = std::mem::take(&mut ev.waiting);
-                    for w in waiters {
-                        self.wake_stream(w);
-                    }
-                    self.advance_head(si);
-                }
-                AEntry::WaitEv { event } => {
-                    if self.events[event as usize].completed {
-                        self.advance_head(si);
-                    } else {
-                        let ev = &mut self.events[event as usize];
-                        if !ev.waiting.contains(&si) {
-                            ev.waiting.push(si);
-                        }
-                        return;
-                    }
-                }
-                AEntry::Coll { coll, arrived } => {
-                    let ci = coll as usize;
-                    if !arrived {
-                        if let AEntry::Coll { arrived, .. } = &mut self.streams[si].entries[head] {
-                            *arrived = true;
-                        }
-                        self.colls[ci].arrivals.push(si);
-                    }
-                    if !self.colls[ci].resolved
-                        && self.colls[ci].arrivals.len() == self.prep.collectives[ci].expected
-                    {
-                        self.colls[ci].resolved = true;
-                        let arrivals = self.colls[ci].arrivals.clone();
-                        for o in arrivals {
-                            if o != si {
-                                self.wake_stream(o);
-                            }
-                        }
-                    }
-                    if self.colls[ci].resolved {
-                        self.advance_head(si);
-                    } else {
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    fn advance_head(&mut self, si: usize) {
-        self.streams[si].head += 1;
-        let head = self.streams[si].head;
-        let mut released = Vec::new();
-        self.streams[si].waiters.retain(|&(thread, upto)| {
-            if head >= upto {
-                released.push(thread);
-                false
-            } else {
-                true
-            }
-        });
-        for thread in released {
-            match &mut self.threads[thread].blocked {
-                ABlock::StreamDrain => self.wake_thread(thread),
-                ABlock::DeviceDrain(pending) => {
-                    *pending -= 1;
-                    if *pending == 0 {
-                        self.wake_thread(thread);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// At quiescence: clean if everything finished, otherwise walk the
-    /// wait-for graph from the first stuck entity and report the chain.
-    fn diagnose(&self, kinds: &HashMap<(u64, u32), CollectiveKind>) -> Result<(), VerifyError> {
-        let stuck_thread = self
-            .threads
-            .iter()
-            .position(|t| !matches!(t.blocked, ABlock::Done))
-            .map(Node::Thread);
-        let stuck_stream = self
-            .streams
-            .iter()
-            .enumerate()
-            .find(|(_, s)| s.head < s.entries.len())
-            .map(|(si, _)| Node::Stream(si));
-        let Some(start) = stuck_thread.or(stuck_stream) else {
-            return Ok(());
-        };
-
-        let mut chain: Vec<CycleStep> = Vec::new();
-        let mut visited: Vec<Node> = Vec::new();
-        let mut node = start;
-        let mut cycle = false;
-        while chain.len() < 64 {
-            if let Some(pos) = visited.iter().position(|n| *n == node) {
-                chain.drain(..pos);
-                cycle = true;
-                break;
-            }
-            visited.push(node);
-            let (rank, entity) = self.describe(node);
-            let (next, waits_on) = self.out_edge(node, kinds);
-            chain.push(CycleStep {
-                rank,
-                entity,
-                waits_on,
-            });
-            match next {
-                Some(n) => node = n,
-                None => break,
-            }
-        }
-        Err(VerifyError::Deadlock { chain, cycle })
-    }
-
-    fn describe(&self, node: Node) -> (u32, String) {
-        match node {
-            Node::Thread(i) => {
-                let meta = &self.prep.threads[i];
-                (
-                    meta.rank,
-                    format!(
-                        "{:?} thread (op {}/{})",
-                        meta.tid,
-                        self.threads[i].pc,
-                        meta.ops.len()
-                    ),
-                )
-            }
-            Node::Stream(si) => {
-                let meta = self.prep.streams[si];
-                (
-                    meta.rank,
-                    format!(
-                        "stream {} (entry {}/{})",
-                        meta.sid,
-                        self.streams[si].head,
-                        self.streams[si].entries.len()
-                    ),
-                )
-            }
-        }
-    }
-
-    /// The wait-for edge out of a stuck entity: a description of the
-    /// awaited resource, plus the entity expected to produce it (or
-    /// `None` when nothing remaining can).
-    fn out_edge(
-        &self,
-        node: Node,
-        kinds: &HashMap<(u64, u32), CollectiveKind>,
-    ) -> (Option<Node>, String) {
-        match node {
-            Node::Thread(i) => self.thread_edge(i),
-            Node::Stream(si) => self.stream_edge(si, kinds),
-        }
-    }
-
-    fn thread_edge(&self, i: usize) -> (Option<Node>, String) {
-        match self.threads[i].blocked {
-            ABlock::StreamDrain | ABlock::DeviceDrain(_) => {
-                for (si, s) in self.streams.iter().enumerate() {
-                    if s.waiters.iter().any(|&(t, _)| t == i) {
-                        let meta = self.prep.streams[si];
-                        return (
-                            Some(Node::Stream(si)),
-                            format!("drain of stream {} on rank {}", meta.sid, meta.rank),
-                        );
-                    }
-                }
-                (None, "a stream drain no stream owes".to_string())
-            }
-            ABlock::Token(token) => {
-                let raw = self.raw_token[token as usize];
-                let prog = self.prep.threads[i].prog;
-                for (j, tm) in self.prep.threads.iter().enumerate() {
-                    if tm.prog != prog {
-                        continue;
-                    }
-                    let pc = self.threads[j].pc.min(tm.ops.len());
-                    let produces = tm.ops[pc..]
-                        .iter()
-                        .any(|op| matches!(op, ExecOp::SignalPeer { token: t } if *t == token));
-                    if produces {
-                        return (
-                            Some(Node::Thread(j)),
-                            format!("token {raw} signaled by rank {} {:?}", tm.rank, tm.tid),
-                        );
-                    }
-                }
-                (
-                    None,
-                    format!("token {raw} — which nothing remaining will signal"),
-                )
-            }
-            ABlock::Ready | ABlock::Done => (None, "nothing (not actually blocked)".to_string()),
-        }
-    }
-
-    fn stream_edge(
-        &self,
-        si: usize,
-        kinds: &HashMap<(u64, u32), CollectiveKind>,
-    ) -> (Option<Node>, String) {
-        let head = self.streams[si].head;
-        match self.streams[si].entries[head] {
-            AEntry::Coll { coll, .. } => {
-                let ci = coll as usize;
-                let info = self.prep.collectives[ci];
-                let arrived: BTreeSet<u32> = self.colls[ci]
-                    .arrivals
-                    .iter()
-                    .map(|&s| self.prep.streams[s].rank)
-                    .collect();
-                let missing: Vec<u32> = info
-                    .members
-                    .iter()
-                    .copied()
-                    .filter(|r| !arrived.contains(r))
-                    .collect();
-                let kind = kinds
-                    .get(&(info.group, info.seq))
-                    .map_or_else(|| "collective".to_string(), |k| format!("{k:?}"));
-                let awaiting = missing.first().copied();
-                let desc = format!(
-                    "{kind} group {} seq {} ({}/{} arrived{})",
-                    info.group,
-                    info.seq,
-                    self.colls[ci].arrivals.len(),
-                    info.expected,
-                    awaiting.map_or(String::new(), |m| format!("; awaiting rank {m}")),
-                );
-                let Some(m) = awaiting else {
-                    return (None, format!("{desc} — which nothing will resolve"));
-                };
-                for (sj, s) in self.streams.iter().enumerate() {
-                    if self.prep.streams[sj].rank != m {
-                        continue;
-                    }
-                    let holds = s.entries[s.head..].iter().any(
-                        |e| matches!(e, AEntry::Coll { coll: c, arrived: false } if *c == coll),
-                    );
-                    if holds {
-                        return (Some(Node::Stream(sj)), desc);
-                    }
-                }
-                for (j, tm) in self.prep.threads.iter().enumerate() {
-                    if tm.rank != m {
-                        continue;
-                    }
-                    let pc = self.threads[j].pc.min(tm.ops.len());
-                    let launches = tm.ops[pc..]
-                        .iter()
-                        .any(|op| matches!(op, ExecOp::LaunchColl { coll: c, .. } if *c == coll));
-                    if launches {
-                        return (Some(Node::Thread(j)), desc);
-                    }
-                }
-                (None, format!("{desc} — which rank {m} will never launch"))
-            }
-            AEntry::WaitEv { event } => {
-                let raw = self.raw_event[event as usize];
-                let rank = self.prep.streams[si].rank;
-                let desc = format!("completion of event {raw} on rank {rank}");
-                for (sj, s) in self.streams.iter().enumerate() {
-                    let holds = s.entries[s.head..]
-                        .iter()
-                        .any(|e| matches!(e, AEntry::Record { event: ev } if *ev == event));
-                    if holds {
-                        return (Some(Node::Stream(sj)), desc);
-                    }
-                }
-                for (j, tm) in self.prep.threads.iter().enumerate() {
-                    let pc = self.threads[j].pc.min(tm.ops.len());
-                    let records = tm.ops[pc..].iter().any(
-                        |op| matches!(op, ExecOp::EventRecord { event: ev, .. } if *ev == event),
-                    );
-                    if records {
-                        return (Some(Node::Thread(j)), desc);
-                    }
-                }
-                (None, format!("{desc} — which nothing will record"))
-            }
-            AEntry::Kernel | AEntry::Record { .. } => {
-                (None, "nothing (head entry is always runnable)".to_string())
-            }
-        }
+    report.events = prep.raw_events.len();
+    report.tokens = prep.raw_tokens.len();
+    match prep.execute_metrics(
+        &ZeroCost,
+        &HostOverheads::default(),
+        &JitterModel::none(),
+        0,
+    ) {
+        Ok(_) => Ok(report),
+        Err(EngineError::Deadlock { chain, cycle }) => Err(VerifyError::Deadlock { chain, cycle }),
+        Err(e) => Err(malformed(e)),
     }
 }
 
-/// Replays `PreparedJob::new`'s dense-id assignment to recover the raw
-/// per-rank event and token ids for diagnostics (the dense form only
-/// keeps raw event ids on `StreamWait`/`EventRecord` ops).
-fn raw_ids(job: &LoweredJob) -> (Vec<u32>, Vec<u32>) {
-    let mut event_index: HashMap<(u32, u32), u32> = HashMap::new();
-    let mut token_index: HashMap<(u32, u32), u32> = HashMap::new();
-    let mut raw_event = Vec::new();
-    let mut raw_token = Vec::new();
-    for (pi, program) in job.programs.iter().enumerate() {
-        let prog = pi as u32;
-        for t in &program.threads {
-            for op in &t.ops {
-                match *op {
-                    HostOp::EventRecord { event, .. } | HostOp::StreamWait { event, .. } => {
-                        event_index.entry((prog, event)).or_insert_with(|| {
-                            raw_event.push(event);
-                            (raw_event.len() - 1) as u32
-                        });
-                    }
-                    HostOp::SignalPeer { token } | HostOp::WaitPeer { token } => {
-                        token_index.entry((prog, token)).or_insert_with(|| {
-                            raw_token.push(token);
-                            (raw_token.len() - 1) as u32
-                        });
-                    }
-                    _ => {}
-                }
-            }
-        }
+/// Prices every kernel and collective at zero: phase 4 needs the
+/// engine's blocking structure, not its clocks.
+struct ZeroCost;
+
+impl CostModel for ZeroCost {
+    fn compute_cost(&self, _class: &KernelClass) -> Dur {
+        Dur::ZERO
     }
-    (raw_event, raw_token)
+
+    fn collective_cost(&self, _kind: CollectiveKind, _bytes: u64, _members: &[u32]) -> Dur {
+        Dur::ZERO
+    }
 }

@@ -13,8 +13,8 @@
 //! against its generator here so it cannot rot silently.
 
 use lumos_cluster::{
-    execute_metrics, lower, streams, verify, HostOp, JitterModel, KernelSpec, LoweredJob, NameId,
-    PortableJob, Program, SimConfig, VerifyError,
+    execute_metrics, lower, streams, verify, EngineError, HostOp, JitterModel, KernelSpec,
+    LoweredJob, NameId, PortableJob, Program, SimConfig, VerifyError,
 };
 use lumos_cost::{AnalyticalCostModel, HostOverheads};
 use lumos_model::{BatchConfig, ModelConfig, Parallelism, ScheduleKind};
@@ -93,8 +93,52 @@ fn swapped_seq_job() -> LoweredJob {
     }
 }
 
+/// A stream wait whose record sits *behind* it on the same FIFO
+/// stream: phase 1 passes, the wait-for walk finds a length-1 cycle.
+fn self_cycle_job() -> LoweredJob {
+    let mut p = Program::new(0);
+    p.main_mut().push(HostOp::StreamWait {
+        stream: streams::COMPUTE,
+        event: 1,
+    });
+    p.main_mut().push(HostOp::EventRecord {
+        stream: streams::COMPUTE,
+        event: 1,
+    });
+    p.main_mut().push(HostOp::StreamSync {
+        stream: streams::COMPUTE,
+    });
+    LoweredJob {
+        programs: vec![p],
+        groups: HashMap::new(),
+        config: placeholder_config(),
+    }
+}
+
+/// The main and backward threads each wait for the token the other
+/// posts only afterwards: a cross-thread cycle through no stream.
+fn token_cycle_job() -> LoweredJob {
+    let mut p = Program::new(0);
+    p.main_mut().push(HostOp::WaitPeer { token: 1 });
+    p.main_mut().push(HostOp::SignalPeer { token: 2 });
+    p.backward_mut().push(HostOp::WaitPeer { token: 2 });
+    p.backward_mut().push(HostOp::SignalPeer { token: 1 });
+    LoweredJob {
+        programs: vec![p],
+        groups: HashMap::new(),
+        config: placeholder_config(),
+    }
+}
+
 fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/fixtures/deadlock.json")
+}
+
+fn fixture_job() -> LoweredJob {
+    let text = std::fs::read_to_string(fixture_path()).unwrap();
+    serde_json::from_str::<PortableJob>(&text)
+        .unwrap()
+        .into_job()
 }
 
 #[test]
@@ -411,6 +455,50 @@ fn committed_fixture_is_rejected_with_named_cycle() {
     let msg = err.to_string();
     assert!(msg.contains("static deadlock"), "{msg}");
     assert!(msg.contains("group 7"), "{msg}");
+}
+
+/// One deadlock diagnostic: a costed engine run that stalls reports
+/// exactly the chain `verify` names, so a runtime deadlock and
+/// `lumos lint` print the same steps.
+#[test]
+fn engine_deadlock_carries_the_verify_chain() {
+    let jobs = [
+        ("committed fixture", fixture_job()),
+        ("swapped seq order", swapped_seq_job()),
+        ("wait before record", self_cycle_job()),
+        ("token cycle", token_cycle_job()),
+    ];
+    for (name, job) in jobs {
+        let verified = verify(&job).unwrap_err();
+        let VerifyError::Deadlock { ref chain, cycle } = verified else {
+            panic!("{name}: expected a verify deadlock, got {verified:?}");
+        };
+        let executed = execute_metrics(
+            &job,
+            &AnalyticalCostModel::h100(),
+            &HostOverheads::default(),
+            &JitterModel::none(),
+            0,
+        )
+        .unwrap_err();
+        let EngineError::Deadlock {
+            chain: ref engine_chain,
+            cycle: engine_cycle,
+        } = executed
+        else {
+            panic!("{name}: expected an engine deadlock, got {executed:?}");
+        };
+        assert_eq!(engine_chain, chain, "{name}");
+        assert_eq!(engine_cycle, cycle, "{name}");
+        assert!(!chain.is_empty(), "{name}");
+        let runtime = executed.to_string();
+        let lint = verified.to_string();
+        assert_eq!(
+            runtime.strip_prefix("execution deadlocked: "),
+            lint.strip_prefix("static deadlock: "),
+            "{name}"
+        );
+    }
 }
 
 #[test]

@@ -19,7 +19,8 @@
 //! 4. **Analysis** ([`analysis`]) — critical paths, bottleneck
 //!    kernels, and overlap reports on replayed schedules.
 //!
-//! The [`Lumos`] façade ties these together.
+//! The [`Lumos`] façade ties these together; [`Dpro`] is the same
+//! pipeline configured as the paper's dPRO baseline.
 //!
 //! # Example
 //!
@@ -57,7 +58,7 @@ mod task;
 pub use build::{build_graph, BuildOptions, InterStreamMode};
 pub use error::CoreError;
 pub use graph::{Edge, ExecutionGraph, GraphStats};
-pub use replay::{Lumos, Replayed};
+pub use replay::{Dpro, Lumos, Replayed};
 pub use segment::{merge, parse_annotation, tag_host_events};
 pub use sim::{simulate, RendezvousMode, SimOptions, SimResult};
 pub use task::{DepKind, Phase, ProcIdx, Processor, SegmentTag, Task, TaskId, TaskKind};

@@ -78,6 +78,78 @@ impl Lumos {
     }
 }
 
+/// The dPRO baseline replayer (Hu et al., MLSys 2022).
+///
+/// dPRO builds a global dataflow graph from profiled traces and
+/// replays it — but, as the Lumos paper demonstrates (§4.2), it does
+/// not model the **event-based inter-stream dependencies**
+/// (`cudaEventRecord`/`cudaStreamWaitEvent` fences) that serialize
+/// compute and communication streams in modern LLM training. The
+/// consequence, quoting the paper:
+///
+/// > "dPRO consistently overestimates overlapped execution and
+/// > underestimates total iteration time, primarily due to its
+/// > inability to accurately model inter-stream dependencies, leading
+/// > to overly optimistic predictions of parallel execution."
+///
+/// This reproduces that baseline *faithfully but charitably*: it
+/// shares Lumos's graph builder, simulator, launch/sync modeling, and
+/// cross-rank collective rendezvous, differing **only** in the
+/// [`Lumos::dpro_baseline`] options. Any accuracy gap between
+/// [`Dpro::replay`] and Lumos is therefore attributable to exactly the
+/// modeling difference the paper identifies.
+///
+/// # Example
+///
+/// ```
+/// use lumos_core::Dpro;
+/// use lumos_trace::{ClusterTrace, RankTrace, TraceEvent, Ts, Dur, ThreadId, StreamId, CudaRuntimeKind};
+///
+/// let mut rank0 = RankTrace::new(0);
+/// rank0.push(TraceEvent::cpu_op("aten::mm", Ts(0), Dur(5_000), ThreadId(1)));
+/// rank0.push(TraceEvent::cuda_runtime(CudaRuntimeKind::LaunchKernel, Ts(5_000), Dur(2_000), ThreadId(1)).with_correlation(1));
+/// rank0.push(TraceEvent::kernel("gemm", Ts(9_000), Dur(100_000), StreamId(7)).with_correlation(1));
+/// let mut trace = ClusterTrace::new("example");
+/// trace.push_rank(rank0);
+///
+/// let replayed = Dpro::new().replay(&trace)?;
+/// assert!(replayed.makespan() > Dur(100_000));
+/// # Ok::<(), lumos_core::CoreError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct Dpro {
+    inner: Lumos,
+}
+
+impl Dpro {
+    /// Creates the baseline with its published modeling behavior.
+    pub fn new() -> Self {
+        Dpro {
+            inner: Lumos::dpro_baseline(),
+        }
+    }
+
+    /// Replays a profiled trace with dPRO's dependency model.
+    ///
+    /// # Errors
+    ///
+    /// Returns graph-construction or simulation failures.
+    pub fn replay(&self, trace: &ClusterTrace) -> Result<Replayed, CoreError> {
+        self.inner.replay(trace)
+    }
+
+    /// The underlying toolkit configuration (for inspection).
+    pub fn toolkit(&self) -> &Lumos {
+        &self.inner
+    }
+}
+
+impl Default for Dpro {
+    fn default() -> Self {
+        Dpro::new()
+    }
+}
+
 /// A completed replay.
 #[derive(Debug, Clone)]
 pub struct Replayed {

@@ -150,6 +150,13 @@ impl SearchReport {
     }
 
     /// Formats the header, prune statistics, and the top-`k` table.
+    ///
+    /// The text is a deterministic result: it prints only numbers that
+    /// repeat across runs and worker counts. The worker count and the
+    /// counters that depend on how workers interleave (`evaluated`,
+    /// bound skips, memo hits and misses) stay in [`SearchReport::stats`]
+    /// and [`SearchReport::memo`]; `lumos search --progress` prints
+    /// them on stderr.
     pub fn format_top(&self, k: usize) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -168,14 +175,8 @@ impl SearchReport {
         );
         let _ = writeln!(
             out,
-            "  memory-pruned before simulation: {}   evaluated (on {} threads): {}",
-            s.memory_pruned, self.threads, s.evaluated
-        );
-        let _ = writeln!(
-            out,
-            "  skipped without full simulation: {:.1}%   fully evaluated: {:.1}%",
-            s.skip_percent(),
-            s.visit_percent()
+            "  memory-pruned before simulation: {}",
+            s.memory_pruned
         );
         if let Some(a) = &self.adaptive {
             let _ = writeln!(
@@ -190,13 +191,6 @@ impl SearchReport {
                 a.frontier,
                 a.budget,
                 a.seed
-            );
-        }
-        if s.bound_skipped > 0 || s.infeasible > 0 || self.memo.misses > 0 {
-            let _ = writeln!(
-                out,
-                "  lower-bound skips: {}   infeasible: {}   stage-cost memo: {} hits / {} misses",
-                s.bound_skipped, s.infeasible, self.memo.hits, self.memo.misses
             );
         }
         let _ = writeln!(out, "  objective: {}", self.objective);

@@ -82,20 +82,25 @@ pub use lumos_calib as calib;
 pub use lumos_cluster as cluster;
 pub use lumos_core as core;
 pub use lumos_cost as cost;
-pub use lumos_dpro as dpro;
 pub use lumos_model as model;
 pub use lumos_search as search;
 pub use lumos_serve as serve;
 pub use lumos_trace as trace;
+
+/// The dPRO baseline replayer, [`lumos_core::Dpro`], at its facade
+/// path.
+pub mod dpro {
+    pub use lumos_core::Dpro;
+}
 
 /// The most commonly used items, importable in one line.
 pub mod prelude {
     pub use lumos_calib::{CalibrationArtifact, TraceFingerprint};
     pub use lumos_cluster::{GroundTruthCluster, JitterModel, SimConfig};
     pub use lumos_core::manipulate::Transform;
+    pub use lumos_core::Dpro;
     pub use lumos_core::{analysis, manipulate, Lumos, Replayed, SimOptions};
     pub use lumos_cost::{AnalyticalCostModel, CostModel, LookupCostModel};
-    pub use lumos_dpro::Dpro;
     pub use lumos_model::{
         registry, BatchConfig, ModelConfig, Parallelism, PipelineSchedule, Schedule,
         ScheduleBuilder, ScheduleKind, TrainingSetup,
