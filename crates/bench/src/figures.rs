@@ -170,13 +170,19 @@ pub fn fig6(opts: &RunOptions, progress: Progress) -> Result<(TextTable, String)
     let cfg = paper::fig6_config(opts.microbatches)?;
     progress(&format!("fig6: running {}", cfg.label()));
     let profiled = profile_config(&cfg, opts);
-    let lumos = Lumos::new().replay(&profiled.output.trace).expect("replay");
-    let dpro = Dpro::new().replay(&profiled.output.trace).expect("dpro");
+    let lumos = Lumos::new()
+        .replay(&profiled.output.trace)
+        .expect("replay")
+        .trace();
+    let dpro = Dpro::new()
+        .replay(&profiled.output.trace)
+        .expect("dpro")
+        .trace();
     let bin = Dur::from_ms(1);
     let rank = RankId(0);
     let actual_u = sm_utilization(profiled.output.trace.rank(rank).expect("rank 0"), bin);
-    let lumos_u = sm_utilization(lumos.trace.rank(rank).expect("rank 0"), bin);
-    let dpro_u = sm_utilization(dpro.trace.rank(rank).expect("rank 0"), bin);
+    let lumos_u = sm_utilization(lumos.rank(rank).expect("rank 0"), bin);
+    let dpro_u = sm_utilization(dpro.rank(rank).expect("rank 0"), bin);
 
     let mut t = TextTable::new(&["series", "bins", "mean util", "MAE vs actual"]);
     for (name, u) in [

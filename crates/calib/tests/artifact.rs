@@ -160,13 +160,13 @@ fn missing_fields_are_parse_errors() {
     ));
 }
 
-/// The trace a prediction synthesizes, as comparable bytes.
+/// The timeline a prediction simulates, as comparable bytes.
 fn predicted_bytes(p: &lumos_core::manipulate::Prediction) -> String {
     format!(
         "{}|{}|{}",
         p.replayed.makespan().as_ns(),
         p.setup.label(),
-        to_chrome_json(&p.trace, &ChromeTraceOptions::default())
+        to_chrome_json(&p.replayed.trace(), &ChromeTraceOptions::default())
     )
 }
 

@@ -6,9 +6,8 @@ use crate::args::{ArgSet, ArgSpec};
 use crate::common::{calibrated_input, load_setup, load_trace, ms, save_trace, sidecar_path};
 use crate::error::CliError;
 use lumos_core::manipulate::Transform;
-use lumos_core::Lumos;
+use lumos_core::{Lumos, Replayed};
 use lumos_cost::AnalyticalCostModel;
-use lumos_trace::BreakdownExt;
 use std::io::Write;
 
 /// Options of `lumos predict`.
@@ -48,6 +47,9 @@ pub const HELP: &str = "lumos predict <trace.json> [--setup setup.json]\n\
   given it is only fingerprint-checked against the artifact.\n\
   The --scale-* factors run an operator-level what-if on top (0.5 =\n\
   twice as fast); factors must be finite and non-negative.\n\
+  --out writes the simulated timeline of the prediction (after any\n\
+  --scale-*) as a Chrome trace: its makespan is the printed\n\
+  prediction (or what-if) time.\n\
   --json emits the prediction as one JSON object on stdout — the\n\
   exact response a `lumos serve` daemon returns for the same request\n\
   against the same artifact (it excludes --scale-*/--out).\n\
@@ -213,16 +215,18 @@ pub fn run(args: &ArgSet, out: &mut dyn Write) -> Result<(), CliError> {
         // Operator-level what-if on the graph the prediction already
         // built (its replay is re-done below), routed through the
         // fallible scaling APIs so bad factors are usage errors.
-        let mut graph = prediction.replayed.graph;
+        let Replayed {
+            mut graph, label, ..
+        } = prediction.replayed;
         for (label, factor, apply) in &scales {
             let touched = apply(&mut graph, *factor)
                 .map_err(|e| CliError::Usage(format!("--scale option: {e}")))?;
             writeln!(out, "scaled {touched} {label} by {factor}")?;
         }
-        prediction.replayed = toolkit.replay_graph(graph, &prediction.trace.label.clone())?;
+        prediction.replayed = toolkit.replay_graph(graph, &label)?;
         writeln!(out, "what-if:   {}", ms(prediction.makespan()))?;
     }
-    let b = prediction.replayed.trace.breakdown();
+    let b = prediction.replayed.breakdown();
     writeln!(out)?;
     writeln!(out, "predicted breakdown:")?;
     for (name, d) in [
@@ -234,15 +238,9 @@ pub fn run(args: &ArgSet, out: &mut dyn Write) -> Result<(), CliError> {
         writeln!(out, "  {name:<15} {:>12}", ms(d))?;
     }
     if let Some(out_path) = args.get("out") {
-        // With --scale-* applied, the honest artifact is the scaled
-        // replay — the synthesized pre-scale trace would contradict
-        // the what-if numbers just printed.
-        let trace_to_save = if scales.is_empty() {
-            &prediction.trace
-        } else {
-            &prediction.replayed.trace
-        };
-        save_trace(trace_to_save, out_path)?;
+        // The simulated timeline behind the numbers just printed
+        // (after any --scale-*): its makespan is the prediction.
+        save_trace(&prediction.replayed.trace(), out_path)?;
         writeln!(out)?;
         writeln!(out, "predicted trace: {out_path}")?;
     }

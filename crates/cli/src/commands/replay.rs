@@ -4,6 +4,7 @@
 use crate::args::{ArgSet, ArgSpec};
 use crate::common::{calibrated_input, load_trace, ms, pct, save_trace};
 use crate::error::CliError;
+use lumos_core::manipulate::{plan, reassemble_with_library};
 use lumos_core::Lumos;
 use lumos_trace::{Breakdown, BreakdownExt};
 use std::io::Write;
@@ -56,17 +57,14 @@ pub fn run(args: &ArgSet, out: &mut dyn Write) -> Result<(), CliError> {
                 // synthesized base trace, so it is labeled as such.
                 None => {
                     let lookup = ci.artifact.cost_model(ci.fallback);
-                    let prediction = toolkit.predict_with_library(
-                        &ci.artifact.library,
-                        &ci.artifact.setup,
-                        &[],
-                        &lookup,
-                    )?;
+                    let library = &ci.artifact.library;
+                    let spec = plan(&ci.artifact.setup, &ci.artifact.setup);
+                    let reassembled = reassemble_with_library(library, &spec, &lookup)?;
                     (
                         ci.artifact.fingerprint.makespan,
-                        prediction.trace.breakdown(),
+                        reassembled.breakdown(),
                         "reassembled",
-                        prediction.replayed,
+                        toolkit.predict_spec(library, &spec, &lookup)?,
                     )
                 }
             },
@@ -96,7 +94,7 @@ pub fn run(args: &ArgSet, out: &mut dyn Write) -> Result<(), CliError> {
         pct(simulated.relative_error(recorded))
     )?;
 
-    let rb = replayed.trace.breakdown();
+    let rb = replayed.breakdown();
     let ab: Breakdown = reference_breakdown;
     writeln!(out)?;
     writeln!(
@@ -114,7 +112,7 @@ pub fn run(args: &ArgSet, out: &mut dyn Write) -> Result<(), CliError> {
     }
 
     if let Some(out_path) = args.get("out") {
-        save_trace(&replayed.trace, out_path)?;
+        save_trace(&replayed.trace(), out_path)?;
         writeln!(out)?;
         writeln!(out, "replayed trace: {out_path}")?;
     }

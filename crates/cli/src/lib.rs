@@ -212,6 +212,50 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The value after `key` on the first stdout line starting with it.
+    fn field<'a>(out: &'a str, key: &str) -> &'a str {
+        out.lines()
+            .find_map(|l| l.strip_prefix(key))
+            .unwrap_or_else(|| panic!("no `{key}` line in:\n{out}"))
+            .trim()
+    }
+
+    #[test]
+    fn predict_out_saves_the_predicted_timeline() {
+        let dir = std::env::temp_dir().join(format!("lumos-cli-pout-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace = dir.join("s.json");
+        let trace = trace.to_str().unwrap();
+        let saved = dir.join("pred.json");
+        let saved = saved.to_str().unwrap();
+        run_to_string(&[
+            "synth", "--model", "tiny", "--tp", "2", "--pp", "2", "--dp", "1", "--out", trace,
+        ])
+        .unwrap();
+        let request = ["predict", trace, "--dp", "2", "--microbatches", "8"];
+
+        let out = run_to_string(&[&request[..], &["--out", saved]].concat()).unwrap();
+        let info = run_to_string(&["info", saved]).unwrap();
+        assert_eq!(field(&info, "makespan:"), field(&out, "predicted:"));
+        // Exactly, not just to the printed precision.
+        let json = run_to_string(&[&request[..], &["--json"]].concat()).unwrap();
+        let predicted_ns = serde_json::from_str::<serde_json::Value>(&json).unwrap()
+            ["predicted_ns"]
+            .as_u64()
+            .unwrap();
+        let loaded = crate::common::load_trace(saved).unwrap();
+        assert_eq!(loaded.makespan().as_ns(), predicted_ns);
+
+        // With an operator-level what-if, the saved timeline is the
+        // what-if's.
+        let out =
+            run_to_string(&[&request[..], &["--scale-gemms", "0.5", "--out", saved]].concat())
+                .unwrap();
+        let info = run_to_string(&["info", saved]).unwrap();
+        assert_eq!(field(&info, "makespan:"), field(&out, "what-if:"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn search_from_synth_trace_and_from_model() {
         let dir = std::env::temp_dir().join(format!("lumos-cli-search-{}", std::process::id()));

@@ -24,12 +24,15 @@
 
 use crate::error::CoreError;
 use crate::graph::ExecutionGraph;
-use crate::segment::tag_host_events;
-use crate::task::{DepKind, Processor, SegmentTag, Task, TaskId, TaskKind};
+use crate::segment::{parse_annotation, sort_scopes, sweep_thread};
+use crate::task::{DepKind, ProcIdx, Processor, SegmentTag, Task, TaskId, TaskKind};
 use lumos_trace::{
-    ClusterTrace, CudaRuntimeKind, Dur, EventKind, RankTrace, StreamId, ThreadId, Ts,
+    ClusterTrace, CudaRuntimeKind, Dur, EventKind, KernelClass, RankId, RankTrace, StreamId,
+    ThreadId, Ts,
 };
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// How much of the event-based inter-stream dependency structure the
 /// builder models — the axis separating Lumos from the dPRO baseline
@@ -130,166 +133,267 @@ pub fn build_graph(trace: &ClusterTrace, opts: &BuildOptions) -> Result<Executio
     }
     let mut graph = ExecutionGraph::new();
     for rank_trace in trace.ranks() {
-        build_rank(&mut graph, rank_trace, opts);
+        build_rank(
+            &mut graph,
+            rank_trace.rank(),
+            &RankOps::of_trace(rank_trace),
+            opts,
+        );
     }
     graph.validate()?;
     Ok(graph)
 }
 
-fn build_rank(graph: &mut ExecutionGraph, trace: &RankTrace, opts: &BuildOptions) {
-    let rank = trace.rank();
-    let tags = tag_host_events(trace);
+/// A host call (CPU operator or CUDA runtime call) of a [`RankOps`].
+#[derive(Debug)]
+struct HostOp {
+    tid: ThreadId,
+    kind: TaskKind,
+    name: Arc<str>,
+    start: Ts,
+    dur: Dur,
+    correlation: u64,
+}
 
-    // --- Create host tasks (per thread, in time order). ---
-    let mut host_by_thread: HashMap<ThreadId, Vec<(usize, TaskId)>> = HashMap::new();
-    // Correlation -> launch task (for this rank).
-    let mut launch_by_corr: HashMap<u64, TaskId> = HashMap::new();
-    // Correlation -> launch timestamp (enqueue order key).
-    let mut launch_ts_by_corr: HashMap<u64, Ts> = HashMap::new();
-    let mut host_indices: Vec<usize> = trace
-        .events()
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| {
-            matches!(
-                e.kind,
-                EventKind::CpuOp { .. } | EventKind::CudaRuntime { .. }
-            )
-        })
-        .map(|(i, _)| i)
-        .collect();
-    host_indices.sort_by_key(|&i| trace.events()[i].ts);
+/// A kernel of a [`RankOps`].
+#[derive(Debug)]
+struct KernelOp {
+    stream: StreamId,
+    class: KernelClass,
+    name: Arc<str>,
+    start: Ts,
+    dur: Dur,
+    correlation: u64,
+    /// Index of the launching call in [`RankOps::host`], once
+    /// resolved.
+    launch: Option<usize>,
+}
 
-    for &i in &host_indices {
-        let e = &trace.events()[i];
-        let (tid, kind, corr) = match e.kind {
-            EventKind::CpuOp { tid } => (tid, TaskKind::CpuOp, 0),
-            EventKind::CudaRuntime {
-                tid,
-                kind,
-                correlation,
-            } => (tid, TaskKind::Runtime(kind), correlation),
-            _ => unreachable!("host_indices holds host events only"),
-        };
-        let proc = graph.processor_idx(Processor::Thread { rank, tid });
-        let id = graph.add_task(Task {
-            name: e.name.clone(),
-            kind,
-            processor: proc,
-            duration: e.dur,
-            orig_start: e.ts,
-            correlation: corr,
-            tag: tags.get(&i).copied().unwrap_or_default(),
+/// One rank's program in the form [`build_rank`] consumes: its host
+/// calls, kernels and annotation scopes, with each kernel linked to
+/// the call that launched it. Built either from a trace
+/// ([`RankOps::of_trace`]) or op by op through its [`Sink`], as
+/// reassembly emits it, then [`RankOps::in_trace_order`].
+#[derive(Debug, Default)]
+pub(crate) struct RankOps {
+    /// Host calls, ordered by start.
+    host: Vec<HostOp>,
+    /// Kernels, in trace order.
+    kernels: Vec<KernelOp>,
+    /// Annotation scopes `(thread, start, end, tag)`, in trace order.
+    scopes: Vec<(ThreadId, Ts, Ts, SegmentTag)>,
+}
+
+/// Where one rank's program is written, op by op: host calls and
+/// kernels with their recorded (or placeholder) times, and annotation
+/// scopes as segment tags. [`RankOps`] collects them for
+/// [`build_rank`]; reassembly also writes them out as a trace.
+pub(crate) trait Sink {
+    /// A host call: a CUDA runtime call of kind `runtime`, or a CPU
+    /// operator when `None`.
+    fn host(
+        &mut self,
+        tid: ThreadId,
+        runtime: Option<CudaRuntimeKind>,
+        name: Arc<str>,
+        start: Ts,
+        dur: Dur,
+        correlation: u64,
+    );
+    /// A kernel.
+    fn kernel(
+        &mut self,
+        stream: StreamId,
+        class: KernelClass,
+        name: Arc<str>,
+        start: Ts,
+        dur: Dur,
+        correlation: u64,
+    );
+    /// An annotation scope `[start, end)` on `tid`.
+    fn scope(&mut self, tid: ThreadId, tag: SegmentTag, start: Ts, end: Ts);
+}
+
+/// Kernels are linked to their launches by
+/// [`RankOps::in_trace_order`]; scopes keep their tags, so no label is
+/// formatted or parsed.
+impl Sink for RankOps {
+    fn host(
+        &mut self,
+        tid: ThreadId,
+        runtime: Option<CudaRuntimeKind>,
+        name: Arc<str>,
+        start: Ts,
+        dur: Dur,
+        correlation: u64,
+    ) {
+        self.host.push(HostOp {
+            tid,
+            kind: runtime.map_or(TaskKind::CpuOp, TaskKind::Runtime),
+            name,
+            start,
+            dur,
+            correlation,
         });
-        host_by_thread.entry(tid).or_default().push((i, id));
-        if let TaskKind::Runtime(k) = kind {
-            if k.launches_work() && corr != 0 {
-                launch_by_corr.insert(corr, id);
-                launch_ts_by_corr.insert(corr, e.ts);
-            }
-        }
     }
 
-    // --- Intra-thread chains. ---
-    for tasks in host_by_thread.values() {
-        for w in tasks.windows(2) {
-            graph.add_edge(w[0].1, w[1].1, DepKind::IntraThread);
-        }
+    fn kernel(
+        &mut self,
+        stream: StreamId,
+        class: KernelClass,
+        name: Arc<str>,
+        start: Ts,
+        dur: Dur,
+        correlation: u64,
+    ) {
+        self.kernels.push(KernelOp {
+            stream,
+            class,
+            name,
+            start,
+            dur,
+            correlation,
+            launch: None,
+        });
     }
 
-    // --- Inter-thread dependencies from significant gaps. ---
-    // Per-thread (end, task) lists sorted by end for binary search.
-    let mut ends_by_thread: HashMap<ThreadId, Vec<(Ts, TaskId)>> = HashMap::new();
-    for (&tid, tasks) in &host_by_thread {
-        let mut v: Vec<(Ts, TaskId)> = tasks
-            .iter()
-            .map(|&(i, id)| (trace.events()[i].end(), id))
-            .collect();
-        v.sort();
-        ends_by_thread.insert(tid, v);
+    fn scope(&mut self, tid: ThreadId, tag: SegmentTag, start: Ts, end: Ts) {
+        self.scopes.push((tid, start, end, tag));
     }
-    for (&tid, tasks) in &host_by_thread {
-        let mut prev_end: Option<Ts> = None;
-        for &(i, id) in tasks {
-            let e = &trace.events()[i];
-            let gap_start = prev_end.unwrap_or(Ts::ZERO);
-            let significant = match prev_end {
-                Some(pe) => e.ts.saturating_since(pe) >= opts.interthread_gap,
-                // First task on a thread that starts late: the thread
-                // was waiting on someone.
-                None => e.ts.saturating_since(Ts::ZERO) >= opts.interthread_gap,
-            };
-            prev_end = Some(e.end());
-            if !significant {
-                continue;
-            }
-            // Latest-finishing task on any *other* thread with
-            // end <= start; it must end inside the gap to explain it.
-            let mut best: Option<(Ts, TaskId)> = None;
-            for (&other_tid, ends) in &ends_by_thread {
-                if other_tid == tid {
-                    continue;
+}
+
+impl RankOps {
+    /// Reads a rank trace: host calls stably sorted by start, kernels
+    /// and annotations in trace order.
+    fn of_trace(trace: &RankTrace) -> RankOps {
+        let mut ops = RankOps::default();
+        for e in trace.events() {
+            let name = e.name.clone();
+            match e.kind {
+                EventKind::CpuOp { tid } => ops.host(tid, None, name, e.ts, e.dur, 0),
+                EventKind::CudaRuntime {
+                    tid,
+                    kind,
+                    correlation,
+                } => ops.host(tid, Some(kind), name, e.ts, e.dur, correlation),
+                EventKind::Kernel {
+                    stream,
+                    correlation,
+                    class,
+                } => ops.kernel(stream, class, name, e.ts, e.dur, correlation),
+                EventKind::UserAnnotation { tid } => {
+                    ops.scope(tid, parse_annotation(&e.name), e.ts, e.end());
                 }
-                let pos = ends.partition_point(|&(end, _)| end <= e.ts);
-                if pos > 0 {
-                    let cand = ends[pos - 1];
-                    if cand.0 > gap_start && best.is_none_or(|b| cand > b) {
-                        best = Some(cand);
-                    }
-                }
-            }
-            if let Some((_, src)) = best {
-                graph.add_edge(src, id, DepKind::InterThread);
             }
         }
+        ops.host.sort_by_key(|h| h.start);
+        ops.resolve_launches();
+        ops
     }
+
+    /// Puts ops pushed in emission order into the order reading them
+    /// back from a sorted trace gives ([`RankTrace::sort`]: by start,
+    /// longest first, ties in emission order), so both routes hand
+    /// [`build_rank`] the same program and the graph gets the same
+    /// task ids.
+    pub(crate) fn in_trace_order(mut self) -> RankOps {
+        self.host.sort_by_key(|h| (h.start, Reverse(h.dur)));
+        self.kernels.sort_by_key(|k| (k.start, Reverse(k.dur)));
+        self.resolve_launches();
+        self
+    }
+
+    /// Links every kernel to the work-launching call sharing its
+    /// correlation id (the latest by start, if several do).
+    fn resolve_launches(&mut self) {
+        let mut launch_by_corr: HashMap<u64, usize> = HashMap::new();
+        for (i, h) in self.host.iter().enumerate() {
+            if matches!(h.kind, TaskKind::Runtime(k) if k.launches_work()) && h.correlation != 0 {
+                launch_by_corr.insert(h.correlation, i);
+            }
+        }
+        for k in &mut self.kernels {
+            k.launch = launch_by_corr.get(&k.correlation).copied();
+        }
+    }
+}
+
+/// Adds one rank's tasks and fixed edges to `graph`.
+pub(crate) fn build_rank(
+    graph: &mut ExecutionGraph,
+    rank: RankId,
+    ops: &RankOps,
+    opts: &BuildOptions,
+) {
+    // --- Segment tags, by annotation containment per thread. ---
+    let mut tags = vec![SegmentTag::default(); ops.host.len()];
+    let mut scopes_by_thread: BTreeMap<ThreadId, Vec<(Ts, Ts, SegmentTag)>> = BTreeMap::new();
+    for &(tid, start, end, tag) in &ops.scopes {
+        scopes_by_thread
+            .entry(tid)
+            .or_default()
+            .push((start, end, tag));
+    }
+    for (tid, scopes) in &mut scopes_by_thread {
+        sort_scopes(scopes);
+        let events = ops.host.iter().enumerate().filter(|(_, h)| h.tid == *tid);
+        sweep_thread(scopes, events.map(|(i, h)| (i, h.start)), |i, tag| {
+            tags[i] = tag;
+        });
+    }
+
+    // --- Host tasks, in start order. ---
+    let mut host_ids: Vec<TaskId> = Vec::with_capacity(ops.host.len());
+    let mut threads: BTreeMap<ThreadId, Vec<TaskId>> = BTreeMap::new();
+    let mut procs: Vec<(ThreadId, ProcIdx)> = Vec::new();
+    for (h, &tag) in ops.host.iter().zip(&tags) {
+        let proc = match procs.iter().find(|&&(tid, _)| tid == h.tid) {
+            Some(&(_, proc)) => proc,
+            None => {
+                let proc = graph.processor_idx(Processor::Thread { rank, tid: h.tid });
+                procs.push((h.tid, proc));
+                proc
+            }
+        };
+        let id = graph.add_task(Task {
+            name: h.name.clone(),
+            kind: h.kind,
+            processor: proc,
+            duration: h.dur,
+            orig_start: h.start,
+            correlation: h.correlation,
+            tag,
+        });
+        host_ids.push(id);
+        threads.entry(h.tid).or_default().push(id);
+    }
+    link_threads(graph, &threads, opts.interthread_gap);
 
     // --- Kernel tasks, launch edges, intra-stream chains. ---
     // Kernels per stream in enqueue (launch-timestamp) order.
-    let mut kernels_by_stream: HashMap<StreamId, Vec<(Ts, usize)>> = HashMap::new();
-    for (i, e) in trace.events().iter().enumerate() {
-        if let EventKind::Kernel {
-            stream,
-            correlation,
-            ..
-        } = e.kind
-        {
-            let launch_ts = launch_ts_by_corr.get(&correlation).copied().unwrap_or(e.ts);
-            kernels_by_stream
-                .entry(stream)
-                .or_default()
-                .push((launch_ts, i));
-        }
+    let mut by_stream: BTreeMap<StreamId, Vec<(Ts, usize)>> = BTreeMap::new();
+    for (i, k) in ops.kernels.iter().enumerate() {
+        let launch_ts = k.launch.map_or(k.start, |l| ops.host[l].start);
+        by_stream.entry(k.stream).or_default().push((launch_ts, i));
     }
     // (stream -> (launch_ts, kernel task)) for event-edge lookups.
-    let mut stream_kernel_tasks: HashMap<StreamId, Vec<(Ts, TaskId)>> = HashMap::new();
-    for (stream, list) in &mut kernels_by_stream {
-        list.sort();
-        let proc = graph.processor_idx(Processor::Stream {
-            rank,
-            stream: *stream,
-        });
+    let mut enqueued: HashMap<StreamId, Vec<(Ts, TaskId)>> = HashMap::new();
+    for (stream, mut list) in by_stream {
+        list.sort_unstable();
+        let proc = graph.processor_idx(Processor::Stream { rank, stream });
         let mut prev: Option<TaskId> = None;
         let mut with_tasks = Vec::with_capacity(list.len());
-        for &(launch_ts, i) in list.iter() {
-            let e = &trace.events()[i];
-            let EventKind::Kernel {
-                correlation, class, ..
-            } = e.kind
-            else {
-                unreachable!()
-            };
-            let launch = launch_by_corr.get(&correlation).copied();
-            let tag = launch
-                .map(|l| graph.task(l).tag)
-                .unwrap_or_else(SegmentTag::default);
+        for (launch_ts, i) in list {
+            let k = &ops.kernels[i];
+            let launch = k.launch.map(|l| host_ids[l]);
+            let tag = launch.map_or_else(SegmentTag::default, |l| graph.task(l).tag);
             let id = graph.add_task(Task {
-                name: e.name.clone(),
-                kind: TaskKind::Kernel(class),
+                name: k.name.clone(),
+                kind: TaskKind::Kernel(k.class),
                 processor: proc,
-                duration: e.dur,
-                orig_start: e.ts,
-                correlation,
+                duration: k.dur,
+                orig_start: k.start,
+                correlation: k.correlation,
                 tag,
             });
             if let Some(l) = launch {
@@ -300,78 +404,136 @@ fn build_rank(graph: &mut ExecutionGraph, trace: &RankTrace, opts: &BuildOptions
                 graph.add_edge(p, id, DepKind::IntraStream);
             }
             prev = Some(id);
-            if let lumos_trace::KernelClass::Collective(meta) = class {
+            if let KernelClass::Collective(meta) = k.class {
                 graph.register_collective(meta.group, meta.seq, id, rank);
             }
             with_tasks.push((launch_ts, id));
         }
-        stream_kernel_tasks.insert(*stream, with_tasks);
+        enqueued.insert(stream, with_tasks);
     }
 
-    // --- Inter-stream event edges. ---
-    // The rank's main thread is the one dispatching the earliest host
-    // event; other threads are autograd/hook threads.
-    let main_thread: Option<ThreadId> = host_indices
-        .first()
-        .and_then(|&i| trace.events()[i].kind.tid());
     if opts.interstream != InterStreamMode::None {
-        // event id -> (record host ts, recorded stream)
-        let mut records: HashMap<u64, (Ts, StreamId)> = HashMap::new();
-        for &i in &host_indices {
-            let e = &trace.events()[i];
-            if let EventKind::CudaRuntime {
-                kind: CudaRuntimeKind::EventRecord { event, stream },
-                ..
-            } = e.kind
-            {
-                records.insert(event, (e.ts, stream));
+        link_streams(graph, &host_ids, &enqueued, opts.interstream);
+    }
+}
+
+/// CPU→CPU edges: program order within each thread, plus the gap rule
+/// across threads — a host task that starts after an idle gap of at
+/// least `gap` on its own thread depends on the latest-finishing task
+/// of any other thread that ended inside the gap.
+fn link_threads(graph: &mut ExecutionGraph, threads: &BTreeMap<ThreadId, Vec<TaskId>>, gap: Dur) {
+    for tasks in threads.values() {
+        for w in tasks.windows(2) {
+            graph.add_edge(w[0], w[1], DepKind::IntraThread);
+        }
+    }
+    // Per-thread (end, task) lists sorted by end for binary search.
+    let ends: Vec<(ThreadId, Vec<(Ts, TaskId)>)> = threads
+        .iter()
+        .map(|(&tid, tasks)| {
+            let mut v: Vec<(Ts, TaskId)> = tasks
+                .iter()
+                .map(|&id| (graph.task(id).orig_end(), id))
+                .collect();
+            v.sort_unstable();
+            (tid, v)
+        })
+        .collect();
+    for (&tid, tasks) in threads {
+        let mut prev_end: Option<Ts> = None;
+        for &id in tasks {
+            let (start, end) = {
+                let t = graph.task(id);
+                (t.orig_start, t.orig_end())
+            };
+            // The first task on a thread that starts late: the thread
+            // was waiting on someone.
+            let gap_start = prev_end.unwrap_or(Ts::ZERO);
+            prev_end = Some(end);
+            if start.saturating_since(gap_start) < gap {
+                continue;
+            }
+            // Latest-finishing task on any *other* thread with
+            // end <= start; it must end inside the gap to explain it.
+            let mut best: Option<(Ts, TaskId)> = None;
+            for (other, list) in &ends {
+                if *other == tid {
+                    continue;
+                }
+                let pos = list.partition_point(|&(end, _)| end <= start);
+                if pos > 0 {
+                    let cand = list[pos - 1];
+                    if cand.0 > gap_start && best.is_none_or(|b| cand > b) {
+                        best = Some(cand);
+                    }
+                }
+            }
+            if let Some((_, src)) = best {
+                graph.add_edge(src, id, DepKind::InterThread);
             }
         }
-        for &i in &host_indices {
-            let e = &trace.events()[i];
-            let EventKind::CudaRuntime {
-                kind: CudaRuntimeKind::StreamWaitEvent { stream, event },
-                ..
-            } = e.kind
-            else {
-                continue;
-            };
-            let Some(&(record_ts, record_stream)) = records.get(&event) else {
-                continue;
-            };
-            // Source: last kernel enqueued on the recorded stream
-            // before the record call.
-            let source = stream_kernel_tasks.get(&record_stream).and_then(|ks| {
-                let pos = ks.partition_point(|&(lts, _)| lts <= record_ts);
-                (pos > 0).then(|| ks[pos - 1].1)
-            });
-            // Target: first kernel enqueued on the waiting stream
-            // after the wait call.
-            let target = stream_kernel_tasks.get(&stream).and_then(|ks| {
-                let pos = ks.partition_point(|&(lts, _)| lts < e.ts);
-                ks.get(pos).map(|&(_, id)| id)
-            });
-            if let (Some(s), Some(t)) = (source, target) {
-                let source_is_comm = graph.task(s).is_comm_kernel();
-                let target_is_comm = graph.task(t).is_comm_kernel();
-                // "Hook-launched": enqueued from a thread other than
-                // the rank's main thread (the autograd thread).
-                let target_hooked = graph
-                    .launch_of(t)
-                    .map(|l| {
-                        !matches!(
-                            graph.processor(graph.task(l).processor),
-                            Processor::Thread { tid, .. } if Some(tid) == main_thread
-                        )
-                    })
-                    .unwrap_or(false);
-                if s != t
-                    && opts
-                        .interstream
-                        .keeps(source_is_comm, target_is_comm, target_hooked)
-                {
-                    graph.add_edge(s, t, DepKind::InterStreamEvent);
-                }
+    }
+}
+
+/// GPU→GPU edges across streams: each `cudaStreamWaitEvent` links the
+/// last kernel enqueued on the recorded stream before the matching
+/// `cudaEventRecord` to the first kernel enqueued on the waiting
+/// stream after the wait, as far as `mode` keeps it. `host` lists the
+/// rank's host tasks in start order; `enqueued` each stream's
+/// `(launch time, kernel)` pairs in enqueue order.
+fn link_streams(
+    graph: &mut ExecutionGraph,
+    host: &[TaskId],
+    enqueued: &HashMap<StreamId, Vec<(Ts, TaskId)>>,
+    mode: InterStreamMode,
+) {
+    let thread_of =
+        |graph: &ExecutionGraph, task: TaskId| match graph.processor(graph.task(task).processor) {
+            Processor::Thread { tid, .. } => Some(tid),
+            Processor::Stream { .. } => None,
+        };
+    // The rank's main thread is the one dispatching the earliest host
+    // task; other threads are autograd/hook threads.
+    let main_thread = host.first().and_then(|&h| thread_of(graph, h));
+    // event id -> (record host ts, recorded stream)
+    let mut records: HashMap<u64, (Ts, StreamId)> = HashMap::new();
+    for &h in host {
+        let t = graph.task(h);
+        if let TaskKind::Runtime(CudaRuntimeKind::EventRecord { event, stream }) = t.kind {
+            records.insert(event, (t.orig_start, stream));
+        }
+    }
+    for &h in host {
+        let t = graph.task(h);
+        let TaskKind::Runtime(CudaRuntimeKind::StreamWaitEvent { stream, event }) = t.kind else {
+            continue;
+        };
+        let wait_ts = t.orig_start;
+        let Some(&(record_ts, record_stream)) = records.get(&event) else {
+            continue;
+        };
+        // Source: last kernel enqueued on the recorded stream before
+        // the record call.
+        let source = enqueued.get(&record_stream).and_then(|ks| {
+            let pos = ks.partition_point(|&(lts, _)| lts <= record_ts);
+            (pos > 0).then(|| ks[pos - 1].1)
+        });
+        // Target: first kernel enqueued on the waiting stream after
+        // the wait call.
+        let target = enqueued.get(&stream).and_then(|ks| {
+            let pos = ks.partition_point(|&(lts, _)| lts < wait_ts);
+            ks.get(pos).map(|&(_, id)| id)
+        });
+        if let (Some(s), Some(t)) = (source, target) {
+            let source_is_comm = graph.task(s).is_comm_kernel();
+            let target_is_comm = graph.task(t).is_comm_kernel();
+            // "Hook-launched": enqueued from a thread other than the
+            // rank's main thread (the autograd thread).
+            let target_hooked = graph
+                .launch_of(t)
+                .is_some_and(|l| thread_of(graph, l) != main_thread);
+            if s != t && mode.keeps(source_is_comm, target_is_comm, target_hooked) {
+                graph.add_edge(s, t, DepKind::InterStreamEvent);
             }
         }
     }

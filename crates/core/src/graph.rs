@@ -65,13 +65,18 @@ pub struct ExecutionGraph {
     collectives: HashMap<(u64, u32), Vec<TaskId>>,
     /// group → ranks observed issuing it (derived from the trace).
     groups: HashMap<u64, Vec<RankId>>,
-    /// Kernels per stream processor, in enqueue (launch) order.
-    stream_kernels: HashMap<ProcIdx, Vec<TaskId>>,
-    /// Kernel → position within its stream's enqueue order.
-    enqueue_seq: HashMap<TaskId, u32>,
-    /// Kernel → launching runtime task.
-    launch_of: HashMap<TaskId, TaskId>,
+    /// Kernels per stream processor (indexed by processor), in
+    /// enqueue (launch) order.
+    stream_kernels: Vec<Vec<TaskId>>,
+    /// Per task: its position within its stream's enqueue order
+    /// ([`NONE`] for tasks that are not registered kernels).
+    enqueue_seq: Vec<u32>,
+    /// Per task: the runtime task that launched it ([`NONE`] if none).
+    launch_of: Vec<TaskId>,
 }
+
+/// The empty slot of the per-task kernel tables.
+const NONE: u32 = u32::MAX;
 
 impl ExecutionGraph {
     /// Creates an empty graph.
@@ -96,6 +101,8 @@ impl ExecutionGraph {
         self.tasks.push(task);
         self.succ.push(Vec::new());
         self.pred_count.push(0);
+        self.enqueue_seq.push(NONE);
+        self.launch_of.push(NONE);
         id
     }
 
@@ -118,11 +125,14 @@ impl ExecutionGraph {
     /// Registers a kernel's stream-enqueue position and launching
     /// task.
     pub fn register_kernel(&mut self, kernel: TaskId, launch: TaskId) {
-        let proc = self.tasks[kernel as usize].processor;
-        let list = self.stream_kernels.entry(proc).or_default();
-        self.enqueue_seq.insert(kernel, list.len() as u32);
+        let proc = self.tasks[kernel as usize].processor as usize;
+        if self.stream_kernels.len() <= proc {
+            self.stream_kernels.resize_with(proc + 1, Vec::new);
+        }
+        let list = &mut self.stream_kernels[proc];
+        self.enqueue_seq[kernel as usize] = list.len() as u32;
         list.push(kernel);
-        self.launch_of.insert(kernel, launch);
+        self.launch_of[kernel as usize] = launch;
     }
 
     /// Registers a collective member kernel.
@@ -200,19 +210,18 @@ impl ExecutionGraph {
     /// Kernels of a stream processor in enqueue order.
     pub fn stream_kernels(&self, proc: ProcIdx) -> &[TaskId] {
         self.stream_kernels
-            .get(&proc)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+            .get(proc as usize)
+            .map_or(&[], Vec::as_slice)
     }
 
     /// A kernel's position in its stream's enqueue order.
     pub fn enqueue_seq(&self, kernel: TaskId) -> Option<u32> {
-        self.enqueue_seq.get(&kernel).copied()
+        Some(self.enqueue_seq[kernel as usize]).filter(|&s| s != NONE)
     }
 
     /// The runtime task that launched a kernel.
     pub fn launch_of(&self, kernel: TaskId) -> Option<TaskId> {
-        self.launch_of.get(&kernel).copied()
+        Some(self.launch_of[kernel as usize]).filter(|&l| l != NONE)
     }
 
     /// Total recorded duration of all tasks (work, not makespan).

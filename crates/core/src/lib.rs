@@ -15,12 +15,18 @@
 //! 3. **Graph manipulation** ([`manipulate`]) — generate new graphs
 //!    for what-if configurations: data-parallel scaling, pipeline
 //!    re-staging, layer-count and hidden-size changes, and
-//!    kernel-speedup studies (§3.4);
+//!    kernel-speedup studies (§3.4). A prediction reassembles the
+//!    recorded blocks straight into the execution graph
+//!    ([`Lumos::predict_spec`]); no trace is built on the way;
 //! 4. **Analysis** ([`analysis`]) — critical paths, bottleneck
 //!    kernels, and overlap reports on replayed schedules.
 //!
 //! The [`Lumos`] façade ties these together; [`Dpro`] is the same
-//! pipeline configured as the paper's dPRO baseline.
+//! pipeline configured as the paper's dPRO baseline. A [`Replayed`]
+//! holds the graph and its simulated schedule: makespan, breakdown and
+//! pipeline-communication time are read from those two, and the
+//! simulated trace is materialized only on request
+//! ([`Replayed::trace`]).
 //!
 //! # Example
 //!

@@ -65,27 +65,44 @@ impl Block {
     /// (rather than re-derived) by every consumer that must stay in
     /// lockstep with that pairing, e.g. search's stage-cost memo.
     pub fn launches_in_host_order(&self) -> Vec<&TraceEvent> {
-        let mut launches: Vec<&TraceEvent> = self
-            .events
-            .iter()
-            .filter(|e| {
+        self.launch_indices()
+            .into_iter()
+            .map(|i| &self.events[i])
+            .collect()
+    }
+
+    /// [`Block::launches_in_host_order`] as indices into
+    /// [`Block::events`].
+    pub(crate) fn launch_indices(&self) -> Vec<usize> {
+        let mut launches: Vec<usize> = (0..self.events.len())
+            .filter(|&i| {
                 matches!(
-                    e.kind,
+                    self.events[i].kind,
                     EventKind::CudaRuntime { kind, .. } if kind.launches_work()
                 )
             })
             .collect();
-        launches.sort_by_key(|e| e.ts);
+        launches.sort_by_key(|&i| self.events[i].ts);
         launches
     }
 
     /// The block's GPU kernel events keyed by correlation id (how a
     /// launch finds the kernel it dispatched).
     pub fn kernels_by_correlation(&self) -> HashMap<u64, &TraceEvent> {
+        self.kernel_indices_by_correlation()
+            .into_iter()
+            .map(|(corr, i)| (corr, &self.events[i]))
+            .collect()
+    }
+
+    /// [`Block::kernels_by_correlation`] as indices into
+    /// [`Block::events`].
+    pub(crate) fn kernel_indices_by_correlation(&self) -> HashMap<u64, usize> {
         self.events
             .iter()
-            .filter_map(|e| match e.kind {
-                EventKind::Kernel { correlation, .. } => Some((correlation, e)),
+            .enumerate()
+            .filter_map(|(i, e)| match e.kind {
+                EventKind::Kernel { correlation, .. } => Some((correlation, i)),
                 _ => None,
             })
             .collect()

@@ -188,9 +188,9 @@ pub fn plan(old: &TrainingSetup, new: &TrainingSetup) -> ReassembleSpec {
 pub struct Prediction {
     /// The target configuration.
     pub setup: TrainingSetup,
-    /// The synthesized trace for the target configuration.
-    pub trace: ClusterTrace,
-    /// Its replay (graph + simulated schedule + simulated trace).
+    /// Its replay: the reassembled graph and its simulated schedule.
+    /// [`Replayed::trace`] materializes the simulated timeline on
+    /// demand.
     pub replayed: Replayed,
 }
 
@@ -224,14 +224,13 @@ impl Lumos {
         let spec = plan(setup, &new_setup);
         let gpus_per_node = 8;
         let lookup = LookupCostModel::fit_from_trace(trace, fallback, gpus_per_node);
-        let predicted_trace = reassemble(trace, &spec, &lookup)?;
-        let label = predicted_trace.label.clone();
-        let graph = self.build_graph(&predicted_trace)?;
-        let replayed = self.replay_graph(graph, &label)?;
+        // Validate before paying the extraction walk, as `reassemble`
+        // does, so invalid specs report spec errors first.
+        spec.validate()?;
+        let library = BlockLibrary::extract(trace, spec.old.parallelism)?;
         Ok(Prediction {
+            replayed: self.predict_spec(&library, &spec, &lookup)?,
             setup: new_setup,
-            trace: predicted_trace,
-            replayed,
         })
     }
 
@@ -254,15 +253,30 @@ impl Lumos {
     ) -> Result<Prediction, CoreError> {
         let new_setup = apply_transforms(setup, transforms)?;
         let spec = plan(setup, &new_setup);
-        let predicted_trace = reassemble_with_library(library, &spec, cost)?;
-        let label = predicted_trace.label.clone();
-        let graph = self.build_graph(&predicted_trace)?;
-        let replayed = self.replay_graph(graph, &label)?;
         Ok(Prediction {
+            replayed: self.predict_spec(library, &spec, cost)?,
             setup: new_setup,
-            trace: predicted_trace,
-            replayed,
         })
+    }
+
+    /// The estimate path every prediction takes: reassembles `spec`
+    /// from `library`'s blocks straight into an execution graph
+    /// (§3.4) and replays it (§3.5). No trace is built on the way in
+    /// or out; the graph equals [`crate::build_graph`] of
+    /// [`reassemble_with_library`]'s trace under this toolkit's build
+    /// options.
+    ///
+    /// # Errors
+    ///
+    /// Returns spec-validation, reassembly, and simulation failures.
+    pub fn predict_spec<C: CostModel>(
+        &self,
+        library: &BlockLibrary,
+        spec: &ReassembleSpec,
+        cost: &C,
+    ) -> Result<Replayed, CoreError> {
+        let graph = reassemble::reassemble_graph(library, spec, cost, &self.build)?;
+        self.replay_graph(graph, &reassemble::predicted_label(&spec.new))
     }
 }
 

@@ -1,5 +1,5 @@
-//! Reassembly: building the trace of a *new* configuration out of the
-//! blocks of a profiled one (§3.4).
+//! Reassembly: building the program of a *new* configuration out of
+//! the blocks of a profiled one (§3.4).
 //!
 //! For every rank of the target deployment, the reassembler replays
 //! the lowering structure of a Megatron trainer — new 1F1B schedule,
@@ -18,22 +18,35 @@
 //!   optimizer scaffolding) is synthesized fresh at the new scale,
 //!   "inserting communication tasks at appropriate points";
 //! * correlation ids, CUDA event ids, and collective sequence numbers
-//!   are renumbered consistently so the result is a valid trace whose
-//!   dependency pattern matches the original's.
+//!   are renumbered consistently so the result's dependency pattern
+//!   matches the original's.
+//!
+//! One emitter writes each rank's program into a sink. The graph sink
+//! (crate-private, behind [`crate::Lumos::predict_spec`]) hands the
+//! ops straight to the graph builder's per-rank step, so a prediction
+//! never materializes a trace. The trace sink behind
+//! [`reassemble`] / [`reassemble_with_library`] writes a valid
+//! [`ClusterTrace`] on a placeholder timeline (the simulator
+//! recomputes true times); [`crate::build_graph`] on it yields the
+//! same graph as the graph sink, which the differential tests check.
 
+use crate::build::{build_rank, BuildOptions, RankOps, Sink};
 use crate::error::CoreError;
+use crate::graph::ExecutionGraph;
 use crate::manipulate::blocks::{Block, BlockKey, BlockKind, BlockLibrary};
-use crate::task::Phase;
+use crate::task::{Phase, SegmentTag};
 use lumos_cost::CostModel;
 use lumos_model::ops::{self, OpBody, OpDesc};
 use lumos_model::{
     CommScope, GroupRegistry, PipelineSchedule, RankCoords, ScheduleItem, TrainingSetup,
 };
 use lumos_trace::{
-    ClusterTrace, CollectiveKind, CommMeta, CudaRuntimeKind, Dur, EventKind, KernelClass,
+    ClusterTrace, CollectiveKind, CommMeta, CudaRuntimeKind, Dur, EventKind, KernelClass, RankId,
     RankTrace, StreamId, ThreadId, TraceEvent, Ts,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::fmt::Write as _;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Stream conventions shared with the trace producers.
@@ -155,10 +168,12 @@ pub fn reassemble<C: CostModel>(
 /// [`reassemble`] against a pre-extracted [`BlockLibrary`].
 ///
 /// Extraction walks every event of the source trace; callers pricing
-/// many configurations from the *same* trace (the `lumos-search`
-/// evaluator) extract once and share the library across candidates
-/// instead of re-extracting per call. `library` must come from
-/// [`BlockLibrary::extract`] on the trace `spec.old` describes.
+/// many configurations from the *same* trace extract once and share
+/// the library across candidates instead of re-extracting per call.
+/// `library` must come from [`BlockLibrary::extract`] on the trace
+/// `spec.old` describes. Predictions do not need the trace this
+/// writes: [`crate::Lumos::predict_spec`] reassembles the same
+/// program straight into an execution graph.
 ///
 /// # Errors
 ///
@@ -168,6 +183,47 @@ pub fn reassemble_with_library<C: CostModel>(
     spec: &ReassembleSpec,
     cost: &C,
 ) -> Result<ClusterTrace, CoreError> {
+    let mut out = ClusterTrace::new(predicted_label(&spec.new));
+    emit_ranks(library, spec, cost, |rank, sink: TraceSink| {
+        let mut trace = RankTrace::new(rank);
+        trace.extend(sink.events);
+        trace.sort();
+        out.push_rank(trace);
+    })?;
+    Ok(out)
+}
+
+/// Reassembles `spec` straight into an execution graph: the graph
+/// [`crate::build_graph`] derives from [`reassemble_with_library`]'s
+/// trace, without building that trace.
+pub(crate) fn reassemble_graph<C: CostModel>(
+    library: &BlockLibrary,
+    spec: &ReassembleSpec,
+    cost: &C,
+    opts: &BuildOptions,
+) -> Result<ExecutionGraph, CoreError> {
+    let mut graph = ExecutionGraph::new();
+    emit_ranks(library, spec, cost, |rank, ops: RankOps| {
+        build_rank(&mut graph, RankId(rank), &ops.in_trace_order(), opts);
+    })?;
+    graph.validate()?;
+    Ok(graph)
+}
+
+/// The label of a reassembled configuration (its trace's label and its
+/// replay's).
+pub(crate) fn predicted_label(new: &TrainingSetup) -> String {
+    format!("predicted {}", new.label())
+}
+
+/// Runs the emitter for every rank of `spec.new`, in rank order,
+/// handing each rank's filled sink to `rank_done`.
+fn emit_ranks<C: CostModel, S: Sink + Default>(
+    library: &BlockLibrary,
+    spec: &ReassembleSpec,
+    cost: &C,
+    mut rank_done: impl FnMut(u32, S),
+) -> Result<(), CoreError> {
     spec.validate()?;
     let schedule = PipelineSchedule::generate(
         spec.new.schedule,
@@ -175,60 +231,248 @@ pub fn reassemble_with_library<C: CostModel>(
         spec.new.batch.num_microbatches,
     )?;
     let registry = GroupRegistry::new(spec.new.parallelism);
-
-    let mut out = ClusterTrace::new(format!("predicted {}", spec.new.label()));
+    let mut shared = Shared::default();
     for rank in spec.new.parallelism.all_ranks() {
+        let coords = spec.new.parallelism.coords(rank);
         let emitter = RankEmitter {
             spec,
             library,
             cost,
             registry,
             schedule: &schedule,
-            coords: spec.new.parallelism.coords(rank),
-            rank,
-            events: Vec::new(),
+            coords,
+            tp_group: registry.group_id(CommScope::Tp, coords),
+            tp_members: registry.members(CommScope::Tp, coords),
+            sink: S::default(),
+            shared: &mut shared,
             main_cursor: Ts::ZERO,
             bwd_cursor: Ts::ZERO,
-            stream_cursor: HashMap::new(),
+            stream_cursors: Vec::new(),
             next_corr: 1,
             next_event: 1,
             tp_seq: 0,
             dp_seq: 0,
-            names: HashMap::new(),
         };
-        out.push_rank(emitter.emit()?);
+        rank_done(rank, emitter.emit()?);
     }
-    Ok(out)
+    Ok(())
 }
 
-struct RankEmitter<'a, C> {
+/// State every rank of one reassembly shares.
+#[derive(Default)]
+struct Shared {
+    /// Interned names.
+    names: HashSet<Arc<str>>,
+    /// The paste plan of each source block pasted so far.
+    plans: HashMap<BlockKey, Rc<PastePlan>>,
+}
+
+/// How to paste one source block, derived once per reassembly: the
+/// block's launches in host order ([`Block::launch_indices`]) paired
+/// with their kernels ([`Block::kernel_indices_by_correlation`]), as
+/// positions every paste indexes instead of re-deriving them.
+struct PastePlan {
+    /// Per launch, in host order: its kernel's index in the block.
+    launch_kernels: Vec<Option<usize>>,
+    /// Per block event: the host-order position of the launch sharing
+    /// its correlation id (the last such launch), for launches and
+    /// kernels.
+    launch_pos: Vec<Option<usize>>,
+    /// The block's kernels, in the order they are placed on their
+    /// streams: by their launch's end, ties in block order.
+    kernel_order: Vec<usize>,
+}
+
+impl PastePlan {
+    fn new(block: &Block) -> PastePlan {
+        let events = &block.events;
+        let kernels = block.kernel_indices_by_correlation();
+        let launch_idx = block.launch_indices();
+        let corr = |i: usize| events[i].kind.correlation().unwrap_or(0);
+        let launch_kernels = launch_idx
+            .iter()
+            .map(|&i| kernels.get(&corr(i)).copied())
+            .collect();
+        let pos_by_corr: HashMap<u64, usize> = launch_idx
+            .iter()
+            .enumerate()
+            .map(|(p, &i)| (corr(i), p))
+            .collect();
+        let launch_pos: Vec<Option<usize>> = events
+            .iter()
+            .map(|e| match e.kind {
+                EventKind::CudaRuntime {
+                    kind, correlation, ..
+                } if kind.launches_work() => pos_by_corr.get(&correlation).copied(),
+                EventKind::Kernel { correlation, .. } => pos_by_corr.get(&correlation).copied(),
+                _ => None,
+            })
+            .collect();
+        // A paste shifts every launch by the same offset, so this order
+        // holds for each paste.
+        let mut kernel_order: Vec<usize> =
+            (0..events.len()).filter(|&i| events[i].is_gpu()).collect();
+        kernel_order.sort_by_key(|&k| launch_pos[k].map(|p| events[launch_idx[p]].end()));
+        PastePlan {
+            launch_kernels,
+            launch_pos,
+            kernel_order,
+        }
+    }
+}
+
+/// Writes a rank trace: host calls and kernels as trace events, scopes
+/// as user annotations labeled in the vocabulary
+/// [`crate::parse_annotation`] reads back.
+#[derive(Default)]
+struct TraceSink {
+    events: Vec<TraceEvent>,
+}
+
+impl Sink for TraceSink {
+    fn host(
+        &mut self,
+        tid: ThreadId,
+        runtime: Option<CudaRuntimeKind>,
+        name: Arc<str>,
+        ts: Ts,
+        dur: Dur,
+        correlation: u64,
+    ) {
+        let kind = match runtime {
+            None => EventKind::CpuOp { tid },
+            Some(kind) => EventKind::CudaRuntime {
+                tid,
+                kind,
+                correlation,
+            },
+        };
+        self.events.push(TraceEvent {
+            name,
+            kind,
+            ts,
+            dur,
+        });
+    }
+
+    fn kernel(
+        &mut self,
+        stream: StreamId,
+        class: KernelClass,
+        name: Arc<str>,
+        ts: Ts,
+        dur: Dur,
+        correlation: u64,
+    ) {
+        let kind = EventKind::Kernel {
+            stream,
+            correlation,
+            class,
+        };
+        self.events.push(TraceEvent {
+            name,
+            kind,
+            ts,
+            dur,
+        });
+    }
+
+    fn scope(&mut self, tid: ThreadId, tag: SegmentTag, start: Ts, end: Ts) {
+        self.events.push(TraceEvent::annotation(
+            scope_label(&tag),
+            start,
+            end - start,
+            tid,
+        ));
+    }
+}
+
+/// The annotation label of a scope the emitter opens: `iteration`,
+/// `optimizer`, `[layer=N |embed |head ]fwd|bwd mb=M` and
+/// `dp_grads layer=N|embed mb=M`. [`crate::parse_annotation`] maps it
+/// back to `tag`.
+fn scope_label(tag: &SegmentTag) -> String {
+    let mut label = String::new();
+    match tag.phase {
+        None => label.push_str("iteration"),
+        Some(Phase::Optimizer) => label.push_str("optimizer"),
+        Some(phase) => {
+            if phase == Phase::DpGrads {
+                label.push_str("dp_grads ");
+            }
+            if let Some(layer) = tag.layer {
+                let _ = write!(label, "layer={layer} ");
+            } else if tag.embed {
+                label.push_str("embed ");
+            } else if tag.head {
+                label.push_str("head ");
+            }
+            match phase {
+                Phase::Forward => label.push_str("fwd "),
+                Phase::Backward => label.push_str("bwd "),
+                _ => {}
+            }
+            let _ = write!(label, "mb={}", tag.mb.unwrap_or_default());
+        }
+    }
+    label
+}
+
+/// The tag of a scope covering one micro-batch's `kind` content (a
+/// pasted block, or its gradient bucket under [`Phase::DpGrads`]).
+fn block_tag(kind: BlockKind, mb: u32, phase: Phase) -> SegmentTag {
+    SegmentTag {
+        mb: Some(mb),
+        layer: match kind {
+            BlockKind::Layer(l) => Some(l),
+            _ => None,
+        },
+        embed: kind == BlockKind::Embed,
+        head: kind == BlockKind::Head,
+        phase: Some(phase),
+    }
+}
+
+/// The tag of a whole-micro-batch pass scope (`fwd mb=M`, `bwd mb=M`).
+fn pass_tag(mb: u32, phase: Phase) -> SegmentTag {
+    SegmentTag {
+        mb: Some(mb),
+        phase: Some(phase),
+        ..SegmentTag::default()
+    }
+}
+
+struct RankEmitter<'a, C, S> {
     spec: &'a ReassembleSpec,
     library: &'a BlockLibrary,
     cost: &'a C,
     registry: GroupRegistry,
     schedule: &'a PipelineSchedule,
     coords: RankCoords,
-    rank: u32,
-    events: Vec<TraceEvent>,
+    /// This rank's tensor-parallel communicator and its members.
+    tp_group: u64,
+    tp_members: Vec<u32>,
+    sink: S,
+    shared: &'a mut Shared,
     main_cursor: Ts,
     bwd_cursor: Ts,
-    stream_cursor: HashMap<StreamId, Ts>,
+    /// Per stream: where its placeholder timeline ends.
+    stream_cursors: Vec<(StreamId, Ts)>,
     next_corr: u64,
     next_event: u64,
     tp_seq: u32,
     dp_seq: u32,
-    names: HashMap<String, Arc<str>>,
 }
 
-impl<C: CostModel> RankEmitter<'_, C> {
-    fn emit(mut self) -> Result<RankTrace, CoreError> {
-        let new = &self.spec.new;
+impl<'a, C: CostModel, S: Sink> RankEmitter<'a, C, S> {
+    fn emit(mut self) -> Result<S, CoreError> {
+        let spec = self.spec;
+        let schedule = self.schedule;
         let stage = self.coords.pp;
-        let last_mb = new.batch.num_microbatches - 1;
+        let last_mb = spec.new.batch.num_microbatches - 1;
         let iter_start = self.main_cursor;
 
-        let order: Vec<ScheduleItem> = self.schedule.stage(stage).expect("stage in range").to_vec();
-        for item in order {
+        for &item in schedule.stage(stage).expect("stage in range") {
             match item {
                 ScheduleItem::Forward { mb } => self.emit_forward(mb)?,
                 ScheduleItem::Backward { mb } => self.emit_backward(mb, mb == last_mb)?,
@@ -241,25 +485,33 @@ impl<C: CostModel> RankEmitter<'_, C> {
         }
         self.emit_optimizer();
         let iter_end = self.main_cursor.max(self.bwd_cursor);
-        self.annotate("iteration", MAIN, iter_start, iter_end);
-
-        let mut trace = RankTrace::new(self.rank);
-        trace.extend(self.events);
-        trace.sort();
-        Ok(trace)
+        self.sink
+            .scope(MAIN, SegmentTag::default(), iter_start, iter_end);
+        Ok(self.sink)
     }
 
+    /// The shared copy of `name`; allocates only on first sight.
     fn intern(&mut self, name: &str) -> Arc<str> {
-        self.names
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::from(name))
-            .clone()
+        let names = &mut self.shared.names;
+        if let Some(interned) = names.get(name) {
+            return interned.clone();
+        }
+        let interned: Arc<str> = Arc::from(name);
+        names.insert(interned.clone());
+        interned
     }
 
-    fn annotate(&mut self, name: &str, tid: ThreadId, start: Ts, end: Ts) {
-        let name = self.intern(name);
-        self.events
-            .push(TraceEvent::annotation(name, start, end - start, tid));
+    /// A synthesized CUDA runtime call, named by its API.
+    fn emit_runtime(
+        &mut self,
+        tid: ThreadId,
+        kind: CudaRuntimeKind,
+        ts: Ts,
+        dur: Dur,
+        correlation: u64,
+    ) {
+        let name = self.intern(kind.api_name());
+        self.sink.host(tid, Some(kind), name, ts, dur, correlation);
     }
 
     fn cursor(&mut self, tid: ThreadId) -> &mut Ts {
@@ -284,7 +536,14 @@ impl<C: CostModel> RankEmitter<'_, C> {
 
     /// Places a kernel on its stream's synthetic timeline.
     fn place_kernel(&mut self, stream: StreamId, launch_end: Ts, dur: Dur) -> Ts {
-        let cursor = self.stream_cursor.entry(stream).or_insert(Ts::ZERO);
+        let i = match self.stream_cursors.iter().position(|&(s, _)| s == stream) {
+            Some(i) => i,
+            None => {
+                self.stream_cursors.push((stream, Ts::ZERO));
+                self.stream_cursors.len() - 1
+            }
+        };
+        let cursor = &mut self.stream_cursors[i].1;
         let start = (*cursor).max(launch_end + LAUNCH_GAP);
         *cursor = start + dur;
         start
@@ -296,7 +555,7 @@ impl<C: CostModel> RankEmitter<'_, C> {
         let dur = self.library.host.cpu_op;
         let name = self.intern(name);
         let ts = *self.cursor(tid);
-        self.events.push(TraceEvent::cpu_op(name, ts, dur, tid));
+        self.sink.host(tid, None, name, ts, dur, 0);
         *self.cursor(tid) = ts + dur;
     }
 
@@ -304,21 +563,13 @@ impl<C: CostModel> RankEmitter<'_, C> {
         let dur = self.library.host.event_call;
         let event = self.fresh_event();
         let ts = *self.cursor(tid);
-        self.events.push(TraceEvent::cuda_runtime(
-            CudaRuntimeKind::EventRecord {
-                event,
-                stream: from,
-            },
-            ts,
-            dur,
-            tid,
-        ));
-        self.events.push(TraceEvent::cuda_runtime(
-            CudaRuntimeKind::StreamWaitEvent { stream: to, event },
-            ts + dur,
-            dur,
-            tid,
-        ));
+        let record = CudaRuntimeKind::EventRecord {
+            event,
+            stream: from,
+        };
+        self.emit_runtime(tid, record, ts, dur, 0);
+        let wait = CudaRuntimeKind::StreamWaitEvent { stream: to, event };
+        self.emit_runtime(tid, wait, ts + dur, dur, 0);
         *self.cursor(tid) = ts + dur + dur;
     }
 
@@ -333,39 +584,17 @@ impl<C: CostModel> RankEmitter<'_, C> {
         let launch_dur = self.library.host.launch;
         let corr = self.fresh_corr();
         let ts = *self.cursor(tid);
-        self.events.push(
-            TraceEvent::cuda_runtime(CudaRuntimeKind::LaunchKernel, ts, launch_dur, tid)
-                .with_correlation(corr),
-        );
+        self.emit_runtime(tid, CudaRuntimeKind::LaunchKernel, ts, launch_dur, corr);
         *self.cursor(tid) = ts + launch_dur;
         let kstart = self.place_kernel(stream, ts + launch_dur, dur);
         let name = self.intern(name);
-        self.events.push(
-            TraceEvent::kernel(name, kstart, dur, stream)
-                .with_correlation(corr)
-                .with_class(class),
-        );
+        self.sink.kernel(stream, class, name, kstart, dur, corr);
     }
 
-    fn emit_stream_sync(&mut self, tid: ThreadId, stream: StreamId) {
+    /// A blocking stream or device synchronization.
+    fn emit_sync(&mut self, tid: ThreadId, kind: CudaRuntimeKind) {
         let ts = *self.cursor(tid);
-        self.events.push(TraceEvent::cuda_runtime(
-            CudaRuntimeKind::StreamSynchronize { stream },
-            ts,
-            SYNC_PLACEHOLDER,
-            tid,
-        ));
-        *self.cursor(tid) = ts + SYNC_PLACEHOLDER;
-    }
-
-    fn emit_device_sync(&mut self, tid: ThreadId) {
-        let ts = *self.cursor(tid);
-        self.events.push(TraceEvent::cuda_runtime(
-            CudaRuntimeKind::DeviceSynchronize,
-            ts,
-            SYNC_PLACEHOLDER,
-            tid,
-        ));
+        self.emit_runtime(tid, kind, ts, SYNC_PLACEHOLDER, 0);
         *self.cursor(tid) = ts + SYNC_PLACEHOLDER;
     }
 
@@ -418,7 +647,7 @@ impl<C: CostModel> RankEmitter<'_, C> {
 
     // --- Data-parallel gradient buckets (synthesized). ---
 
-    fn emit_dp_bucket(&mut self, tid: ThreadId, annotation: &str, params: u64) {
+    fn emit_dp_bucket(&mut self, tid: ThreadId, scope: SegmentTag, params: u64) {
         let start = *self.cursor(tid);
         let bytes = params * ops::GRAD_BYTES;
         let group = self.registry.group_id(CommScope::Dp, self.coords);
@@ -443,7 +672,7 @@ impl<C: CostModel> RankEmitter<'_, C> {
             dur,
         );
         let end = *self.cursor(tid);
-        self.annotate(annotation, tid, start, end);
+        self.sink.scope(tid, scope, start, end);
     }
 
     // --- Block pasting. ---
@@ -457,8 +686,14 @@ impl<C: CostModel> RankEmitter<'_, C> {
         regenerated_block_ops(&self.spec.new, kind, phase)
     }
 
-    /// Looks up the source block for (kind-of-new-content, mb).
-    fn source_block(&self, kind: BlockKind, mb: u32, phase: Phase) -> Result<&'_ Block, CoreError> {
+    /// Looks up the source block for (kind-of-new-content, mb),
+    /// borrowed from the library rather than copied, with its key.
+    fn source_block(
+        &self,
+        kind: BlockKind,
+        mb: u32,
+        phase: Phase,
+    ) -> Result<(BlockKey, &'a Block), CoreError> {
         let old = &self.spec.old;
         let src_kind = match kind {
             BlockKind::Layer(new_layer) => {
@@ -475,48 +710,49 @@ impl<C: CostModel> RankEmitter<'_, C> {
             mb: mb % old.batch.num_microbatches,
             phase,
         };
-        self.library
+        let library: &'a BlockLibrary = self.library;
+        let block = library
             .get(&key)
             .ok_or_else(|| CoreError::MissingAnnotations {
                 needed: format!("block {key:?} absent from source trace"),
-            })
+            })?;
+        Ok((key, block))
     }
 
     /// Pastes one block at the thread cursor, renumbering ids and
     /// (optionally) re-pricing kernels against the regenerated op
-    /// list.
+    /// list. A layer block is labeled with its *new* layer index.
     fn paste_block(
         &mut self,
         tid: ThreadId,
         kind: BlockKind,
-        new_layer_label: Option<u32>,
         mb: u32,
         phase: Phase,
     ) -> Result<(), CoreError> {
-        let block = self.source_block(kind, mb, phase)?.clone();
+        let (key, block) = self.source_block(kind, mb, phase)?;
+        let plan = Rc::clone(
+            self.shared
+                .plans
+                .entry(key)
+                .or_insert_with(|| Rc::new(PastePlan::new(block))),
+        );
         let recost = self.recost_ops(kind, phase);
         let base = *self.cursor(tid);
 
         // Pass 1: walk launches in host order (the shared
         // [`Block::launches_in_host_order`] contract), assigning new
         // correlation ids and (class, duration) updates per kernel.
-        let launch_events = block.launches_in_host_order();
-        // Old correlation -> (new corr, new class, new duration).
-        let mut updates: HashMap<u64, (u64, Option<(KernelClass, Dur)>)> = HashMap::new();
-        // Kernels by old correlation (for class lookup and collective
-        // remap), via the same shared helper cost consumers use.
-        let kernels_by_corr = block.kernels_by_correlation();
-        let class_of_corr = |corr: u64| -> Option<KernelClass> {
-            match kernels_by_corr.get(&corr)?.kind {
+        // Per launch: (new corr, new class and duration).
+        let mut updates: Vec<(u64, Option<(KernelClass, Dur)>)> =
+            Vec::with_capacity(plan.launch_kernels.len());
+        let mut op_iter = recost.as_deref().map(|ops| ops.iter());
+        for &kernel in &plan.launch_kernels {
+            let new_corr = self.fresh_corr();
+            let old_kernel = kernel.map(|k| &block.events[k]);
+            let old_class = old_kernel.and_then(|k| match k.kind {
                 EventKind::Kernel { class, .. } => Some(class),
                 _ => None,
-            }
-        };
-        let mut op_iter = recost.as_deref().map(|ops| ops.iter());
-        for launch in &launch_events {
-            let old_corr = launch.kind.correlation().unwrap_or(0);
-            let new_corr = self.fresh_corr();
-            let old_class = class_of_corr(old_corr);
+            });
             let next_op: Option<&OpDesc> = match op_iter.as_mut() {
                 Some(it) => {
                     let op = it.next().ok_or_else(|| CoreError::InvalidTransform {
@@ -532,8 +768,6 @@ impl<C: CostModel> RankEmitter<'_, C> {
                 // Collective: remap group/seq always; re-price when
                 // re-costing.
                 (Some(KernelClass::Collective(meta)), op) => {
-                    let group = self.registry.group_id(CommScope::Tp, self.coords);
-                    let members = self.registry.members(CommScope::Tp, self.coords);
                     let seq = self.tp_seq;
                     self.tp_seq += 1;
                     let bytes = match op {
@@ -553,14 +787,17 @@ impl<C: CostModel> RankEmitter<'_, C> {
                     };
                     let class = KernelClass::Collective(CommMeta {
                         kind: meta.kind,
-                        group,
+                        group: self.tp_group,
                         seq,
                         bytes,
                     });
-                    let dur = if op.is_some() {
-                        self.cost.collective_cost(meta.kind, bytes, &members)
-                    } else {
-                        kernel_dur(&block, old_corr)
+                    let dur = match (op, old_kernel) {
+                        (Some(_), _) => {
+                            self.cost
+                                .collective_cost(meta.kind, bytes, &self.tp_members)
+                        }
+                        (None, Some(k)) => k.dur,
+                        (None, None) => Dur::ZERO,
                     };
                     Some((class, dur))
                 }
@@ -580,7 +817,7 @@ impl<C: CostModel> RankEmitter<'_, C> {
                 (Some(_), None) => None,
                 (None, _) => None,
             };
-            updates.insert(old_corr, (new_corr, update));
+            updates.push((new_corr, update));
         }
         if let Some(mut it) = op_iter {
             if it.next().is_some() {
@@ -592,127 +829,78 @@ impl<C: CostModel> RankEmitter<'_, C> {
             }
         }
 
-        // Pass 2: emit everything shifted to the cursor, with fresh
-        // CUDA event ids and updated kernels.
-        let mut event_map: HashMap<u64, u64> = HashMap::new();
-        let mut kernels: Vec<TraceEvent> = Vec::new();
-        // New correlation -> launch end time, recorded as launches are
-        // emitted (kernels are placed afterwards).
-        let mut launch_ts: HashMap<u64, Ts> = HashMap::new();
-        for e in &block.events {
+        // Pass 2: emit the host calls shifted to the cursor, with fresh
+        // CUDA event ids and the new correlation ids.
+        let mut event_map: Vec<(u64, u64)> = Vec::new();
+        // Per launch: its end on the new timeline.
+        let mut launch_end: Vec<Option<Ts>> = vec![None; plan.launch_kernels.len()];
+        for (i, e) in block.events.iter().enumerate() {
+            let ts = base + Dur(e.ts.0);
             match e.kind {
-                EventKind::Kernel {
-                    stream,
-                    correlation,
-                    class,
-                } => {
-                    let (new_corr, update) = updates[&correlation];
-                    let (class, dur) = match update {
-                        Some((c, d)) => (c, d),
-                        None => (class, e.dur),
-                    };
-                    let mut k = e.clone();
-                    k.dur = dur;
-                    k.kind = EventKind::Kernel {
-                        stream,
-                        correlation: new_corr,
-                        class,
-                    };
-                    kernels.push(k);
-                }
                 EventKind::CudaRuntime {
                     tid: _,
                     kind,
-                    correlation,
+                    correlation: _,
                 } => {
-                    let mut ev = e.clone();
-                    ev.ts = base + Dur(e.ts.0);
                     let new_kind = match kind {
                         CudaRuntimeKind::EventRecord { event, stream } => {
-                            let id = *event_map.entry(event).or_insert_with(|| {
-                                let e = self.next_event;
-                                self.next_event += 1;
-                                e
-                            });
-                            CudaRuntimeKind::EventRecord { event: id, stream }
+                            let event = self.renumber_event(&mut event_map, event);
+                            CudaRuntimeKind::EventRecord { event, stream }
                         }
                         CudaRuntimeKind::StreamWaitEvent { stream, event } => {
-                            let id = *event_map.entry(event).or_insert_with(|| {
-                                let e = self.next_event;
-                                self.next_event += 1;
-                                e
-                            });
-                            CudaRuntimeKind::StreamWaitEvent { stream, event: id }
+                            let event = self.renumber_event(&mut event_map, event);
+                            CudaRuntimeKind::StreamWaitEvent { stream, event }
                         }
                         other => other,
                     };
-                    let new_corr = if kind.launches_work() {
-                        updates.get(&correlation).map_or(0, |&(c, _)| c)
-                    } else {
-                        0
-                    };
-                    if kind.launches_work() && new_corr != 0 {
-                        launch_ts.insert(new_corr, ev.end());
+                    let launch = plan.launch_pos[i].filter(|_| kind.launches_work());
+                    if let Some(p) = launch {
+                        launch_end[p] = Some(ts + e.dur);
                     }
-                    ev.kind = EventKind::CudaRuntime {
-                        tid,
-                        kind: new_kind,
-                        correlation: new_corr,
-                    };
-                    self.events.push(ev);
+                    let corr = launch.map_or(0, |p| updates[p].0);
+                    let name = e.name.clone();
+                    self.sink.host(tid, Some(new_kind), name, ts, e.dur, corr);
                 }
                 EventKind::CpuOp { .. } => {
-                    let mut ev = e.clone();
-                    ev.ts = base + Dur(e.ts.0);
-                    ev.kind = EventKind::CpuOp { tid };
-                    self.events.push(ev);
+                    self.sink.host(tid, None, e.name.clone(), ts, e.dur, 0);
                 }
-                EventKind::UserAnnotation { .. } => {}
+                // Kernels are placed below; annotations are re-emitted
+                // as scopes.
+                EventKind::Kernel { .. } | EventKind::UserAnnotation { .. } => {}
             }
         }
         // Kernels: place on stream cursors in launch order, using the
-        // launch's new host timestamp.
-        kernels.sort_by_key(|k| {
-            k.kind
-                .correlation()
-                .and_then(|c| launch_ts.get(&c).copied())
-                .unwrap_or(k.ts)
-        });
-        for mut k in kernels {
-            let EventKind::Kernel {
-                stream,
-                correlation,
-                ..
-            } = k.kind
-            else {
-                unreachable!()
+        // launch's new end.
+        for &k in &plan.kernel_order {
+            let e = &block.events[k];
+            let EventKind::Kernel { stream, class, .. } = e.kind else {
+                unreachable!("the plan orders kernels only")
             };
-            let le = launch_ts.get(&correlation).copied().unwrap_or(base);
-            k.ts = self.place_kernel(stream, le, k.dur);
-            self.events.push(k);
+            let p = plan.launch_pos[k].expect("extracted kernels come with their launch");
+            let (new_corr, update) = updates[p];
+            let (class, dur) = update.unwrap_or((class, e.dur));
+            let ts = self.place_kernel(stream, launch_end[p].unwrap_or(base), dur);
+            self.sink
+                .kernel(stream, class, e.name.clone(), ts, dur, new_corr);
         }
 
         *self.cursor(tid) = base + block.host_span;
-
-        // Annotation marking the pasted block under its *new* name.
-        let label = match (kind, new_layer_label) {
-            (BlockKind::Layer(_), Some(l)) => match phase {
-                Phase::Forward => format!("layer={l} fwd mb={mb}"),
-                _ => format!("layer={l} bwd mb={mb}"),
-            },
-            (BlockKind::Embed, _) => match phase {
-                Phase::Forward => format!("embed fwd mb={mb}"),
-                _ => format!("embed bwd mb={mb}"),
-            },
-            (BlockKind::Head, _) => match phase {
-                Phase::Forward => format!("head fwd mb={mb}"),
-                _ => format!("head bwd mb={mb}"),
-            },
-            (BlockKind::Layer(_), None) => unreachable!("layer blocks carry labels"),
-        };
         let end = *self.cursor(tid);
-        self.annotate(&label, tid, base, end);
+        self.sink.scope(tid, block_tag(kind, mb, phase), base, end);
         Ok(())
+    }
+
+    /// The fresh id of a pasted block's CUDA event `event`, shared by
+    /// its record and its waits.
+    fn renumber_event(&mut self, map: &mut Vec<(u64, u64)>, event: u64) -> u64 {
+        match map.iter().find(|&&(old, _)| old == event) {
+            Some(&(_, new)) => new,
+            None => {
+                let new = self.fresh_event();
+                map.push((event, new));
+                new
+            }
+        }
     }
 
     // --- Schedule-item emission. ---
@@ -725,28 +913,26 @@ impl<C: CostModel> RankEmitter<'_, C> {
             self.emit_pp_transfer(stage - 1, mb, false, true);
         }
         if stage == 0 {
-            self.paste_block(MAIN, BlockKind::Embed, None, mb, Phase::Forward)?;
+            self.paste_block(MAIN, BlockKind::Embed, mb, Phase::Forward)?;
         }
-        let layers: Vec<u32> = new
-            .parallelism
-            .stage_layers(new.model.num_layers, stage)
-            .collect();
-        for l in layers {
-            self.paste_block(MAIN, BlockKind::Layer(l), Some(l), mb, Phase::Forward)?;
+        for l in new.parallelism.stage_layers(new.model.num_layers, stage) {
+            self.paste_block(MAIN, BlockKind::Layer(l), mb, Phase::Forward)?;
         }
         if stage == new.parallelism.pp - 1 {
-            self.paste_block(MAIN, BlockKind::Head, None, mb, Phase::Forward)?;
+            self.paste_block(MAIN, BlockKind::Head, mb, Phase::Forward)?;
         }
         if stage + 1 < new.parallelism.pp {
             self.emit_pp_transfer(stage, mb, false, false);
         }
         let end = self.main_cursor;
-        self.annotate(&format!("fwd mb={mb}"), MAIN, start, end);
+        self.sink
+            .scope(MAIN, pass_tag(mb, Phase::Forward), start, end);
         Ok(())
     }
 
     fn emit_backward(&mut self, mb: u32, is_last_mb: bool) -> Result<(), CoreError> {
-        let new = self.spec.new.clone();
+        let spec: &'a ReassembleSpec = self.spec;
+        let new = &spec.new;
         let stage = self.coords.pp;
         if stage + 1 < new.parallelism.pp {
             self.emit_pp_transfer(stage, mb, true, true);
@@ -755,34 +941,32 @@ impl<C: CostModel> RankEmitter<'_, C> {
         self.bwd_cursor = self.bwd_cursor.max(self.main_cursor);
         let bwd_start = self.bwd_cursor;
         if stage == new.parallelism.pp - 1 {
-            self.paste_block(BACKWARD, BlockKind::Head, None, mb, Phase::Backward)?;
+            self.paste_block(BACKWARD, BlockKind::Head, mb, Phase::Backward)?;
         }
-        let layers: Vec<u32> = new
+        let dp = new.parallelism.dp;
+        let layer_params = new.model.params_per_layer() / new.parallelism.tp as u64;
+        for l in new
             .parallelism
             .stage_layers(new.model.num_layers, stage)
             .rev()
-            .collect();
-        let dp = new.parallelism.dp;
-        let layer_params = new.model.params_per_layer() / new.parallelism.tp as u64;
-        for l in layers {
-            self.paste_block(BACKWARD, BlockKind::Layer(l), Some(l), mb, Phase::Backward)?;
+        {
+            self.paste_block(BACKWARD, BlockKind::Layer(l), mb, Phase::Backward)?;
             if is_last_mb && dp > 1 {
-                self.emit_dp_bucket(
-                    BACKWARD,
-                    &format!("dp_grads layer={l} mb={mb}"),
-                    layer_params,
-                );
+                let scope = block_tag(BlockKind::Layer(l), mb, Phase::DpGrads);
+                self.emit_dp_bucket(BACKWARD, scope, layer_params);
             }
         }
         if stage == 0 {
-            self.paste_block(BACKWARD, BlockKind::Embed, None, mb, Phase::Backward)?;
+            self.paste_block(BACKWARD, BlockKind::Embed, mb, Phase::Backward)?;
             if is_last_mb && dp > 1 {
                 let emb = new.model.params_embedding() / new.parallelism.tp as u64;
-                self.emit_dp_bucket(BACKWARD, &format!("dp_grads embed mb={mb}"), emb);
+                let scope = block_tag(BlockKind::Embed, mb, Phase::DpGrads);
+                self.emit_dp_bucket(BACKWARD, scope, emb);
             }
         }
         let bwd_end = self.bwd_cursor;
-        self.annotate(&format!("bwd mb={mb}"), BACKWARD, bwd_start, bwd_end);
+        self.sink
+            .scope(BACKWARD, pass_tag(mb, Phase::Backward), bwd_start, bwd_end);
         // Main thread resumes after the backward completes.
         self.main_cursor = self.main_cursor.max(self.bwd_cursor);
         if stage > 0 {
@@ -792,12 +976,18 @@ impl<C: CostModel> RankEmitter<'_, C> {
     }
 
     fn emit_optimizer(&mut self) {
-        let new = self.spec.new.clone();
+        let spec: &'a ReassembleSpec = self.spec;
+        let new = &spec.new;
         let stage = self.coords.pp;
         let start = self.main_cursor;
         if new.parallelism.dp > 1 {
             self.emit_cpu_op(MAIN, "wait_all_grads");
-            self.emit_stream_sync(MAIN, streams::DP_COMM);
+            self.emit_sync(
+                MAIN,
+                CudaRuntimeKind::StreamSynchronize {
+                    stream: streams::DP_COMM,
+                },
+            );
         }
         if new.parallelism.pp > 1 && (stage == 0 || stage == new.parallelism.pp - 1) {
             let bytes = new.model.params_embedding() / new.parallelism.tp as u64 * ops::GRAD_BYTES;
@@ -820,7 +1010,12 @@ impl<C: CostModel> RankEmitter<'_, C> {
                 streams::DP_COMM,
                 dur,
             );
-            self.emit_stream_sync(MAIN, streams::DP_COMM);
+            self.emit_sync(
+                MAIN,
+                CudaRuntimeKind::StreamSynchronize {
+                    stream: streams::DP_COMM,
+                },
+            );
         }
         let params = ops::local_params(&new.model, new.parallelism.tp, new.parallelism.pp, stage);
         for op in ops::optimizer_ops(params) {
@@ -831,19 +1026,14 @@ impl<C: CostModel> RankEmitter<'_, C> {
                 self.emit_launch(MAIN, &name, class, streams::COMPUTE, dur);
             }
         }
-        self.emit_device_sync(MAIN);
+        self.emit_sync(MAIN, CudaRuntimeKind::DeviceSynchronize);
         let end = self.main_cursor;
-        self.annotate("optimizer", MAIN, start, end);
+        let scope = SegmentTag {
+            phase: Some(Phase::Optimizer),
+            ..SegmentTag::default()
+        };
+        self.sink.scope(MAIN, scope, start, end);
     }
-}
-
-fn kernel_dur(block: &Block, corr: u64) -> Dur {
-    block
-        .events
-        .iter()
-        .find(|e| e.is_gpu() && e.kind.correlation() == Some(corr))
-        .map(|e| e.dur)
-        .unwrap_or(Dur::ZERO)
 }
 
 /// Maps a compute op body to its kernel class (collectives return
@@ -940,5 +1130,55 @@ fn kernel_name_of(body: &OpBody) -> String {
         OpBody::Embedding { .. } => "embedding_kernel".to_string(),
         OpBody::Optimizer { .. } => "multi_tensor_adam".to_string(),
         OpBody::Collective { op, .. } => format!("nccl_{op:?}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::segment::parse_annotation;
+
+    #[test]
+    fn scope_labels_parse_back_to_their_tags() {
+        let mut scopes = vec![
+            (SegmentTag::default(), "iteration"),
+            (
+                SegmentTag {
+                    phase: Some(Phase::Optimizer),
+                    ..SegmentTag::default()
+                },
+                "optimizer",
+            ),
+            (pass_tag(3, Phase::Forward), "fwd mb=3"),
+            (pass_tag(0, Phase::Backward), "bwd mb=0"),
+            (
+                block_tag(BlockKind::Layer(7), 1, Phase::Forward),
+                "layer=7 fwd mb=1",
+            ),
+            (
+                block_tag(BlockKind::Embed, 2, Phase::Backward),
+                "embed bwd mb=2",
+            ),
+            (
+                block_tag(BlockKind::Head, 0, Phase::Forward),
+                "head fwd mb=0",
+            ),
+            (
+                block_tag(BlockKind::Layer(5), 3, Phase::DpGrads),
+                "dp_grads layer=5 mb=3",
+            ),
+            (
+                block_tag(BlockKind::Embed, 3, Phase::DpGrads),
+                "dp_grads embed mb=3",
+            ),
+        ];
+        scopes.push((
+            block_tag(BlockKind::Head, 4, Phase::Backward),
+            "head bwd mb=4",
+        ));
+        for (tag, label) in scopes {
+            assert_eq!(scope_label(&tag), label);
+            assert_eq!(parse_annotation(label), tag, "{label}");
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! "group the tasks by layers" (§3.4).
 
 use crate::task::{Phase, SegmentTag};
-use lumos_trace::{EventKind, RankTrace, ThreadId, TraceEvent, Ts};
+use lumos_trace::{EventKind, RankTrace, ThreadId, Ts};
 use std::collections::HashMap;
 
 /// Parses one annotation label into a tag.
@@ -56,59 +56,72 @@ pub fn merge(outer: SegmentTag, inner: SegmentTag) -> SegmentTag {
 /// Returns a map from event index (position in `trace.events()`) to
 /// tag; untagged events are absent.
 pub fn tag_host_events(trace: &RankTrace) -> HashMap<usize, SegmentTag> {
-    // Annotations per thread, sorted by (start, widest first).
     let mut anns: HashMap<ThreadId, Vec<(Ts, Ts, SegmentTag)>> = HashMap::new();
-    for e in trace.events() {
-        if let EventKind::UserAnnotation { tid } = e.kind {
-            anns.entry(tid)
-                .or_default()
-                .push((e.ts, e.end(), parse_annotation(&e.name)));
-        }
-    }
-    for list in anns.values_mut() {
-        list.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
-    }
-
-    // Host events per thread, in trace order, tagged via a nesting
-    // stack sweep.
-    let mut tags = HashMap::new();
-    let mut events_by_thread: HashMap<ThreadId, Vec<(usize, &TraceEvent)>> = HashMap::new();
+    let mut events_by_thread: HashMap<ThreadId, Vec<(usize, Ts)>> = HashMap::new();
     for (i, e) in trace.events().iter().enumerate() {
-        if matches!(e.kind, EventKind::UserAnnotation { .. }) {
-            continue;
-        }
-        if let Some(tid) = e.kind.tid() {
-            events_by_thread.entry(tid).or_default().push((i, e));
+        match e.kind {
+            EventKind::UserAnnotation { tid } => {
+                anns.entry(tid)
+                    .or_default()
+                    .push((e.ts, e.end(), parse_annotation(&e.name)))
+            }
+            _ => {
+                if let Some(tid) = e.kind.tid() {
+                    events_by_thread.entry(tid).or_default().push((i, e.ts));
+                }
+            }
         }
     }
+    let mut tags = HashMap::new();
     for (tid, mut events) in events_by_thread {
-        events.sort_by_key(|(_, e)| e.ts);
-        let Some(thread_anns) = anns.get(&tid) else {
+        let Some(thread_anns) = anns.get_mut(&tid) else {
             continue;
         };
-        let mut stack: Vec<(Ts, Ts, SegmentTag)> = Vec::new();
-        let mut next_ann = 0usize;
-        for (idx, e) in events {
-            // Open annotations that start at or before this event.
-            while next_ann < thread_anns.len() && thread_anns[next_ann].0 <= e.ts {
-                stack.push(thread_anns[next_ann]);
-                next_ann += 1;
-            }
-            // Close annotations that ended before or at this event's
-            // start (half-open ranges).
-            stack.retain(|&(_, end, _)| end > e.ts);
-            if stack.is_empty() {
-                continue;
-            }
-            let tag = stack
-                .iter()
-                .fold(SegmentTag::default(), |acc, &(_, _, t)| merge(acc, t));
-            if !tag.is_empty() {
-                tags.insert(idx, tag);
-            }
-        }
+        sort_scopes(thread_anns);
+        events.sort_by_key(|&(_, ts)| ts);
+        sweep_thread(thread_anns, events, |i, tag| {
+            tags.insert(i, tag);
+        });
     }
     tags
+}
+
+/// Orders one thread's annotation scopes `(start, end, tag)` for
+/// [`sweep_thread`]: by start, widest first (ties keep their order).
+pub(crate) fn sort_scopes(scopes: &mut [(Ts, Ts, SegmentTag)]) {
+    scopes.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+}
+
+/// Tags one thread's events by containment: an event starting at `ts`
+/// lies in every scope with `start <= ts < end` (half-open), merged
+/// outer to inner. `scopes` must be ordered by [`sort_scopes`] and
+/// `events` by start; `tagged` receives every event whose tag is not
+/// empty.
+pub(crate) fn sweep_thread<K>(
+    scopes: &[(Ts, Ts, SegmentTag)],
+    events: impl IntoIterator<Item = (K, Ts)>,
+    mut tagged: impl FnMut(K, SegmentTag),
+) {
+    let mut stack: Vec<(Ts, Ts, SegmentTag)> = Vec::new();
+    let mut next = 0usize;
+    for (key, ts) in events {
+        // Open scopes that start at or before this event.
+        while next < scopes.len() && scopes[next].0 <= ts {
+            stack.push(scopes[next]);
+            next += 1;
+        }
+        // Close scopes that ended before or at this event's start.
+        stack.retain(|&(_, end, _)| end > ts);
+        if stack.is_empty() {
+            continue;
+        }
+        let tag = stack
+            .iter()
+            .fold(SegmentTag::default(), |acc, &(_, _, t)| merge(acc, t));
+        if !tag.is_empty() {
+            tagged(key, tag);
+        }
+    }
 }
 
 #[cfg(test)]

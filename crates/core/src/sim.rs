@@ -95,11 +95,12 @@ impl SimResult {
     /// enabling breakdown / SM-utilization analysis of the replay.
     ///
     /// This is the replay simulator's full-trace product; call it only
-    /// when the trace itself is consumed. Estimation paths that need
-    /// just the makespan should stop at [`SimResult::makespan`] —
-    /// the ground-truth engine's metrics-only mode
-    /// (`lumos_cluster::PreparedJob::execute_metrics`) is the
-    /// equivalent trace-free fast path on the cluster side.
+    /// when the trace itself is consumed (e.g. `--out`, SM-utilization
+    /// timelines). Estimation paths never need it: the makespan,
+    /// breakdown and pipeline-communication time come straight from
+    /// the graph and this schedule ([`crate::Replayed::breakdown`],
+    /// [`crate::Replayed::pipeline_comm_secs_per_rank`]), and
+    /// [`crate::Replayed::trace`] builds the trace on demand.
     pub fn to_trace(&self, graph: &ExecutionGraph, label: &str) -> ClusterTrace {
         let mut per_rank: HashMap<RankId, RankTrace> = HashMap::new();
         for (i, task) in graph.tasks().iter().enumerate() {

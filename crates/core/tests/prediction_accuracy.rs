@@ -8,9 +8,9 @@
 //! §4.3 methodology (Figures 7 and 8).
 
 use lumos_cluster::{GroundTruthCluster, SimConfig};
-use lumos_core::manipulate::Transform;
+use lumos_core::manipulate::{plan, reassemble, Transform};
 use lumos_core::Lumos;
-use lumos_cost::AnalyticalCostModel;
+use lumos_cost::{AnalyticalCostModel, LookupCostModel};
 use lumos_model::{BatchConfig, ModelConfig, Parallelism, ScheduleKind};
 use lumos_trace::Dur;
 
@@ -147,15 +147,18 @@ fn predicted_trace_is_structurally_valid() {
             AnalyticalCostModel::h100(),
         )
         .unwrap();
-    prediction.trace.validate().unwrap();
+    // The reassembled trace behind the prediction.
+    let lookup = LookupCostModel::fit_from_trace(&trace, AnalyticalCostModel::h100(), 8);
+    let predicted = reassemble(&trace, &plan(&base, &prediction.setup), &lookup).unwrap();
+    predicted.validate().unwrap();
     assert_eq!(
-        prediction.trace.world_size(),
+        predicted.world_size(),
         prediction.setup.parallelism.world_size() as usize
     );
     // Predicted trace can itself be re-manipulated (round-trip).
     let second = lumos
         .predict(
-            &prediction.trace,
+            &predicted,
             &prediction.setup,
             &[Transform::DataParallel { dp: 2 }],
             AnalyticalCostModel::h100(),

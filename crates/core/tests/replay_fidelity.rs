@@ -85,7 +85,7 @@ fn replayed_breakdown_matches_ground_truth() {
     let truth = cluster.profile_iteration(0).unwrap();
     let replayed = Lumos::new().replay(&truth.trace).unwrap();
     let actual = truth.trace.breakdown();
-    let simulated = replayed.trace.breakdown();
+    let simulated = replayed.trace().breakdown();
     let err = simulated.component_error(&actual);
     assert!(
         err < 0.01,
@@ -131,10 +131,13 @@ fn replayed_trace_is_valid_and_complete() {
     let cluster = GroundTruthCluster::new(&cfg, AnalyticalCostModel::h100()).unwrap();
     let truth = cluster.profile_iteration(0).unwrap();
     let replayed = Lumos::new().replay(&truth.trace).unwrap();
-    replayed.trace.validate().unwrap();
+    replayed.trace().validate().unwrap();
     // Kernel population must be preserved exactly.
     let count_kernels = |t: &lumos_trace::ClusterTrace| {
         t.ranks().iter().map(|r| r.kernels().count()).sum::<usize>()
     };
-    assert_eq!(count_kernels(&truth.trace), count_kernels(&replayed.trace));
+    assert_eq!(
+        count_kernels(&truth.trace),
+        count_kernels(&replayed.trace())
+    );
 }

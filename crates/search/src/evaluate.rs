@@ -20,11 +20,11 @@ use crate::memo::StageCostCache;
 use crate::prune::{self, MemoStats, PruneStats, PrunedCandidate};
 use crate::report::{objective_key_cmp, rank_cmp, Objective};
 use crate::{SearchOptions, SearchProgress};
-use lumos_core::manipulate::{plan, reassemble_with_library, BlockLibrary};
+use lumos_core::manipulate::{plan, BlockLibrary};
 use lumos_core::Lumos;
 use lumos_cost::{CostModel, LookupCostModel};
 use lumos_model::{utilization, MemoryEstimate, TrainingSetup, Utilization};
-use lumos_trace::{ClusterTrace, CollectiveKind, Dur, EventKind, KernelClass};
+use lumos_trace::Dur;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtomicOrdering};
@@ -647,11 +647,7 @@ fn evaluate_one<C: CostModel>(
     lumos: &Lumos,
     lookup: &LookupCostModel<C>,
 ) -> Result<CandidateResult, lumos_core::CoreError> {
-    let rspec = plan(base, setup);
-    let predicted = reassemble_with_library(library, &rspec, lookup)?;
-    let label = predicted.label.clone();
-    let graph = lumos.build_graph(&predicted)?;
-    let replayed = lumos.replay_graph(graph, &label)?;
+    let replayed = lumos.predict_spec(library, &plan(base, setup), lookup)?;
     let simulated = replayed.makespan();
 
     let pp = setup.parallelism.pp;
@@ -674,7 +670,7 @@ fn evaluate_one<C: CostModel>(
                 });
                 (simulated, adj.target_bubble)
             } else {
-                let pp_comm = pipeline_comm_secs_per_rank(&replayed.trace);
+                let pp_comm = replayed.pipeline_comm_secs_per_rank();
                 (
                     Dur::from_secs_f64(adj.apply_secs(simulated.as_secs_f64(), pp_comm)),
                     adj.target_bubble,
@@ -725,26 +721,4 @@ fn evaluate_one<C: CostModel>(
         tokens_per_sec_per_gpu,
         infeasibility,
     })
-}
-
-/// Mean per-rank time spent in pipeline-boundary SendRecv kernels —
-/// the trace-walking twin of
-/// [`lumos_cluster::EngineMetrics::pipeline_comm_secs_per_rank`], fed
-/// to [`lumos_model::ScheduleAdjustment::apply_secs`] so the analytic
-/// screen and the metrics-only refinement apply identical arithmetic.
-fn pipeline_comm_secs_per_rank(trace: &ClusterTrace) -> f64 {
-    let world = trace.world_size().max(1) as f64;
-    let total_ns: u128 = trace
-        .ranks()
-        .iter()
-        .flat_map(|r| r.kernels())
-        .filter_map(|e| match e.kind {
-            EventKind::Kernel {
-                class: KernelClass::Collective(meta),
-                ..
-            } if meta.kind == CollectiveKind::SendRecv => Some(e.dur.as_ns() as u128),
-            _ => None,
-        })
-        .sum();
-    total_ns as f64 / 1e9 / world
 }

@@ -24,7 +24,6 @@
 //! timing) are deliberately excluded.
 
 use lumos_search::{RefinedResult, SearchReport};
-use lumos_trace::BreakdownExt;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
@@ -472,7 +471,7 @@ pub fn predict_response(
     recorded: lumos_trace::Dur,
     prediction: &lumos_core::manipulate::Prediction,
 ) -> PredictResponse {
-    let b = prediction.replayed.trace.breakdown();
+    let b = prediction.replayed.breakdown();
     PredictResponse {
         kind: "predict".to_string(),
         base: base.to_string(),

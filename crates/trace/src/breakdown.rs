@@ -40,16 +40,31 @@ impl Breakdown {
         events: impl IntoIterator<Item = &'a TraceEvent>,
         window: TimeSpan,
     ) -> Self {
+        Breakdown::from_kernel_spans(
+            events
+                .into_iter()
+                .filter(|e| e.is_gpu())
+                .map(|e| (e.span(), e.is_comm_kernel())),
+            window,
+        )
+    }
+
+    /// Computes the breakdown of one rank's kernels within `window`,
+    /// each given as its busy span and whether it communicates. Spans
+    /// are clipped to the window; empty ones contribute nothing. This
+    /// is the one place the four components are derived, whether the
+    /// kernels come from a trace or straight from a simulated graph.
+    pub fn from_kernel_spans(
+        kernels: impl IntoIterator<Item = (TimeSpan, bool)>,
+        window: TimeSpan,
+    ) -> Self {
         let mut compute_spans = Vec::new();
         let mut comm_spans = Vec::new();
-        for e in events {
-            if !e.is_gpu() {
-                continue;
-            }
-            let Some(span) = e.span().intersect(&window) else {
+        for (span, is_comm) in kernels {
+            let Some(span) = span.intersect(&window) else {
                 continue;
             };
-            if e.is_comm_kernel() {
+            if is_comm {
                 comm_spans.push(span);
             } else {
                 compute_spans.push(span);
@@ -67,7 +82,7 @@ impl Breakdown {
     }
 
     /// Sum of all four components; equals the window length when
-    /// computed by [`Breakdown::from_events`].
+    /// computed by [`Breakdown::from_kernel_spans`].
     pub fn total(&self) -> Dur {
         self.exposed_compute + self.overlapped + self.exposed_comm + self.other
     }

@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Export the simulated trace for chrome://tracing.
-    let json = lumos::trace::to_chrome_json(&replayed.trace, &Default::default());
+    let json = lumos::trace::to_chrome_json(&replayed.trace(), &Default::default());
     std::fs::write("/tmp/lumos_quickstart_replay.json", json)?;
     println!("\nwrote /tmp/lumos_quickstart_replay.json (open in chrome://tracing)");
     Ok(())

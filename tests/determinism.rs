@@ -53,7 +53,8 @@ fn simulator_is_deterministic_across_rebuilds() {
         spans.push(replayed.makespan());
         // The full simulated timeline must match, not just the end.
         let again = lumos.replay(&trace).unwrap();
-        for (a, b) in replayed.trace.ranks().iter().zip(again.trace.ranks()) {
+        let (a, b) = (replayed.trace(), again.trace());
+        for (a, b) in a.ranks().iter().zip(b.ranks()) {
             assert_eq!(a.events(), b.events());
         }
     }
@@ -76,7 +77,7 @@ fn replay_of_a_replay_is_a_fixed_point() {
     let (trace, _) = profiled(9, 0);
     let lumos = Lumos::new();
     let first = lumos.replay(&trace).unwrap();
-    let second = lumos.replay(&first.trace).unwrap();
+    let second = lumos.replay(&first.trace()).unwrap();
     let drift = second.makespan().relative_error(first.makespan());
     assert!(drift < 0.01, "replay fixed-point drift {drift}");
 }

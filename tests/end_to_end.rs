@@ -151,10 +151,11 @@ fn predictions_compose_transforms() {
     assert_eq!(prediction.setup.model.num_layers, 8);
     assert_eq!(prediction.setup.parallelism.dp, 2);
     assert_eq!(prediction.setup.batch.num_microbatches, 6);
-    prediction.trace.validate().unwrap();
+    let predicted = prediction.replayed.trace();
+    predicted.validate().unwrap();
     // The predicted trace world matches the target deployment.
     assert_eq!(
-        prediction.trace.world_size(),
+        predicted.world_size(),
         prediction.setup.parallelism.world_size() as usize
     );
 }

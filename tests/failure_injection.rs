@@ -74,7 +74,7 @@ fn empty_trace_replays_to_zero() {
     let trace = ClusterTrace::new("empty");
     let replayed = Lumos::new().replay(&trace).unwrap();
     assert_eq!(replayed.makespan(), Dur::ZERO);
-    assert!(replayed.trace.ranks().is_empty());
+    assert!(replayed.trace().ranks().is_empty());
 }
 
 #[test]

@@ -169,7 +169,8 @@ fn predicted_tp_trace_has_resharded_kernels() {
     let model = base_model();
     let expect_n = 3 * model.num_heads as u64 * model.head_dim / 4;
     let mut seen = 0;
-    for rank in prediction.trace.ranks() {
+    let predicted = prediction.replayed.trace();
+    for rank in predicted.ranks() {
         for e in rank.kernels() {
             if let lumos::trace::EventKind::Kernel {
                 class: lumos::trace::KernelClass::Gemm { n, k, .. },
@@ -187,7 +188,7 @@ fn predicted_tp_trace_has_resharded_kernels() {
     }
     assert!(seen > 0, "no qkv gemms found in predicted trace");
     // And the TP communicators must now span 4 ranks.
-    assert_eq!(prediction.trace.world_size(), 4);
+    assert_eq!(predicted.world_size(), 4);
 }
 
 #[test]

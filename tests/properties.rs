@@ -70,7 +70,13 @@ proptest! {
         let prediction = Lumos::new()
             .predict(&out.trace, &setup, &[], AnalyticalCostModel::h100())
             .unwrap();
-        prediction.trace.validate().unwrap();
+        // The reassembled trace behind the prediction is itself valid.
+        let spec = manipulate::plan(&setup, &prediction.setup);
+        let lookup = LookupCostModel::fit_from_trace(&out.trace, AnalyticalCostModel::h100(), 8);
+        manipulate::reassemble(&out.trace, &spec, &lookup)
+            .unwrap()
+            .validate()
+            .unwrap();
         let err = prediction.makespan().relative_error(out.makespan);
         prop_assert!(err < 0.06, "identity prediction error {err} for {}", setup.label());
     }
