@@ -4,6 +4,7 @@
 //! draws from it.
 
 use crate::args::{ArgSet, ArgSpec};
+use crate::common::read_spec;
 use crate::error::CliError;
 use lumos_cluster::{FaultSpec, Realization};
 use std::io::Write;
@@ -25,8 +26,11 @@ pub const HELP: &str = "lumos faults explain <spec.toml> [--seed N] [--replicas 
   order. --seed matches `lumos search --fault-seed` (default 2025),\n\
   --replicas matches --fault-replicas (default 8 here), and --world\n\
   is the GPU count realizations are sampled against (default 8).\n\
-  Malformed specs fail with the offending file, table, and key named\n\
-  (exit code 2). See docs/fault-scenarios.md for the format.";
+  Malformed specs fail with the offending file, line, table instance,\n\
+  and key named (exit code 2); setting a key twice in one table is an\n\
+  error, and `-` and `_` are the same character in keys\n\
+  (`bandwidth-factor` is `bandwidth_factor`). See\n\
+  docs/fault-scenarios.md for the format.";
 
 /// One-line human summary of a sampled replica.
 fn describe(real: &Realization) -> String {
@@ -79,9 +83,7 @@ pub fn run(args: &ArgSet, out: &mut dyn Write) -> Result<(), CliError> {
             "unknown action `{action}` (only `explain` exists)"
         )));
     }
-    let text = std::fs::read_to_string(path).map_err(|e| CliError::file(path, e))?;
-    let spec = FaultSpec::parse(&text)
-        .map_err(|e| CliError::Usage(format!("fault spec `{path}`: {e}")))?;
+    let spec = read_spec("fault spec", path, FaultSpec::parse)?;
 
     writeln!(
         out,

@@ -4,7 +4,7 @@
 //! simulation, via [`lumos_cluster::verify`].
 
 use crate::args::{ArgSet, ArgSpec};
-use crate::common::parse_model;
+use crate::common::{parse_model, space_from};
 use crate::error::CliError;
 use lumos_cluster::{lower, verify, PortableJob, VerifyReport};
 use lumos_model::{ModelConfig, Parallelism, TrainingSetup};
@@ -28,8 +28,9 @@ pub const SPEC: ArgSpec = ArgSpec {
 };
 
 /// Usage text.
-pub const HELP: &str = "lumos lint [<space.toml>] [--model NAME] [--max-gpus N] [--threads N]\n\
-    lumos lint --model NAME --tp N --pp N --dp N [--microbatches N]\n\
+pub const HELP: &str = "lumos lint <space.toml> [--model NAME] [--tp 1,2] [--pp 1,2] [--dp 1,2]\n\
+    [--microbatches 2,4] [--schedules 1f1b,gpipe] [--max-gpus N] [--threads N]\n\
+    lumos lint --model NAME --tp N --pp N --dp N [--microbatches N] [--schedules NAME]\n\
     lumos lint --job job.json\n\
   Statically verifies lowered multi-rank programs before any costed\n\
   simulation: referential integrity, collective consistency (every\n\
@@ -43,11 +44,12 @@ pub const HELP: &str = "lumos lint [<space.toml>] [--model NAME] [--max-gpus N] 
   With a space file, every candidate in the grid (tp x pp x dp x\n\
   microbatches x schedules x arch; the interleave axis is ignored —\n\
   chunk lowering replays as 1F1B) that passes shape validation and\n\
-  the GPU budget is\n\
-  lowered and verified in parallel (--threads caps workers); the\n\
-  architecture defaults to --model (default 15b). With --tp/--pp/--dp\n\
-  a single setup is checked. With --job, a JSON-serialized portable\n\
-  job (programs + communicator groups) is verified as-is — the format\n\
+  the GPU budget is lowered and verified in parallel (--threads caps\n\
+  workers); the axis flags replace the file's values, as in `lumos\n\
+  search --space`, and the architecture defaults to --model (default\n\
+  15b). Without a space file, --tp/--pp/--dp name a single setup to\n\
+  check. With --job, a JSON-serialized portable job (programs +\n\
+  communicator groups) is verified as-is — the format\n\
   `lumos_cluster::PortableJob` uses, handy for regression fixtures.";
 
 /// One candidate's display label: setup label plus the micro-batch
@@ -68,9 +70,6 @@ fn label(setup: &TrainingSetup) -> String {
 fn space_candidates(args: &ArgSet, file: &SpecFile) -> Result<Vec<TrainingSetup>, CliError> {
     let space = file.space.normalized();
     let base = parse_model(args.get("model").unwrap_or("15b"))?;
-    let max_gpus = args
-        .get_num_opt::<u32>("max-gpus")?
-        .unwrap_or(space.max_gpus);
     let axis = |v: &[u32]| if v.is_empty() { vec![1] } else { v.to_vec() };
     let models: Vec<ModelConfig> = if space.arch.is_empty() {
         vec![base]
@@ -88,15 +87,11 @@ fn space_candidates(args: &ArgSet, file: &SpecFile) -> Result<Vec<TrainingSetup>
             })
             .collect()
     };
-    // The schedule axis: CLI flag overrides the file; neither means
-    // the 1F1B default.
-    let schedules: Vec<lumos_model::ScheduleKind> = match args.get("schedules") {
-        Some(raw) => raw
-            .split(',')
-            .map(|s| crate::common::parse_schedule(s.trim()))
-            .collect::<Result<Vec<_>, CliError>>()?,
-        None if space.schedules.is_empty() => vec![lumos_model::ScheduleKind::OneFOneB],
-        None => space.schedules.clone(),
+    // An empty schedule axis means the 1F1B default.
+    let schedules = if space.schedules.is_empty() {
+        vec![lumos_model::ScheduleKind::OneFOneB]
+    } else {
+        space.schedules.clone()
     };
     let mut out = Vec::new();
     for model in &models {
@@ -104,7 +99,7 @@ fn space_candidates(args: &ArgSet, file: &SpecFile) -> Result<Vec<TrainingSetup>
             for &pp in &axis(&space.pp) {
                 for &dp in &axis(&space.dp) {
                     let world = u64::from(tp) * u64::from(pp) * u64::from(dp);
-                    if world > u64::from(max_gpus) {
+                    if world > u64::from(space.max_gpus) {
                         continue;
                     }
                     if let Some(gpus) = &space.gpus {
@@ -224,9 +219,7 @@ pub fn run(args: &ArgSet, out: &mut dyn Write) -> Result<(), CliError> {
 
     // Mode 1: a space file — enumerate, lower, and verify the grid.
     if let Some(path) = args.positionals().first() {
-        let text = std::fs::read_to_string(path).map_err(|e| CliError::file(path, e))?;
-        let file = SpecFile::parse(&text)
-            .map_err(|e| CliError::Usage(format!("space file `{path}`: {e}")))?;
+        let file = space_from(args, Some(path))?;
         let setups = space_candidates(args, &file)?;
         if setups.is_empty() {
             return Err(CliError::Tool(format!(

@@ -4,11 +4,13 @@
 //! parallel from one profiled trace, and print a ranked report.
 
 use crate::args::{ArgSet, ArgSpec};
-use crate::common::{calibrated_input, load_setup, load_trace, parse_model, sidecar_path};
+use crate::common::{
+    calibrated_input, load_setup, load_trace, parse_model, read_spec, sidecar_path, space_from,
+};
 use crate::error::CliError;
 use lumos_cost::{AnalyticalCostModel, GpuSpec};
 use lumos_model::{Parallelism, TrainingSetup};
-use lumos_search::{search_calibrated, SearchCalibration, SearchOptions, SpaceSpec, SpecFile};
+use lumos_search::{search_calibrated, SearchCalibration, SearchOptions};
 use std::io::Write;
 
 /// Options of `lumos search`.
@@ -125,65 +127,6 @@ pub const HELP: &str = "lumos search [<trace.json>] [--setup setup.json] [--spac
   against the same artifact (only deterministic report fields are\n\
   included; --progress still goes to stderr).";
 
-/// Comma-separated integer list (`--tp 1,2,4`).
-fn parse_axis(args: &ArgSet, name: &str) -> Result<Option<Vec<u32>>, CliError> {
-    match args.get(name) {
-        None => Ok(None),
-        Some(raw) => raw
-            .split(',')
-            .map(|s| {
-                s.trim().parse::<u32>().map_err(|_| {
-                    CliError::Usage(format!("option --{name}: cannot parse `{s}` in `{raw}`"))
-                })
-            })
-            .collect::<Result<Vec<u32>, CliError>>()
-            .map(Some),
-    }
-}
-
-/// Builds the space: TOML file first (if any), then flag overrides.
-fn space_from(args: &ArgSet) -> Result<SpecFile, CliError> {
-    let mut file = match args.get("space") {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| CliError::file(path, e))?;
-            SpecFile::parse(&text)
-                .map_err(|e| CliError::Usage(format!("space file `{path}`: {e}")))?
-        }
-        None => SpecFile {
-            space: SpaceSpec::empty(),
-            ..SpecFile::default()
-        },
-    };
-    if let Some(v) = parse_axis(args, "tp")? {
-        file.space.tp = v;
-    }
-    if let Some(v) = parse_axis(args, "pp")? {
-        file.space.pp = v;
-    }
-    if let Some(v) = parse_axis(args, "dp")? {
-        file.space.dp = v;
-    }
-    if let Some(v) = parse_axis(args, "microbatches")? {
-        file.space.microbatches = v;
-    }
-    if let Some(v) = parse_axis(args, "interleave")? {
-        file.space.interleave = v;
-    }
-    if let Some(raw) = args.get("schedules") {
-        file.space.schedules = raw
-            .split(',')
-            .map(|s| crate::common::parse_schedule(s.trim()))
-            .collect::<Result<Vec<_>, CliError>>()?;
-    }
-    if let Some(v) = parse_axis(args, "gpus")? {
-        file.space.gpus = Some(v);
-    }
-    if let Some(v) = args.get_num_opt::<u32>("max-gpus")? {
-        file.space.max_gpus = v;
-    }
-    Ok(file)
-}
-
 /// The shared calibration the search runs against: cloned out of a
 /// `--calib` artifact (no trace ingestion), or fitted on the fly from
 /// the base trace/`--model` profile.
@@ -269,7 +212,7 @@ fn base_from(
 ///
 /// Returns usage, I/O, parse, and search failures.
 pub fn run(args: &ArgSet, out: &mut dyn Write) -> Result<(), CliError> {
-    let file = space_from(args)?;
+    let file = space_from(args, args.get("space"))?;
     let mut opts = SearchOptions::default();
     if let Some(objective) = args.get("objective") {
         opts.objective = objective.parse().map_err(|e: String| CliError::Usage(e))?;
@@ -323,10 +266,11 @@ pub fn run(args: &ArgSet, out: &mut dyn Write) -> Result<(), CliError> {
         opts.jitter_seed = seed;
     }
     if let Some(path) = args.get("faults") {
-        let text = std::fs::read_to_string(path).map_err(|e| CliError::file(path, e))?;
-        let spec = lumos_cluster::FaultSpec::parse(&text)
-            .map_err(|e| CliError::Usage(format!("fault spec `{path}`: {e}")))?;
-        opts.fault_spec = Some(spec);
+        opts.fault_spec = Some(read_spec(
+            "fault spec",
+            path,
+            lumos_cluster::FaultSpec::parse,
+        )?);
         opts.refine_sim = true; // robustness requires the refinement pass
     }
     if let Some(replicas) = args.get_num_opt::<u32>("fault-replicas")? {

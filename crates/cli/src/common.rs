@@ -1,10 +1,13 @@
-//! Helpers shared by subcommands: preset parsing, trace/setup I/O,
-//! and duration formatting.
+//! Helpers shared by subcommands: preset parsing, trace/setup and
+//! spec-file I/O, search-space flags, and duration formatting.
 
+use crate::args::ArgSet;
 use crate::error::CliError;
 use lumos_calib::CalibrationArtifact;
 use lumos_model::{ModelConfig, TrainingSetup};
+use lumos_search::SpecFile;
 use lumos_trace::{from_chrome_json, to_chrome_json, ChromeTraceOptions, ClusterTrace, Dur};
+use std::fmt;
 use std::fs;
 use std::path::Path;
 
@@ -28,6 +31,82 @@ pub fn parse_schedule(name: &str) -> Result<lumos_model::ScheduleKind, CliError>
     lumos_model::ScheduleBuilder::from_name(name)
         .build()
         .map_err(|e| CliError::Usage(e.to_string()))
+}
+
+/// Reads a spec file (a `--space` search space or a `--faults` fault
+/// spec) and parses it with `parse`.
+///
+/// # Errors
+///
+/// Returns read failures naming `path`, and parse failures as
+/// [`CliError::Usage`] (exit code 2) naming `what`, `path`, and the
+/// line and key the parser reports.
+pub fn read_spec<T, E: fmt::Display>(
+    what: &str,
+    path: &str,
+    parse: impl FnOnce(&str) -> Result<T, E>,
+) -> Result<T, CliError> {
+    let text = fs::read_to_string(path).map_err(|e| CliError::file(path, e))?;
+    parse(&text).map_err(|e| CliError::Usage(format!("{what} `{path}`: {e}")))
+}
+
+/// Comma-separated integer list (`--tp 1,2,4`).
+fn parse_axis(args: &ArgSet, name: &str) -> Result<Option<Vec<u32>>, CliError> {
+    match args.get(name) {
+        None => Ok(None),
+        Some(raw) => raw
+            .split(',')
+            .map(|s| {
+                s.trim().parse::<u32>().map_err(|_| {
+                    CliError::Usage(format!("option --{name}: cannot parse `{s}` in `{raw}`"))
+                })
+            })
+            .collect::<Result<Vec<u32>, CliError>>()
+            .map(Some),
+    }
+}
+
+/// Builds a search space: the space file at `path` first (if any),
+/// then the axis flags (`--tp`, `--pp`, `--dp`, `--microbatches`,
+/// `--interleave`, `--schedules`, `--gpus`, `--max-gpus`), each
+/// replacing the file's value. Used by `lumos search` and `lumos lint`.
+///
+/// # Errors
+///
+/// Returns spec-file failures and unparsable flag values.
+pub fn space_from(args: &ArgSet, path: Option<&str>) -> Result<SpecFile, CliError> {
+    let mut file = match path {
+        Some(path) => read_spec("space file", path, SpecFile::parse)?,
+        None => SpecFile::default(),
+    };
+    if let Some(v) = parse_axis(args, "tp")? {
+        file.space.tp = v;
+    }
+    if let Some(v) = parse_axis(args, "pp")? {
+        file.space.pp = v;
+    }
+    if let Some(v) = parse_axis(args, "dp")? {
+        file.space.dp = v;
+    }
+    if let Some(v) = parse_axis(args, "microbatches")? {
+        file.space.microbatches = v;
+    }
+    if let Some(v) = parse_axis(args, "interleave")? {
+        file.space.interleave = v;
+    }
+    if let Some(raw) = args.get("schedules") {
+        file.space.schedules = raw
+            .split(',')
+            .map(|s| parse_schedule(s.trim()))
+            .collect::<Result<Vec<_>, CliError>>()?;
+    }
+    if let Some(v) = parse_axis(args, "gpus")? {
+        file.space.gpus = Some(v);
+    }
+    if let Some(v) = args.get_num_opt::<u32>("max-gpus")? {
+        file.space.max_gpus = v;
+    }
+    Ok(file)
 }
 
 /// Reads a Chrome-Trace-Format (Kineto-style) trace file.

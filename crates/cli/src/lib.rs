@@ -483,6 +483,50 @@ mod tests {
     }
 
     #[test]
+    fn lint_axis_flags_override_the_space_file() {
+        let dir = std::env::temp_dir().join(format!("lumos-cli-lintaxis-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let committed = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../examples/spaces/schedules.toml"
+        );
+        let text = std::fs::read_to_string(committed).unwrap();
+        assert!(text.contains("pp = [2, 4]\ndp = [1, 2]\n"), "{text}");
+        let edited = dir.join("edited.toml");
+        std::fs::write(
+            &edited,
+            text.replace("pp = [2, 4]\ndp = [1, 2]\n", "pp = [2]\ndp = [1]\n"),
+        )
+        .unwrap();
+        let flagged = run_to_string(&[
+            "lint", committed, "--model", "tiny", "--pp", "2", "--dp", "1",
+        ])
+        .unwrap();
+        let in_file =
+            run_to_string(&["lint", edited.to_str().unwrap(), "--model", "tiny"]).unwrap();
+        assert_eq!(flagged, in_file);
+        let all = run_to_string(&["lint", committed, "--model", "tiny"]).unwrap();
+        assert_ne!(flagged, all, "the flags must narrow the grid");
+
+        // A key set twice is a usage error naming path, line and key,
+        // for lint and search alike.
+        let twice = dir.join("twice.toml");
+        std::fs::write(&twice, "tp = [2]\ntp = [1]\n").unwrap();
+        let twice = twice.to_str().unwrap();
+        for args in [
+            vec!["lint", twice, "--model", "tiny"],
+            vec!["search", "--model", "tiny", "--space", twice],
+        ] {
+            let err = run_to_string(&args).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{err}");
+            let msg = err.to_string();
+            assert!(msg.contains(twice), "{msg}");
+            assert!(msg.contains("line 2: key `tp`: set twice"), "{msg}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn search_verify_gate_and_byte_identity() {
         // --verify requires the refinement phase.
         let err = run_to_string(&["search", "--verify"]).unwrap_err();
@@ -634,6 +678,14 @@ mod tests {
                 "reshard_cost_s",
             ),
             ("[[failure]]\nprobability = 0.5\nelastic = 1", "elastic"),
+            (
+                "version = 1\nversion = 1",
+                "line 2: key `version`: set twice",
+            ),
+            (
+                "[[straggler]]\nslowdown = 1.5\nslowdown = 2.0",
+                "line 3: [[straggler]] #1: key `slowdown`: set twice (first on line 2)",
+            ),
         ];
         for (i, (text, key)) in cases.iter().enumerate() {
             let path = dir.join(format!("bad{i}.toml"));

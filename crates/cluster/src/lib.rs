@@ -65,6 +65,6 @@ pub use program::{
     streams, threads, HostOp, KernelSpec, NameId, NameTable, Program, ThreadProgram,
 };
 pub use run::{profile, profile_inference, ClusterError, GroundTruthCluster, MeasuredStats};
-pub use scenario::{FaultSpec, FaultSpecError, Realization, RunScenario};
+pub use scenario::{FaultSpec, Realization, RunScenario};
 pub use sink::{EngineMetrics, RankMetrics, StreamBusy};
 pub use verify::{verify, GroupEntry, PortableJob, VerifyError, VerifyReport};

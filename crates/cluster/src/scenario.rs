@@ -24,7 +24,8 @@
 //!   the survivors re-lower to a degraded configuration (one fewer
 //!   data-parallel replica) and additionally pay a re-shard cost.
 //!
-//! Scenarios come from a versioned [`FaultSpec`] TOML. Which faults
+//! Scenarios come from a versioned [`FaultSpec`] TOML file, read by
+//! the shared spec-file reader [`lumos_model::spec`]. Which faults
 //! fire in a given replica is sampled with the same
 //! hash-the-`(seed, replica, site)` idiom as [`crate::JitterModel`]
 //! ([`crate::jitter::mix`]), so every replica is **byte-identical to
@@ -36,10 +37,9 @@
 //! fault replicas per search finalist stay affordable.
 
 use crate::jitter::mix;
+use lumos_model::spec::{self, SpecError, Value};
 use lumos_model::{RecoveryCosts, ScopeClass};
 use lumos_trace::{Dur, Ts};
-use std::error::Error;
-use std::fmt;
 use std::str::FromStr;
 
 /// The one spec version this build reads.
@@ -122,196 +122,6 @@ pub struct FaultSpec {
     pub failures: Vec<FailureSpec>,
 }
 
-/// A parse or validation failure, naming the offending TOML key (the
-/// CLI prepends the file path).
-#[derive(Debug, Clone, PartialEq)]
-pub enum FaultSpecError {
-    /// A line that is not a comment, a `[[table]]` header, or a
-    /// `key = value` pair.
-    Syntax {
-        /// 1-based line number.
-        line: usize,
-        /// What was wrong.
-        detail: String,
-    },
-    /// A `[[table]]` header other than the three scenario kinds.
-    UnknownTable {
-        /// 1-based line number.
-        line: usize,
-        /// The header name.
-        name: String,
-    },
-    /// A key this table does not define.
-    UnknownKey {
-        /// Table name (`straggler` / `degradation` / `failure`, or
-        /// `<top-level>`).
-        table: String,
-        /// 1-based index of the table instance.
-        index: usize,
-        /// The offending key.
-        key: String,
-    },
-    /// A required key was absent.
-    MissingKey {
-        /// Table name.
-        table: String,
-        /// 1-based index of the table instance.
-        index: usize,
-        /// The absent key.
-        key: String,
-    },
-    /// A key's value failed to parse or validate.
-    BadValue {
-        /// Table name (or `<top-level>`).
-        table: String,
-        /// 1-based index of the table instance (0 for top level).
-        index: usize,
-        /// The offending key.
-        key: String,
-        /// What was wrong with the value.
-        detail: String,
-    },
-    /// The spec declares a version this build does not read.
-    UnsupportedVersion {
-        /// The declared version.
-        version: u64,
-    },
-}
-
-impl fmt::Display for FaultSpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FaultSpecError::Syntax { line, detail } => {
-                write!(f, "line {line}: {detail}")
-            }
-            FaultSpecError::UnknownTable { line, name } => write!(
-                f,
-                "line {line}: unknown table `[[{name}]]` (expected straggler, degradation, \
-                 or failure)"
-            ),
-            FaultSpecError::UnknownKey { table, index, key } => {
-                write!(f, "[[{table}]] #{index}: unknown key `{key}`")
-            }
-            FaultSpecError::MissingKey { table, index, key } => {
-                write!(f, "[[{table}]] #{index}: missing required key `{key}`")
-            }
-            FaultSpecError::BadValue {
-                table,
-                index,
-                key,
-                detail,
-            } => {
-                if table == "<top-level>" {
-                    write!(f, "key `{key}`: {detail}")
-                } else {
-                    write!(f, "[[{table}]] #{index}: key `{key}`: {detail}")
-                }
-            }
-            FaultSpecError::UnsupportedVersion { version } => write!(
-                f,
-                "key `version`: unsupported fault-spec version {version} \
-                 (this build reads version {FAULT_SPEC_VERSION})"
-            ),
-        }
-    }
-}
-
-impl Error for FaultSpecError {}
-
-/// One `key = value` right-hand side of the TOML subset the parser
-/// reads: numbers, booleans, and quoted strings.
-#[derive(Debug, Clone, PartialEq)]
-enum TomlValue {
-    Number(f64),
-    Bool(bool),
-    Str(String),
-}
-
-impl TomlValue {
-    fn type_name(&self) -> &'static str {
-        match self {
-            TomlValue::Number(_) => "number",
-            TomlValue::Bool(_) => "boolean",
-            TomlValue::Str(_) => "string",
-        }
-    }
-}
-
-/// Accumulates the keys of one table instance, then validates them
-/// field by field so every error names its key.
-struct Table {
-    name: &'static str,
-    index: usize,
-    entries: Vec<(String, TomlValue)>,
-}
-
-impl Table {
-    fn take(&mut self, key: &str) -> Option<TomlValue> {
-        let pos = self.entries.iter().position(|(k, _)| k == key)?;
-        Some(self.entries.remove(pos).1)
-    }
-
-    fn bad(&self, key: &str, detail: impl Into<String>) -> FaultSpecError {
-        FaultSpecError::BadValue {
-            table: self.name.to_string(),
-            index: self.index,
-            key: key.to_string(),
-            detail: detail.into(),
-        }
-    }
-
-    fn number(&mut self, key: &str) -> Result<Option<f64>, FaultSpecError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(TomlValue::Number(n)) => Ok(Some(n)),
-            Some(other) => {
-                Err(self.bad(key, format!("expected a number, got {}", other.type_name())))
-            }
-        }
-    }
-
-    fn probability(&mut self) -> Result<f64, FaultSpecError> {
-        match self.number("probability")? {
-            None => Ok(1.0),
-            Some(p) if (0.0..=1.0).contains(&p) => Ok(p),
-            Some(p) => Err(self.bad("probability", format!("{p} is outside [0, 1]"))),
-        }
-    }
-
-    fn boolean(&mut self, key: &str) -> Result<Option<bool>, FaultSpecError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(TomlValue::Bool(b)) => Ok(Some(b)),
-            Some(other) => Err(self.bad(
-                key,
-                format!("expected a boolean, got {}", other.type_name()),
-            )),
-        }
-    }
-
-    fn string(&mut self, key: &str) -> Result<Option<String>, FaultSpecError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(TomlValue::Str(s)) => Ok(Some(s)),
-            Some(other) => {
-                Err(self.bad(key, format!("expected a string, got {}", other.type_name())))
-            }
-        }
-    }
-
-    /// Fails on any key the field extractors did not consume.
-    fn finish(self) -> Result<(), FaultSpecError> {
-        match self.entries.into_iter().next() {
-            None => Ok(()),
-            Some((key, _)) => Err(FaultSpecError::UnknownKey {
-                table: self.name.to_string(),
-                index: self.index,
-                key,
-            }),
-        }
-    }
-}
-
 impl FaultSpec {
     /// `true` when no scenario is declared: the robust pass is a
     /// no-op and search skips it entirely, which is what keeps
@@ -320,217 +130,114 @@ impl FaultSpec {
         self.stragglers.is_empty() && self.degradations.is_empty() && self.failures.is_empty()
     }
 
-    /// Parses the versioned TOML text.
+    /// Parses the versioned TOML text: an optional top-level `version`
+    /// and `[[straggler]]`, `[[degradation]]` and `[[failure]]` tables,
+    /// read by the shared reader [`lumos_model::spec`] (its module docs
+    /// give the grammar).
     ///
     /// # Errors
     ///
-    /// Every error names the offending TOML key (or line); callers
+    /// Every error names the offending line and TOML key; callers
     /// prepend the file path.
-    pub fn parse(text: &str) -> Result<Self, FaultSpecError> {
-        let mut version: Option<u64> = None;
-        let mut tables: Vec<Table> = Vec::new();
-        let mut current: Option<usize> = None;
-        let mut counts = [0usize; 3];
-
-        for (i, raw) in text.lines().enumerate() {
-            let line_no = i + 1;
-            let line = strip_comment(raw).trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(header) = line.strip_prefix("[[").and_then(|r| r.strip_suffix("]]")) {
-                let name = header.trim();
-                let slot = match name {
-                    "straggler" => 0,
-                    "degradation" => 1,
-                    "failure" => 2,
-                    other => {
-                        return Err(FaultSpecError::UnknownTable {
-                            line: line_no,
-                            name: other.to_string(),
-                        })
-                    }
-                };
-                counts[slot] += 1;
-                tables.push(Table {
-                    name: ["straggler", "degradation", "failure"][slot],
-                    index: counts[slot],
-                    entries: Vec::new(),
-                });
-                current = Some(tables.len() - 1);
-                continue;
-            }
-            if line.starts_with('[') {
-                return Err(FaultSpecError::Syntax {
-                    line: line_no,
-                    detail: format!("`{line}` is not an array-of-tables header (write `[[name]]`)"),
-                });
-            }
-            let (key, value) = parse_kv(line, line_no)?;
-            match current {
-                Some(t) => tables[t].entries.push((key, value)),
-                None => {
-                    if key == "version" {
-                        let TomlValue::Number(n) = value else {
-                            return Err(FaultSpecError::BadValue {
-                                table: "<top-level>".to_string(),
-                                index: 0,
-                                key,
-                                detail: "expected an integer".to_string(),
-                            });
-                        };
-                        if n.fract() != 0.0 || n < 0.0 {
-                            return Err(FaultSpecError::BadValue {
-                                table: "<top-level>".to_string(),
-                                index: 0,
-                                key,
-                                detail: format!("{n} is not a non-negative integer"),
-                            });
-                        }
-                        version = Some(n as u64);
-                    } else {
-                        return Err(FaultSpecError::UnknownKey {
-                            table: "<top-level>".to_string(),
-                            index: 0,
-                            key,
-                        });
-                    }
-                }
-            }
-        }
-
-        if let Some(v) = version {
-            if v != FAULT_SPEC_VERSION {
-                return Err(FaultSpecError::UnsupportedVersion { version: v });
-            }
-        }
+    pub fn parse(text: &str) -> Result<Self, SpecError> {
+        let doc = spec::parse(text, &["straggler", "degradation", "failure"])?;
+        let mut top = doc.top;
+        top.get("version", |v| match v.float()? {
+            n if n.fract() != 0.0 || n < 0.0 => Err(format!("{n} is not a non-negative integer")),
+            n if n as u64 != FAULT_SPEC_VERSION => Err(format!(
+                "unsupported fault-spec version {} (this build reads version {FAULT_SPEC_VERSION})",
+                n as u64
+            )),
+            _ => Ok(()),
+        })?;
+        top.finish()?;
 
         let mut spec = FaultSpec::default();
-        for mut t in tables {
-            match t.name {
-                "straggler" => {
-                    let probability = t.probability()?;
-                    let ranks = match t.number("ranks")? {
-                        None => 1,
-                        Some(n) if n.fract() == 0.0 && n >= 1.0 && n <= u32::MAX as f64 => n as u32,
-                        Some(n) => {
-                            return Err(t.bad("ranks", format!("{n} is not a positive integer")))
-                        }
-                    };
-                    let slowdown = match t.number("slowdown")? {
-                        None => {
-                            return Err(FaultSpecError::MissingKey {
-                                table: t.name.to_string(),
-                                index: t.index,
-                                key: "slowdown".to_string(),
-                            })
-                        }
-                        Some(s) if s >= 1.0 && s.is_finite() => s,
-                        Some(s) => {
-                            return Err(
-                                t.bad("slowdown", format!("{s} must be a finite multiplier ≥ 1"))
-                            )
-                        }
-                    };
-                    t.finish()?;
+        for mut t in doc.tables {
+            let probability = t
+                .get("probability", |v| match v.float()? {
+                    p if (0.0..=1.0).contains(&p) => Ok(p),
+                    p => Err(format!("{p} is outside [0, 1]")),
+                })?
+                .unwrap_or(1.0);
+            match t.name() {
+                Some("straggler") => {
+                    let ranks = t.get("ranks", |v| match v.float()? {
+                        n if n.fract() == 0.0 && n >= 1.0 && n <= u32::MAX as f64 => Ok(n as u32),
+                        n => Err(format!("{n} is not a positive integer")),
+                    })?;
+                    let slowdown = t.require("slowdown", |v| match v.float()? {
+                        s if s >= 1.0 && s.is_finite() => Ok(s),
+                        s => Err(format!("{s} must be a finite multiplier ≥ 1")),
+                    })?;
                     spec.stragglers.push(StragglerSpec {
                         probability,
-                        ranks,
+                        ranks: ranks.unwrap_or(1),
                         slowdown,
                     });
                 }
-                "degradation" => {
-                    let probability = t.probability()?;
-                    let scope = match t.string("scope")?.as_deref() {
-                        None | Some("all") => None,
-                        Some(s) => Some(ScopeClass::from_str(s).map_err(|e| t.bad("scope", e))?),
-                    };
-                    let bandwidth_factor = match t.number("bandwidth_factor")? {
-                        None => {
-                            return Err(FaultSpecError::MissingKey {
-                                table: t.name.to_string(),
-                                index: t.index,
-                                key: "bandwidth_factor".to_string(),
-                            })
-                        }
-                        Some(b) if b > 0.0 && b <= 1.0 => b,
-                        Some(b) => {
-                            return Err(t.bad("bandwidth_factor", format!("{b} is outside (0, 1]")))
-                        }
-                    };
-                    let start_frac = match t.number("start_frac")? {
-                        None => 0.0,
-                        Some(s) if (0.0..100.0).contains(&s) => s,
-                        Some(s) => {
-                            return Err(t.bad("start_frac", format!("{s} is outside [0, 100)")))
-                        }
-                    };
-                    let end_frac = match t.number("end_frac")? {
-                        None => 1.0,
-                        Some(e) if e > start_frac && e <= 100.0 => e,
-                        Some(e) => {
-                            return Err(t.bad(
-                                "end_frac",
-                                format!("{e} must be in ({start_frac}, 100] (after start_frac)"),
-                            ))
-                        }
-                    };
-                    t.finish()?;
+                Some("degradation") => {
+                    let scope = t.get("scope", |v| match v.string()? {
+                        "all" => Ok(None),
+                        s => ScopeClass::from_str(s).map(Some),
+                    })?;
+                    let bandwidth_factor =
+                        t.require("bandwidth_factor", |v| match v.float()? {
+                            b if b > 0.0 && b <= 1.0 => Ok(b),
+                            b => Err(format!("{b} is outside (0, 1]")),
+                        })?;
+                    let start_frac = t
+                        .get("start_frac", |v| match v.float()? {
+                            s if (0.0..100.0).contains(&s) => Ok(s),
+                            s => Err(format!("{s} is outside [0, 100)")),
+                        })?
+                        .unwrap_or(0.0);
+                    let end_frac = t.get("end_frac", |v| match v.float()? {
+                        e if e > start_frac && e <= 100.0 => Ok(e),
+                        e => Err(format!(
+                            "{e} must be in ({start_frac}, 100] (after start_frac)"
+                        )),
+                    })?;
                     spec.degradations.push(DegradationSpec {
                         probability,
-                        scope,
+                        scope: scope.flatten(),
                         bandwidth_factor,
                         start_frac,
-                        end_frac,
+                        end_frac: end_frac.unwrap_or(1.0),
                     });
                 }
-                "failure" => {
-                    let probability = t.probability()?;
-                    let elastic = t.boolean("elastic")?.unwrap_or(false);
+                Some("failure") => {
                     let defaults = RecoveryCosts::defaults();
-                    let checkpoint_interval_iters = match t.number("checkpoint_interval")? {
-                        None => defaults.checkpoint_interval_iters,
-                        Some(n) if n.fract() == 0.0 && n >= 1.0 && n <= u32::MAX as f64 => n as u32,
-                        Some(n) => {
-                            return Err(t.bad(
-                                "checkpoint_interval",
-                                format!("{n} is not a positive integer (iterations)"),
-                            ))
-                        }
+                    let duration = |v: &Value| match v.float()? {
+                        s if s >= 0.0 && s.is_finite() => Ok(s),
+                        s => Err(format!("{s} must be a finite non-negative duration")),
                     };
-                    let restart_latency_s = match t.number("restart_latency_s")? {
-                        None => defaults.restart_latency_s,
-                        Some(s) if s >= 0.0 && s.is_finite() => s,
-                        Some(s) => {
-                            return Err(t.bad(
-                                "restart_latency_s",
-                                format!("{s} must be a finite non-negative duration"),
-                            ))
-                        }
+                    let elastic = t.get("elastic", Value::boolean)?.unwrap_or(false);
+                    let recovery = RecoveryCosts {
+                        checkpoint_interval_iters: t
+                            .get("checkpoint_interval", |v| match v.float()? {
+                                n if n.fract() == 0.0 && n >= 1.0 && n <= u32::MAX as f64 => {
+                                    Ok(n as u32)
+                                }
+                                n => Err(format!("{n} is not a positive integer (iterations)")),
+                            })?
+                            .unwrap_or(defaults.checkpoint_interval_iters),
+                        restart_latency_s: t
+                            .get("restart_latency_s", duration)?
+                            .unwrap_or(defaults.restart_latency_s),
+                        reshard_cost_s: t
+                            .get("reshard_cost_s", duration)?
+                            .unwrap_or(defaults.reshard_cost_s),
                     };
-                    let reshard_cost_s = match t.number("reshard_cost_s")? {
-                        None => defaults.reshard_cost_s,
-                        Some(s) if s >= 0.0 && s.is_finite() => s,
-                        Some(s) => {
-                            return Err(t.bad(
-                                "reshard_cost_s",
-                                format!("{s} must be a finite non-negative duration"),
-                            ))
-                        }
-                    };
-                    t.finish()?;
                     spec.failures.push(FailureSpec {
                         probability,
                         elastic,
-                        recovery: RecoveryCosts {
-                            checkpoint_interval_iters,
-                            restart_latency_s,
-                            reshard_cost_s,
-                        },
+                        recovery,
                     });
                 }
-                _ => unreachable!("table names vetted at header parse"),
+                _ => unreachable!("the reader admits only the three scenario tables"),
             }
+            t.finish()?;
         }
         Ok(spec)
     }
@@ -764,49 +471,6 @@ impl RunScenario {
     }
 }
 
-/// Strips a `#` comment that is not inside a quoted string.
-fn strip_comment(line: &str) -> &str {
-    let mut in_str = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            '#' if !in_str => return &line[..i],
-            _ => {}
-        }
-    }
-    line
-}
-
-/// Parses one `key = value` line of the TOML subset.
-fn parse_kv(line: &str, line_no: usize) -> Result<(String, TomlValue), FaultSpecError> {
-    let syntax = |detail: String| FaultSpecError::Syntax {
-        line: line_no,
-        detail,
-    };
-    let (key, value) = line
-        .split_once('=')
-        .ok_or_else(|| syntax(format!("`{line}` is not a `key = value` pair")))?;
-    let key = key.trim();
-    if key.is_empty() || !key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-        return Err(syntax(format!("`{key}` is not a bare TOML key")));
-    }
-    let value = value.trim();
-    let parsed = if value == "true" {
-        TomlValue::Bool(true)
-    } else if value == "false" {
-        TomlValue::Bool(false)
-    } else if let Some(s) = value.strip_prefix('"').and_then(|r| r.strip_suffix('"')) {
-        TomlValue::Str(s.to_string())
-    } else {
-        TomlValue::Number(value.parse::<f64>().map_err(|_| {
-            syntax(format!(
-                "cannot parse `{value}` as a number, boolean, or \"string\""
-            ))
-        })?)
-    };
-    Ok((key.to_string(), parsed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -863,7 +527,7 @@ mod tests {
     #[test]
     fn unsupported_version_is_rejected() {
         let err = FaultSpec::parse("version = 2").unwrap_err();
-        assert_eq!(err, FaultSpecError::UnsupportedVersion { version: 2 });
+        assert_eq!((err.line, err.key.as_deref()), (1, Some("version")));
         assert!(err.to_string().contains("`version`"));
     }
 

@@ -18,7 +18,9 @@
 //!   al., 2021, GPipe, and the zero-bubble ZB-H1 variant built in);
 //! * [`memory`] — per-rank GPU memory estimation (weights, gradients,
 //!   optimizer state, in-flight activations) with OOM checking, the
-//!   feasibility gate the paper's §5 limitations call for.
+//!   feasibility gate the paper's §5 limitations call for;
+//! * [`spec`] — the TOML-subset reader behind search-space and
+//!   fault-scenario files.
 //!
 //! # Example
 //!
@@ -50,6 +52,7 @@ pub mod recovery;
 pub mod registry;
 mod schedule;
 mod setup;
+pub mod spec;
 pub mod stagecost;
 
 pub use batch::BatchConfig;

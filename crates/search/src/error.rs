@@ -1,6 +1,7 @@
 //! Search-level errors.
 
 use lumos_core::CoreError;
+use lumos_model::spec::SpecError;
 use std::fmt;
 
 /// A failed search run.
@@ -48,16 +49,9 @@ pub enum SearchError {
         /// The violation found.
         source: lumos_cluster::VerifyError,
     },
-    /// A malformed space-spec file.
-    Spec(String),
-    /// A schedule name (CLI flag or spec-file `schedules` axis) that
-    /// no registered [`lumos_model::Schedule`] answers to.
-    UnknownSchedule {
-        /// The unresolved name.
-        name: String,
-        /// The registry's known set, comma-joined for display.
-        known: String,
-    },
+    /// A malformed space-spec file, including a `schedules` name no
+    /// registered [`lumos_model::Schedule`] answers to.
+    Spec(SpecError),
     /// The run was cancelled cooperatively before completing: its
     /// wall-clock deadline ([`crate::SearchOptions::deadline`])
     /// expired, or its cancel flag ([`crate::SearchOptions::cancel`])
@@ -90,10 +84,7 @@ impl fmt::Display for SearchError {
             SearchError::InvalidProgram { candidate, source } => {
                 write!(f, "verifying finalist {candidate}: {source}")
             }
-            SearchError::Spec(msg) => write!(f, "invalid space spec: {msg}"),
-            SearchError::UnknownSchedule { name, known } => {
-                write!(f, "unknown schedule `{name}` (known: {known})")
-            }
+            SearchError::Spec(e) => write!(f, "invalid space spec: {e}"),
             SearchError::DeadlineExceeded => write!(
                 f,
                 "search cancelled: deadline exceeded before the run completed"
@@ -111,5 +102,11 @@ impl std::error::Error for SearchError {
             SearchError::InvalidProgram { source, .. } => Some(source),
             _ => None,
         }
+    }
+}
+
+impl From<SpecError> for SearchError {
+    fn from(e: SpecError) -> Self {
+        SearchError::Spec(e)
     }
 }

@@ -1,9 +1,6 @@
-//! Space-spec files: a small TOML subset (this workspace builds
-//! offline, so no `toml` crate).
-//!
-//! Supported syntax — flat `key = value` lines, `#` comments, integer
-//! / float / string / boolean scalars, integer arrays, and arrays of
-//! integer arrays (for the arch axis):
+//! Space-spec files: the search space and optional search options,
+//! read by the shared TOML-subset reader [`lumos_model::spec`] (its
+//! module docs give the grammar). The file is flat, with no tables:
 //!
 //! ```toml
 //! # lumos search space
@@ -26,6 +23,7 @@
 use crate::report::Objective;
 use crate::space::{ArchPoint, SpaceSpec};
 use crate::SearchError;
+use lumos_model::spec::{self, Value};
 use lumos_model::{ScheduleBuilder, ScheduleKind};
 
 /// A parsed spec file: the space plus optional search options.
@@ -42,170 +40,66 @@ pub struct SpecFile {
 }
 
 impl SpecFile {
-    /// Parses the TOML subset described in the module docs.
+    /// Parses a space file; keys left out keep their
+    /// [`SpaceSpec::default`] values.
     ///
     /// # Errors
     ///
-    /// Returns [`SearchError::Spec`] naming the offending line.
+    /// Returns [`SearchError::Spec`] naming the offending line and key.
     pub fn parse(text: &str) -> Result<Self, SearchError> {
-        let mut file = SpecFile::default();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = strip_comment(raw).trim();
-            if line.is_empty() {
-                continue;
-            }
-            if line.starts_with('[') {
-                return Err(err(lineno, "tables are not supported; use flat keys"));
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| err(lineno, "expected `key = value`"))?;
-            let key = key.trim().replace('_', "-");
-            let value = value.trim();
-            match key.as_str() {
-                "tp" => file.space.tp = int_array(value, lineno)?,
-                "pp" => file.space.pp = int_array(value, lineno)?,
-                "dp" => file.space.dp = int_array(value, lineno)?,
-                "microbatches" => file.space.microbatches = int_array(value, lineno)?,
-                "interleave" => file.space.interleave = int_array(value, lineno)?,
-                "schedules" => file.space.schedules = schedule_array(value, lineno)?,
-                "gpus" => file.space.gpus = Some(int_array(value, lineno)?),
-                "max-gpus" => file.space.max_gpus = int_scalar(value, lineno)?,
-                "arch" => file.space.arch = arch_array(value, lineno)?,
-                "objective" => {
-                    file.objective = Some(
-                        string_scalar(value, lineno)?
-                            .parse()
-                            .map_err(|e: String| err(lineno, &e))?,
-                    )
-                }
-                "top-k" => file.top_k = Some(int_scalar::<usize>(value, lineno)?),
-                "gpu-memory-gib" => file.gpu_memory_gib = Some(int_scalar::<u32>(value, lineno)?),
-                other => return Err(err(lineno, &format!("unknown key `{other}`"))),
-            }
-        }
+        let mut top = spec::parse(text, &[])?.top;
+        let ints = |v: &Value| v.list(Value::int::<u32>);
+        let defaults = SpaceSpec::default();
+        let space = SpaceSpec {
+            tp: top.get("tp", ints)?.unwrap_or(defaults.tp),
+            pp: top.get("pp", ints)?.unwrap_or(defaults.pp),
+            dp: top.get("dp", ints)?.unwrap_or(defaults.dp),
+            microbatches: top
+                .get("microbatches", ints)?
+                .unwrap_or(defaults.microbatches),
+            interleave: top.get("interleave", ints)?.unwrap_or(defaults.interleave),
+            schedules: top
+                .get("schedules", |v| v.list(schedule))?
+                .unwrap_or(defaults.schedules),
+            gpus: top.get("gpus", ints)?.or(defaults.gpus),
+            max_gpus: top
+                .get("max-gpus", Value::int)?
+                .unwrap_or(defaults.max_gpus),
+            arch: top
+                .get("arch", |v| v.list(arch_point))?
+                .unwrap_or(defaults.arch),
+        };
+        let file = SpecFile {
+            space,
+            objective: top.get("objective", |v| v.string()?.parse())?,
+            top_k: top.get("top-k", Value::int)?,
+            gpu_memory_gib: top.get("gpu-memory-gib", Value::int)?,
+        };
+        top.finish()?;
         Ok(file)
     }
 }
 
-fn err(lineno: usize, msg: &str) -> SearchError {
-    SearchError::Spec(format!("line {}: {msg}", lineno + 1))
+/// `"1f1b"` → its registry handle; an unknown name fails listing the
+/// registered set, so a typo in a spec file names its alternatives.
+fn schedule(value: &Value) -> Result<ScheduleKind, String> {
+    ScheduleBuilder::from_name(value.string()?)
+        .build()
+        .map_err(|e| e.to_string())
 }
 
-/// Drops a `#` comment, respecting double-quoted strings.
-fn strip_comment(line: &str) -> &str {
-    let mut in_string = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_string = !in_string,
-            '#' if !in_string => return &line[..i],
-            _ => {}
-        }
-    }
-    line
-}
-
-fn int_scalar<T: std::str::FromStr>(value: &str, lineno: usize) -> Result<T, SearchError> {
-    value
-        .parse()
-        .map_err(|_| err(lineno, &format!("expected an integer, got `{value}`")))
-}
-
-fn string_scalar(value: &str, lineno: usize) -> Result<String, SearchError> {
-    let v = value.trim();
-    if v.len() >= 2 && v.starts_with('"') && v.ends_with('"') {
-        Ok(v[1..v.len() - 1].to_string())
-    } else {
-        Err(err(
-            lineno,
-            &format!("expected a \"string\", got `{value}`"),
-        ))
-    }
-}
-
-/// Splits the contents of one bracket pair at top-level commas.
-fn bracket_items(value: &str, lineno: usize) -> Result<Vec<&str>, SearchError> {
-    let v = value.trim();
-    if !(v.starts_with('[') && v.ends_with(']')) {
-        return Err(err(lineno, &format!("expected an array, got `{value}`")));
-    }
-    let inner = &v[1..v.len() - 1];
-    let mut items = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    for (i, c) in inner.char_indices() {
-        match c {
-            '[' => depth += 1,
-            ']' => {
-                depth = depth
-                    .checked_sub(1)
-                    .ok_or_else(|| err(lineno, "unbalanced brackets"))?
-            }
-            ',' if depth == 0 => {
-                items.push(inner[start..i].trim());
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    if depth != 0 {
-        return Err(err(lineno, "unbalanced brackets"));
-    }
-    let last = inner[start..].trim();
-    if !last.is_empty() {
-        items.push(last);
-    }
-    Ok(items)
-}
-
-fn int_array(value: &str, lineno: usize) -> Result<Vec<u32>, SearchError> {
-    bracket_items(value, lineno)?
-        .into_iter()
-        .map(|item| int_scalar(item, lineno))
-        .collect()
-}
-
-/// `["1f1b", "gpipe", …]` → registry handles. Unknown names produce
-/// [`SearchError::UnknownSchedule`] listing the registered set, so a
-/// typo in a spec file names its alternatives.
-fn schedule_array(value: &str, lineno: usize) -> Result<Vec<ScheduleKind>, SearchError> {
-    bracket_items(value, lineno)?
-        .into_iter()
-        .map(|item| {
-            let name = string_scalar(item, lineno)?;
-            ScheduleBuilder::from_name(&name)
-                .build()
-                .map_err(|_| SearchError::UnknownSchedule {
-                    name,
-                    known: lumos_model::registry::known_names().join(", "),
-                })
-        })
-        .collect()
-}
-
-/// `[[layers, hidden, ffn], …]` → labeled arch points.
-fn arch_array(value: &str, lineno: usize) -> Result<Vec<ArchPoint>, SearchError> {
-    bracket_items(value, lineno)?
-        .into_iter()
-        .map(|triple| {
-            let parts = bracket_items(triple, lineno)?;
-            if parts.len() != 3 {
-                return Err(err(
-                    lineno,
-                    "each arch point needs exactly [layers, hidden, ffn]",
-                ));
-            }
-            let layers: u32 = int_scalar(parts[0], lineno)?;
-            let hidden: u64 = int_scalar(parts[1], lineno)?;
-            let ffn: u64 = int_scalar(parts[2], lineno)?;
-            Ok(ArchPoint::new(
-                format!("{layers}L-d{hidden}"),
-                layers,
-                hidden,
-                ffn,
-            ))
-        })
-        .collect()
+/// `[layers, hidden, ffn]` → a labeled arch point.
+fn arch_point(value: &Value) -> Result<ArchPoint, String> {
+    let [layers, hidden, ffn] = value.array()? else {
+        return Err("each arch point needs exactly [layers, hidden, ffn]".to_string());
+    };
+    let (layers, hidden, ffn): (u32, u64, u64) = (layers.int()?, hidden.int()?, ffn.int()?);
+    Ok(ArchPoint::new(
+        format!("{layers}L-d{hidden}"),
+        layers,
+        hidden,
+        ffn,
+    ))
 }
 
 #[cfg(test)]
@@ -267,13 +161,14 @@ gpu-memory-gib = 80
     fn unknown_schedule_names_the_known_set() {
         let e = SpecFile::parse("schedules = [\"1f1b\", \"dualpipe\"]").unwrap_err();
         match &e {
-            SearchError::UnknownSchedule { name, known } => {
-                assert_eq!(name, "dualpipe");
-                assert!(known.contains("1f1b"));
-                assert!(known.contains("gpipe"));
-                assert!(known.contains("zb-h1"));
+            SearchError::Spec(e) => {
+                assert_eq!((e.line, e.key.as_deref()), (1, Some("schedules")));
+                assert!(e.detail.contains("dualpipe"));
+                assert!(e.detail.contains("1f1b"));
+                assert!(e.detail.contains("gpipe"));
+                assert!(e.detail.contains("zb-h1"));
             }
-            other => panic!("expected UnknownSchedule, got {other:?}"),
+            other => panic!("expected Spec, got {other:?}"),
         }
         // Unquoted names are a syntax error, not an unknown schedule.
         assert!(matches!(

@@ -248,6 +248,7 @@ fn fault_robust_search_over_the_wire() {
     assert_eq!(error_kind(&bad), "bad_request", "{bad:?}");
     let detail = bad["error"]["detail"].as_str().unwrap();
     assert!(detail.contains("slowdown"), "{detail}");
+    assert!(detail.contains("line 2"), "{detail}");
 
     // The stats endpoint counts the fault pass.
     let stats = ask(addr, r#"{"kind":"stats"}"#);
