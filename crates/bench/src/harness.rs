@@ -51,14 +51,8 @@ pub struct Profiled {
     pub actual_breakdown: Breakdown,
 }
 
-/// Profiles one jittered iteration of `config` and measures the mean
-/// over `opts.measured_iters` more iterations.
-///
-/// # Panics
-///
-/// Panics on invalid configurations or engine failures (experiment
-/// configurations are static and must be valid).
-pub fn profile_config(config: &SimConfig, opts: &RunOptions) -> Profiled {
+/// The jittered ground-truth cluster `config` runs on.
+fn cluster(config: &SimConfig, opts: &RunOptions) -> GroundTruthCluster<AnalyticalCostModel> {
     // Each configuration is its own "job" on the cluster: diversify
     // the jitter seed so per-iteration drift is independent across
     // configs (otherwise every row would share one drift sample and
@@ -67,15 +61,27 @@ pub fn profile_config(config: &SimConfig, opts: &RunOptions) -> Profiled {
     for b in config.label().bytes() {
         seed = seed.wrapping_mul(0x100000001b3).wrapping_add(b as u64);
     }
-    let cluster = GroundTruthCluster::new(config, AnalyticalCostModel::h100())
+    GroundTruthCluster::new(config, AnalyticalCostModel::h100())
         .expect("experiment configuration must be valid")
-        .with_jitter(JitterModel::realistic(seed));
+        .with_jitter(JitterModel::realistic(seed))
+}
+
+/// Profiles one jittered iteration of `config` and measures the mean
+/// over `opts.measured_iters` more iterations. Only the profiled
+/// iteration builds a trace; the measured ones run metrics-only.
+///
+/// # Panics
+///
+/// Panics on invalid configurations or engine failures (experiment
+/// configurations are static and must be valid).
+pub fn profile_config(config: &SimConfig, opts: &RunOptions) -> Profiled {
+    let cluster = cluster(config, opts);
     let output = cluster.profile_iteration(0).expect("engine completes");
     let mut total = Dur::ZERO;
     let mut n = 0u64;
     for i in 0..opts.measured_iters {
         total += cluster
-            .profile_iteration(1 + i as u64)
+            .metrics_iteration(1 + i as u64)
             .expect("engine completes")
             .makespan;
         n += 1;
@@ -320,6 +326,24 @@ mod tests {
         assert!(row.actual > Dur::ZERO);
         assert!(row.lumos_error() < 0.2);
         assert!(row.dpro <= row.lumos);
+    }
+
+    #[test]
+    fn metrics_only_actual_equals_full_trace_mean() {
+        // Differential test against the full-trace path the measured
+        // iterations used to take.
+        let opts = RunOptions {
+            seed: 7,
+            measured_iters: 3,
+            microbatches: None,
+        };
+        let base = tiny();
+        let traced = cluster(&base, &opts);
+        let total: u64 = (1..=opts.measured_iters as u64)
+            .map(|i| traced.profile_iteration(i).unwrap().makespan.as_ns())
+            .sum();
+        let actual = profile_config(&base, &opts).actual;
+        assert_eq!(actual.as_ns(), total / opts.measured_iters as u64);
     }
 
     #[test]

@@ -14,12 +14,17 @@
 //! | `fig8_arch` | Figure 8 (architecture-variant prediction) |
 //! | `summary` | §4.2 headline (average replay error) |
 //! | `experiments` | all of the above → writes `EXPERIMENTS.md` |
+//! | `ablation` | which dependency mechanism buys the replay accuracy |
+//! | `calibrate` | dPRO inter-stream candidate models (not a paper artifact) |
 //!
 //! The harness profiles one jittered iteration of the ground-truth
 //! engine ("collecting a Kineto trace"), measures iteration time as
-//! the mean of further jittered iterations ("actual"), then replays
-//! the profiled trace with Lumos and with the dPRO baseline and
-//! compares.
+//! the mean of further jittered iterations ("actual", run metrics-only
+//! since only their makespans are read), then replays the profiled
+//! trace with Lumos and with the dPRO baseline and compares.
+//!
+//! The crate reports accuracy, not speed: performance is measured by
+//! `perfbench/` at the repository root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

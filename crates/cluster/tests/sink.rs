@@ -13,16 +13,20 @@
 //!   index (the jitter-replica pattern the refined search runs);
 //! * property test: random single-rank host programs (kernels,
 //!   event fences, stream syncs, annotations) keep the two modes in
-//!   exact agreement.
+//!   exact agreement;
+//! * a metrics-only run of a prepared job is faster than the per-run
+//!   full-trace `execute` the refined search used to pay.
 
 use lumos_cluster::{
-    execute, execute_metrics, lower, streams, EngineMetrics, EngineOutput, HostOp, JitterModel,
-    KernelSpec, LoweredJob, PreparedJob, Program, SimConfig,
+    execute, execute_metrics, lower, streams, EngineMetrics, EngineOutput, GroundTruthCluster,
+    HostOp, JitterModel, KernelSpec, LoweredJob, PreparedJob, Program, SimConfig,
 };
-use lumos_cost::{AnalyticalCostModel, HostOverheads};
+use lumos_cost::{AnalyticalCostModel, HostOverheads, LookupCostModel};
 use lumos_model::{BatchConfig, ModelConfig, Parallelism, ScheduleKind};
 use lumos_trace::{CollectiveKind, Dur, EventKind, KernelClass, RankId};
 use proptest::prelude::*;
+use std::hint::black_box;
+use std::time::Instant;
 
 fn config(tp: u32, pp: u32, dp: u32) -> SimConfig {
     SimConfig {
@@ -202,6 +206,69 @@ fn empty_job_yields_zero_metrics() {
     assert_eq!(metrics.makespan, Dur::ZERO);
     assert_eq!(metrics.total_events, 0);
     assert_equivalent(&out, &metrics);
+}
+
+/// Median wall-clock seconds of `a` and of `b` over `samples` runs
+/// each, after one warm-up run each. Samples alternate between the
+/// two so clock-frequency drift hits both sides equally.
+fn median_pair_secs(samples: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    a();
+    b();
+    let mut ta = Vec::with_capacity(samples);
+    let mut tb = Vec::with_capacity(samples);
+    for _ in 0..samples {
+        let start = Instant::now();
+        a();
+        ta.push(start.elapsed().as_secs_f64());
+        let start = Instant::now();
+        b();
+        tb.push(start.elapsed().as_secs_f64());
+    }
+    ta.sort_by(f64::total_cmp);
+    tb.sort_by(f64::total_cmp);
+    (ta[samples / 2], tb[samples / 2])
+}
+
+#[test]
+fn metrics_only_beats_per_run_full_trace_on_the_refine_fixture() {
+    // The refined-search fixture (`crates/search/tests/refine.rs`),
+    // priced by a lookup model fitted from its own trace, as
+    // `lumos search --refine-sim` prices finalists.
+    let cfg = SimConfig {
+        model: ModelConfig::custom("refine-e2e", 8, 256, 1024, 4, 64),
+        parallelism: Parallelism::new(1, 2, 2).unwrap(),
+        batch: BatchConfig {
+            seq_len: 128,
+            microbatch_size: 1,
+            num_microbatches: 4,
+        },
+        schedule: ScheduleKind::OneFOneB,
+    };
+    let trace = GroundTruthCluster::new(&cfg, AnalyticalCostModel::h100())
+        .unwrap()
+        .profile_iteration(0)
+        .unwrap()
+        .trace;
+    let lookup = LookupCostModel::fit_from_trace(&trace, AnalyticalCostModel::h100(), 8);
+    let job = lower(&cfg).unwrap();
+    let prep = PreparedJob::new(&job).unwrap();
+    let oh = HostOverheads::default();
+    let jitter = JitterModel::none();
+    // Per-run setup plus trace materialization, against one shared
+    // prepared job accumulating aggregates only.
+    let (full, metrics) = median_pair_secs(
+        9,
+        || {
+            black_box(execute(&job, &lookup, &oh, &jitter, 0).unwrap());
+        },
+        || {
+            black_box(prep.execute_metrics(&lookup, &oh, &jitter, 0).unwrap());
+        },
+    );
+    assert!(
+        metrics < full,
+        "metrics-only median {metrics:.6}s is not below full-trace {full:.6}s"
+    );
 }
 
 /// Builds a random but well-formed single-rank program from a code

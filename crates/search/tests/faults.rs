@@ -9,7 +9,9 @@
 //!   robust-optimal deployment that differs from its clean-optimal
 //!   one under `examples/fixtures/faults-pp-degraded.toml`;
 //! * the committed `examples/fixtures/faults.toml` CI fixture stays
-//!   pinned to the spec this test generates.
+//!   pinned to the spec this test generates, and ranks a pp=4
+//!   finalist set to pinned robust numbers at ≥ 100 replicas per
+//!   finalist per second.
 
 use lumos_cluster::scenario::{DegradationSpec, FailureSpec, StragglerSpec};
 use lumos_cluster::FaultSpec;
@@ -17,10 +19,13 @@ use lumos_cost::AnalyticalCostModel;
 use lumos_model::{
     BatchConfig, ModelConfig, Parallelism, RecoveryCosts, ScheduleKind, ScopeClass, TrainingSetup,
 };
-use lumos_search::{search, Objective, RefinedResult, SearchOptions, SearchReport, SpecFile};
+use lumos_search::{
+    search, Objective, RefinedResult, SearchOptions, SearchReport, SpaceSpec, SpecFile,
+};
 use lumos_trace::ClusterTrace;
 use proptest::prelude::*;
 use std::sync::OnceLock;
+use std::time::Instant;
 
 /// Small research model; the base deployment can transform into every
 /// candidate the tests enumerate.
@@ -268,14 +273,13 @@ fn ci_fixture_is_pinned() {
     assert_eq!(FaultSpec::parse(text).unwrap(), expected);
 }
 
-#[test]
-fn fault_stats_are_internally_consistent() {
-    let report = run(&fault_opts(None, 12, 7), SMALL_SPACE);
-    let refined = report.refined.unwrap();
+/// Checks every finalist's fault stats against each other and
+/// against its clean simulated makespan.
+fn assert_consistent(refined: &[RefinedResult], replicas: u32) {
     assert!(!refined.is_empty());
-    for r in &refined {
+    for r in refined {
         let f = r.faults.as_ref().expect("fault stats present");
-        assert_eq!(f.replicas, 12);
+        assert_eq!(f.replicas, replicas);
         assert!(f.expected <= f.p95, "{}: expected above p95", r.label);
         assert!(
             f.expected >= r.simulated_makespan,
@@ -290,6 +294,13 @@ fn fault_stats_are_internally_consistent() {
             f.robustness
         );
     }
+}
+
+#[test]
+fn fault_stats_are_internally_consistent() {
+    let report = run(&fault_opts(None, 12, 7), SMALL_SPACE);
+    let refined = report.refined.unwrap();
+    assert_consistent(&refined, 12);
     // Re-ranked by expected makespan under faults, ascending.
     for pair in refined.windows(2) {
         let (a, b) = (
@@ -298,4 +309,63 @@ fn fault_stats_are_internally_consistent() {
         );
         assert!(a <= b, "refined finals not sorted by expected makespan");
     }
+}
+
+#[test]
+fn ci_fixture_ranks_a_pp4_finalist_set_to_pinned_numbers() {
+    // Profiled at pp=4, the deepest pipeline in the ranked space, so
+    // every candidate is trace-reachable.
+    let base = TrainingSetup {
+        model: ModelConfig::custom("faults-pp4", 8, 256, 1024, 4, 64),
+        parallelism: Parallelism::new(1, 4, 1).unwrap(),
+        batch: BatchConfig {
+            seq_len: 128,
+            microbatch_size: 1,
+            num_microbatches: 8,
+        },
+        schedule: ScheduleKind::OneFOneB,
+    };
+    let trace = lumos_cluster::GroundTruthCluster::new(&base, AnalyticalCostModel::h100())
+        .unwrap()
+        .with_jitter(lumos_cluster::JitterModel::realistic(2025))
+        .profile_iteration(0)
+        .unwrap()
+        .trace;
+    let space = SpaceSpec::deployment_grid(&[1], &[1, 2, 4], &[1]).with_microbatches(&[8]);
+    let rank = |opts: &SearchOptions| {
+        search(&trace, &base, &space, opts, AnalyticalCostModel::h100()).unwrap()
+    };
+    let clean_opts = SearchOptions {
+        top_k: Some(4),
+        refine_sim: true,
+        ..SearchOptions::default()
+    };
+    assert_eq!(rank(&clean_opts).refined.unwrap()[0].label, "1x1x1 m=8");
+
+    const REPLICAS: u32 = 64;
+    let robust_opts = SearchOptions {
+        fault_spec: Some(
+            FaultSpec::parse(include_str!("../../../examples/fixtures/faults.toml")).unwrap(),
+        ),
+        fault_replicas: REPLICAS,
+        fault_seed: 2025,
+        ..clean_opts
+    };
+    let started = Instant::now();
+    let robust = rank(&robust_opts);
+    // Whole-search wall time is a conservative denominator: screening
+    // and clean refinement are charged to the fault pass too.
+    let rate = f64::from(REPLICAS) / started.elapsed().as_secs_f64();
+
+    let refined = robust.refined.unwrap();
+    assert_eq!(refined.len(), 3);
+    assert_consistent(&refined, REPLICAS);
+    assert_eq!(refined[0].label, "1x1x1 m=8");
+    let top = refined[0].faults.as_ref().unwrap();
+    assert_eq!(top.expected.as_ns(), 225_940_371);
+    assert_eq!(top.p95.as_ns(), 1_224_432_302);
+    assert!(
+        rate >= 100.0,
+        "fault pass sustained {rate:.1} replicas/finalist/sec, under 100"
+    );
 }

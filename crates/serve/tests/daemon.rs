@@ -10,7 +10,10 @@
 //! * load shedding is typed: with a single worker and a one-slot
 //!   queue, an excess request is answered `overloaded` instead of
 //!   queueing unboundedly, and an expired `deadline_ms` is answered
-//!   `deadline_exceeded` without running.
+//!   `deadline_exceeded` without running;
+//! * concurrent persistent connections, each sending several requests,
+//!   are all served in order within the queue bound, and `stats`
+//!   reports latency quantiles per request kind.
 
 use lumos_calib::CalibrationArtifact;
 use lumos_cluster::{GroundTruthCluster, JitterModel};
@@ -83,13 +86,33 @@ fn start(dir: &Path, workers: usize, queue: usize) -> SocketAddr {
     addr
 }
 
-/// One request line in, one parsed response out.
+/// One persistent line-delimited JSON connection to the daemon.
+struct Client {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl Client {
+    fn connect(addr: SocketAddr) -> Self {
+        let stream = TcpStream::connect(addr).unwrap();
+        Client {
+            reader: BufReader::new(stream.try_clone().unwrap()),
+            writer: stream,
+        }
+    }
+
+    /// One request line in, one parsed response out.
+    fn ask(&mut self, request: &str) -> Value {
+        writeln!(self.writer, "{request}").unwrap();
+        let mut line = String::new();
+        self.reader.read_line(&mut line).unwrap();
+        serde_json::from_str(&line).unwrap()
+    }
+}
+
+/// [`Client::ask`] on a fresh connection.
 fn ask(addr: SocketAddr, request: &str) -> Value {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    writeln!(stream, "{request}").unwrap();
-    let mut line = String::new();
-    BufReader::new(stream).read_line(&mut line).unwrap();
-    serde_json::from_str(&line).unwrap()
+    Client::connect(addr).ask(request)
 }
 
 fn kind(v: &Value) -> &str {
@@ -418,6 +441,98 @@ fn full_queue_sheds_load_with_typed_overloaded_response() {
             kind(&v) == "search" || error_kind(&v) == "deadline_exceeded",
             "{v:?}"
         );
+    }
+    ask(addr, r#"{"kind":"shutdown"}"#);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn persistent_connections_are_served_in_order_without_shedding() {
+    let (a, _) = artifacts();
+    let dir = fresh_dir("persistent");
+    a.save(dir.join("a.json")).unwrap();
+    let digest = lumos_calib::digest_hex(a.digest);
+    let addr = start(&dir, 4, 64);
+
+    // Answers each request once on its own connection, then sends
+    // `count` requests on each of `clients` concurrent connections,
+    // drawn round-robin from `requests`. Returns every response that
+    // differs from the one-off answer to its request, so a reply
+    // served out of order on its connection shows up too.
+    let drive = |clients: usize, count: usize, requests: &[String], expected: &str| {
+        let answers: Vec<Value> = requests.iter().map(|r| ask(addr, r)).collect();
+        for answer in &answers {
+            assert_eq!(kind(answer), expected, "{answer:?}");
+        }
+        let answers = &answers;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..clients)
+                .map(|c| {
+                    scope.spawn(move || {
+                        let mut client = Client::connect(addr);
+                        let mut wrong = Vec::new();
+                        for i in 0..count {
+                            let r = (c + i * clients) % requests.len();
+                            let got = client.ask(&requests[r]);
+                            if got != answers[r] {
+                                wrong.push(got);
+                            }
+                        }
+                        wrong
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect::<Vec<_>>()
+        })
+    };
+
+    // Rotating what-if transforms, then a small dp × microbatch grid.
+    let predicts: Vec<String> = [
+        r#""dp":2"#,
+        r#""microbatches":8"#,
+        r#""dp":2,"microbatches":8"#,
+        r#""microbatches":2"#,
+    ]
+    .iter()
+    .map(|t| format!(r#"{{"kind":"predict","artifact":"{digest}",{t}}}"#))
+    .collect();
+    let wrong = drive(4, 10, &predicts, "predict");
+    assert!(wrong.is_empty(), "{wrong:?}");
+    let searches = [
+        format!(
+            r#"{{"kind":"search","artifact":"{digest}","dp":[1,2],"microbatches":[4,8],"top":3}}"#
+        ),
+        format!(
+            r#"{{"kind":"search","artifact":"{digest}","dp":[1,2,4],"microbatches":[4],"top":3}}"#
+        ),
+    ];
+    let wrong = drive(2, 2, &searches, "search");
+    assert!(wrong.is_empty(), "{wrong:?}");
+
+    // Every request sent was served (one-off answers included), none
+    // was shed, and each kind reports its latency quantiles.
+    let stats = ask(addr, r#"{"kind":"stats"}"#);
+    assert_eq!(
+        stats.get("served").and_then(Value::as_u64),
+        Some(4 + 40 + 2 + 4)
+    );
+    assert_eq!(
+        stats.get("rejected_overloaded").and_then(Value::as_u64),
+        Some(0)
+    );
+    for name in ["predict", "search"] {
+        let entry = stats["request_kinds"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .find(|k| kind(k) == name)
+            .unwrap_or_else(|| panic!("{name} missing from stats: {stats:?}"));
+        for quantile in ["p50_us", "p95_us", "p99_us"] {
+            assert!(entry[quantile].as_u64().is_some(), "{name}.{quantile}");
+        }
     }
     ask(addr, r#"{"kind":"shutdown"}"#);
     std::fs::remove_dir_all(&dir).ok();

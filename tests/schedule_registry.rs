@@ -1,6 +1,7 @@
 //! Schedule-registry integration: the pluggable schedule seam works
-//! end to end (zb-h1 lowers, verifies, simulates, and searches), and
-//! the refactor left legacy 1F1B/GPipe behavior byte-identical.
+//! end to end (zb-h1 lowers, verifies, simulates, and searches), the
+//! refactor left legacy 1F1B/GPipe behavior byte-identical, and every
+//! registered schedule simulates the fixture to pinned numbers.
 
 use lumos::cluster::{lower, verify};
 use lumos::prelude::*;
@@ -28,6 +29,13 @@ fn profiled(setup: &TrainingSetup) -> (ClusterTrace, Dur) {
     (out.trace, out.makespan)
 }
 
+/// The non-compute/non-comm share of the simulated iteration (host
+/// gaps + pipeline bubbles).
+fn bubble_share(trace: &ClusterTrace) -> f64 {
+    let b = trace.breakdown();
+    b.other.as_secs_f64() / b.total().as_secs_f64()
+}
+
 #[test]
 fn zb_h1_lowers_verifies_and_beats_1f1b_in_simulation() {
     let zb = fixture(ScheduleKind::ZbH1);
@@ -47,12 +55,7 @@ fn zb_h1_lowers_verifies_and_beats_1f1b_in_simulation() {
         "zb-h1 {zb_time:?} should beat 1f1b {f1b_time:?}"
     );
 
-    // Simulated bubble fraction: the non-compute/non-comm share of the
-    // iteration (host gaps + pipeline bubbles) shrinks under zb-h1.
-    let bubble_share = |trace: &ClusterTrace| {
-        let b = trace.breakdown();
-        b.other.as_secs_f64() / b.total().as_secs_f64()
-    };
+    // The simulated bubble share shrinks under zb-h1.
     assert!(
         bubble_share(&zb_trace) < bubble_share(&f1b_trace),
         "zb-h1 bubble share {} should be below 1f1b {}",
@@ -64,6 +67,45 @@ fn zb_h1_lowers_verifies_and_beats_1f1b_in_simulation() {
     assert!(
         ScheduleKind::ZbH1.analytic_bubble(4, 8) < ScheduleKind::OneFOneB.analytic_bubble(4, 8)
     );
+}
+
+#[test]
+fn registered_schedules_simulate_the_fixture_to_pinned_numbers() {
+    // Zero jitter, so every number is deterministic; floats are
+    // compared at six decimals. `(name, makespan ns, simulated bubble
+    // share, analytic bubble at pp=4, m=8)`.
+    let pinned = [
+        ("1f1b", 5_799_189, "0.522969", "0.272727"),
+        ("gpipe", 6_603_279, "0.574460", "0.272727"),
+        ("zb-h1", 5_448_493, "0.493153", "0.111111"),
+    ];
+    let schedules = registry::all();
+    let names: Vec<_> = schedules.iter().map(|s| s.name()).collect();
+    assert_eq!(names, pinned.map(|p| p.0));
+    for (schedule, (name, makespan_ns, share, analytic)) in schedules.into_iter().zip(pinned) {
+        let setup = fixture(schedule);
+        verify(&lower(&setup).unwrap())
+            .unwrap_or_else(|e| panic!("{name} failed static verification: {e}"));
+        let (trace, time) = profiled(&setup);
+        assert_eq!(time.as_ns(), makespan_ns, "{name} makespan");
+        assert_eq!(
+            format!("{:.6}", bubble_share(&trace)),
+            share,
+            "{name} bubble share"
+        );
+        assert_eq!(
+            format!("{:.6}", schedule.analytic_bubble(4, 8)),
+            analytic,
+            "{name} analytic bubble"
+        );
+    }
+    // Interleaved 1F1B (v=2) is priced through 1F1B's virtual-stage
+    // adjustment hook.
+    let interleaved = ScheduleKind::OneFOneB
+        .engine_adjustment(4, 8, 2)
+        .expect("1f1b carries the interleaved adjustment at v=2")
+        .target_bubble;
+    assert_eq!(format!("{interleaved:.6}"), "0.157895");
 }
 
 #[test]
