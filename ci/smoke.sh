@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke checks of the release `lumos` binary: the search,
 # lint, adaptive, schedule, serve, calibrate and fault CLI paths, plus
-# the release-only adaptive-search test on a ~3×10⁷-point space. Run
+# the release-only adaptive-search test on a ~3×10⁷-point space and a
+# `cargo check` of the perfbench workspace. Run
 # from anywhere after `cargo build --release --workspace`:
 #
 #   bash ci/smoke.sh
@@ -27,9 +28,23 @@ step "search: synthesize a base trace"
 step "search: search the example space"
 ./target/release/lumos search "$T/smoke.json" \
   --space examples/spaces/sweep.toml \
-  --max-gpus 16 --top 5 --progress | tee "$T/smoke.out"
+  --max-gpus 16 --top 5 --threads 1 --progress 2>"$T/smoke-t1.err" \
+  | tee "$T/smoke.out"
+cat "$T/smoke-t1.err"
 grep -q "grid points" "$T/smoke.out"
 grep -q "tok/s/GPU" "$T/smoke.out"
+
+step "search: the screen does the same work at one and two threads"
+./target/release/lumos search "$T/smoke.json" \
+  --space examples/spaces/sweep.toml \
+  --max-gpus 16 --top 5 --threads 2 --progress 2>"$T/smoke-t2.err" >/dev/null
+# Evaluated and bound-skipped counts from the closing `--progress`
+# line; stage-cost memo hits are left out of the comparison.
+work() { grep "done on" "$1" | grep -o "[0-9]* evaluated\|[0-9]* by the lower bound"; }
+work "$T/smoke-t1.err" | tee "$T/work-t1"
+work "$T/smoke-t2.err" > "$T/work-t2"
+test "$(wc -l < "$T/work-t1")" -eq 2
+diff "$T/work-t1" "$T/work-t2"
 
 step "search: two-phase search (simulation-refined finals)"
 ./target/release/lumos search "$T/smoke.json" \
@@ -112,6 +127,13 @@ grep -q "only applies with --adaptive" "$T/budget.err"
 
 step "adaptive: synthetic space (≤10% visited, pinned numbers)"
 cargo test --release -p lumos-search --test adaptive_synthetic
+
+# perfbench is its own Cargo workspace with path dependencies on the
+# crates, so nothing else builds it: check that it still compiles
+# against the current APIs and that its lockfile still matches them.
+step "perfbench: builds against the workspace crates with its lockfile as committed"
+CARGO_TARGET_DIR=target/perfbench-check \
+  cargo check --offline --locked --manifest-path perfbench/Cargo.toml
 
 # Schedule-matrix smoke: exercise the schedule registry seam through
 # the real CLI — search the schedules example space (1f1b, gpipe,

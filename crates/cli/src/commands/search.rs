@@ -75,11 +75,12 @@ pub const HELP: &str = "lumos search [<trace.json>] [--setup setup.json] [--spac
   the objective. Memory stays proportional to --top (pass --keep-all\n\
   to retain every result instead, disabling bound skipping). With\n\
   --model instead of a trace file, the base iteration is profiled on\n\
-  the ground-truth cluster first. The report is byte-identical across\n\
-  runs and --threads; --progress reports completion, and at the end\n\
-  the counters that depend on thread scheduling (evaluated, bound\n\
-  skips, stage-cost memo hits), to stderr. The setup sidecar defaults\n\
-  to <trace>.setup.json.\n\
+  the ground-truth cluster first. The report, and the work behind it,\n\
+  are the same across runs and --threads. --progress reports\n\
+  completion after each batch and, at the end, the work counters\n\
+  (evaluated, bound skips, stage-cost memo hits) and the thread count,\n\
+  the one number that follows --threads, to stderr. The setup sidecar\n\
+  defaults to <trace>.setup.json.\n\
   With --calib (a `lumos calibrate` artifact) the trace file is\n\
   optional and never re-ingested: the artifact's fitted tables and\n\
   block library are shared across the whole search, byte-identically\n\
@@ -321,7 +322,7 @@ pub fn run(args: &ArgSet, out: &mut dyn Write) -> Result<(), CliError> {
     let calib = calibration_from(args, out, opts.gpus_per_node)?;
     let report = search_calibrated(&calib, &file.space, &opts)?;
     if args.has("progress") {
-        // Scheduling-dependent counters: telemetry, never the report.
+        // Work counters and the thread count: telemetry, never the report.
         let s = &report.stats;
         eprintln!(
             "  ... done on {} threads: {} evaluated ({:.1}%), {} infeasible; {:.1}% skipped \

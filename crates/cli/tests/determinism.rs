@@ -26,8 +26,8 @@ fn search_stdout_is_identical_across_runs_and_thread_counts() {
     lumos(&[
         "synth", "--model", "tiny", "--tp", "2", "--pp", "2", "--dp", "1", "--out", trace,
     ]);
-    // How many candidates this space bound-skips, and how often the
-    // stage-cost memo hits, depend on how workers interleave.
+    // This space bound-skips part of the grid, so every run exercises
+    // the screen.
     let space = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../examples/spaces/sweep.toml"

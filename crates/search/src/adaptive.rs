@@ -2,8 +2,9 @@
 //! without enumerating them, then (when the space is small enough)
 //! *prove* the answer exact with a screened verification sweep.
 //!
-//! The engine layers on the streaming evaluator's per-index pipeline
-//! ([`crate::evaluate::Evaluator`]) and runs in three phases:
+//! The engine scores and folds through the same batch evaluator as the
+//! exhaustive walk ([`crate::evaluate::process_batch`] and
+//! [`crate::evaluate::Aggregate`]) and runs in three phases:
 //!
 //! 1. **Seed**: deterministic random probes establish an initial
 //!    corpus of scored candidates.
@@ -31,15 +32,11 @@
 use crate::corpus::Corpus;
 use crate::error::SearchError;
 use crate::evaluate::{
-    bounded_push, finish_bounded, pruned_order, rejected_order, CandidateResult, EngineOutcome,
-    Evaluator, IndexOutcome, RejectedCandidate,
+    process_batch, Aggregate, EngineOutcome, Evaluator, IndexOutcome, SWEEP_CHUNK,
 };
 use crate::power::{self, SplitMix64};
-use crate::prune::{PruneStats, PrunedCandidate};
-use crate::report::rank_cmp;
-use crate::{mutate, SearchOptions, SearchProgress};
+use crate::{mutate, SearchOptions};
 use lumos_cost::CostModel;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// Default full-evaluation budget when `--budget` is not given.
@@ -58,10 +55,6 @@ const ROUND_PARENTS: usize = 12;
 
 /// Best-scored candidates the frontier retains as mutation parents.
 const FRONTIER_CAP: usize = 64;
-
-/// Verification-sweep chunk: the budget is re-checked between chunks,
-/// so overshoot is bounded by one chunk's evaluations.
-const SWEEP_CHUNK: usize = 16_384;
 
 /// Consecutive exploration rounds allowed to complete zero full
 /// evaluations before the engine stops exploring. On spaces whose
@@ -130,85 +123,6 @@ impl AdaptiveReport {
     }
 }
 
-/// Merged, deterministically ordered state accumulated batch by batch.
-struct Aggregate {
-    results: Vec<CandidateResult>,
-    pruned: Vec<PrunedCandidate>,
-    rejected: Vec<RejectedCandidate>,
-    stats: PruneStats,
-}
-
-impl Aggregate {
-    /// Folds one batch's index-ordered outcomes in; scored feasible
-    /// candidates also enter the corpus frontier.
-    fn apply(
-        &mut self,
-        outcomes: Vec<(usize, IndexOutcome)>,
-        corpus: &mut Corpus,
-        opts: &SearchOptions,
-    ) {
-        for (index, outcome) in outcomes {
-            self.stats.enumerated += 1;
-            match outcome {
-                IndexOutcome::Lattice(crate::RejectReason::Budget) => {
-                    self.stats.budget_rejects += 1;
-                }
-                IndexOutcome::Lattice(crate::RejectReason::Divisibility) => {
-                    self.stats.divisibility_rejects += 1;
-                }
-                IndexOutcome::Lattice(crate::RejectReason::Structural) => {
-                    self.stats.structural_rejects += 1;
-                }
-                IndexOutcome::MemoryPruned(pruned) => {
-                    self.stats.memory_pruned += 1;
-                    bounded_push(&mut self.pruned, pruned, opts.top_k, pruned_order);
-                }
-                IndexOutcome::BoundSkipped => self.stats.bound_skipped += 1,
-                IndexOutcome::Failed(_) => unreachable!("batch errors handled before apply"),
-                IndexOutcome::Scored(result) => {
-                    self.stats.evaluated += 1;
-                    let result = *result;
-                    match result.infeasibility.clone() {
-                        Some(reason) => {
-                            self.stats.infeasible += 1;
-                            bounded_push(
-                                &mut self.rejected,
-                                RejectedCandidate {
-                                    candidate: result.candidate,
-                                    label: result.label.clone(),
-                                    index,
-                                    reason,
-                                },
-                                opts.top_k,
-                                rejected_order,
-                            );
-                        }
-                        None => {
-                            corpus.insert(index, opts.objective.key(&result));
-                            self.results.push(result);
-                        }
-                    }
-                }
-            }
-        }
-        self.results.sort_by(|a, b| rank_cmp(a, b, opts.objective));
-        if let Some(k) = opts.top_k {
-            self.results.truncate(k.max(FRONTIER_CAP));
-        }
-    }
-
-    /// The screen threshold: the k-th best key once k feasible results
-    /// exist (`None` before that, or under unbounded retention, where
-    /// skipping must stay disabled to keep the full ranking exact).
-    fn threshold(&self, opts: &SearchOptions) -> Option<f64> {
-        let k = opts.top_k?;
-        if k == 0 || self.results.len() < k {
-            return None;
-        }
-        Some(opts.objective.key(&self.results[k - 1]))
-    }
-}
-
 /// Runs the corpus-guided adaptive search. Returns the engine outcome
 /// (same shape the exhaustive walk produces, so refinement and
 /// reporting compose unchanged) plus the adaptive accounting.
@@ -227,12 +141,7 @@ where
     let threads = crate::parallel::effective_threads(opts.threads, total);
     let mut rng = SplitMix64::new(opts.seed);
     let mut corpus = Corpus::new(FRONTIER_CAP);
-    let mut agg = Aggregate {
-        results: Vec::new(),
-        pruned: Vec::new(),
-        rejected: Vec::new(),
-        stats: PruneStats::default(),
-    };
+    let mut agg = Aggregate::default();
     let mut mutations = 0usize;
     let mut rounds = 0usize;
 
@@ -256,8 +165,7 @@ where
         }
     }
     let outcomes = process_batch(&evaluator, &batch, None, threads, opts, deadline)?;
-    agg.apply(outcomes, &mut corpus, opts);
-    report_progress(opts, total, &corpus, &agg);
+    merge(&mut agg, &mut corpus, outcomes, opts, total);
 
     // Phase 2 — power-scheduled exploration rounds.
     let mut dry_rounds = 0usize;
@@ -303,8 +211,7 @@ where
         }
         let screen = agg.threshold(opts);
         let outcomes = process_batch(&evaluator, &batch, screen, threads, opts, deadline)?;
-        agg.apply(outcomes, &mut corpus, opts);
-        report_progress(opts, total, &corpus, &agg);
+        merge(&mut agg, &mut corpus, outcomes, opts, total);
         if agg.stats.evaluated == evaluated_before {
             dry_rounds += 1;
         } else {
@@ -332,8 +239,7 @@ where
             let chunk: Vec<usize> = (start..end).filter(|&i| corpus.mark_visited(i)).collect();
             if !chunk.is_empty() {
                 let outcomes = process_batch(&evaluator, &chunk, screen, threads, opts, deadline)?;
-                agg.apply(outcomes, &mut corpus, opts);
-                report_progress(opts, total, &corpus, &agg);
+                merge(&mut agg, &mut corpus, outcomes, opts, total);
             }
             start = end;
         }
@@ -344,112 +250,38 @@ where
         }
     };
 
-    let mut stats = agg.stats;
-    stats.visited = corpus.visited_len();
-    stats.mutations = mutations;
-    stats.frontier = corpus.frontier_len();
-    if stats.memory_pruned + stats.bound_skipped + stats.evaluated == 0 {
-        return Err(SearchError::EmptySpace {
-            enumerated: stats.enumerated,
-            rejected: stats.budget_rejects + stats.divisibility_rejects + stats.structural_rejects,
-        });
-    }
-
-    let mut results = agg.results;
-    results.sort_by(|a, b| rank_cmp(a, b, opts.objective));
-    if let Some(k) = opts.top_k {
-        results.truncate(k);
-    }
-    let mut pruned = agg.pruned;
-    let mut rejected = agg.rejected;
-    finish_bounded(&mut pruned, opts.top_k, pruned_order);
-    finish_bounded(&mut rejected, opts.top_k, rejected_order);
-
+    agg.stats.visited = corpus.visited_len();
+    agg.stats.mutations = mutations;
+    agg.stats.frontier = corpus.frontier_len();
     let report = AdaptiveReport {
         outcome: outcome_kind,
         grid_points: total,
-        visited: stats.visited,
+        visited: agg.stats.visited,
         mutations,
-        frontier: stats.frontier,
+        frontier: agg.stats.frontier,
         rounds,
         budget,
         seed: opts.seed,
     };
-    Ok((
-        EngineOutcome {
-            results,
-            pruned,
-            rejected,
-            stats,
-            memo: evaluator.memo_stats(),
-            threads,
-        },
-        report,
-    ))
+    Ok((agg.finish(opts, evaluator.memo_stats(), threads)?, report))
 }
 
-/// Scores one fixed batch of grid indices in parallel and returns the
-/// outcomes sorted by index. Generation-synchronous: the batch is
-/// immutable while workers run, and the merge order is independent of
-/// which worker processed what.
-fn process_batch<C>(
-    evaluator: &Evaluator<'_, C>,
-    batch: &[usize],
-    screen: Option<f64>,
-    threads: usize,
+/// Folds one scored batch into the aggregate, offers its feasible
+/// candidates to the corpus frontier, and reports progress.
+fn merge(
+    agg: &mut Aggregate,
+    corpus: &mut Corpus,
+    outcomes: Vec<(usize, IndexOutcome)>,
     opts: &SearchOptions,
-    deadline: Option<Instant>,
-) -> Result<Vec<(usize, IndexOutcome)>, SearchError>
-where
-    C: CostModel + Send + Sync,
-{
-    if batch.is_empty() {
-        return Ok(Vec::new());
-    }
-    let workers = threads.min(batch.len());
-    let expired = AtomicBool::new(false);
-    let per_worker = crate::parallel::run_claimed(workers, batch.len(), |_t, claims| {
-        let mut out = Vec::new();
-        while let Some(slot) = claims.next() {
-            if expired.load(Ordering::Relaxed) {
-                break;
+    total: usize,
+) {
+    for (index, outcome) in &outcomes {
+        if let IndexOutcome::Scored(result) = outcome {
+            if result.is_feasible() {
+                corpus.insert(*index, opts.objective.key(result));
             }
-            if crate::cancel_requested(opts, deadline) {
-                expired.store(true, Ordering::Relaxed);
-                break;
-            }
-            let index = batch[slot];
-            out.push((index, evaluator.process(index, screen)));
         }
-        out
-    });
-    if expired.load(Ordering::Relaxed) {
-        return Err(SearchError::DeadlineExceeded);
     }
-    let mut outcomes: Vec<(usize, IndexOutcome)> = per_worker.into_iter().flatten().collect();
-    outcomes.sort_by_key(|(index, _)| *index);
-    // Deterministic error selection: the lowest failing index wins.
-    if let Some(pos) = outcomes
-        .iter()
-        .position(|(_, o)| matches!(o, IndexOutcome::Failed(_)))
-    {
-        let (_, IndexOutcome::Failed(err)) = outcomes.swap_remove(pos) else {
-            unreachable!("position matched Failed");
-        };
-        return Err(*err);
-    }
-    Ok(outcomes)
-}
-
-/// Streams a progress snapshot after each merged batch.
-fn report_progress(opts: &SearchOptions, total: usize, corpus: &Corpus, agg: &Aggregate) {
-    if let Some(sink) = &opts.progress {
-        (sink.0)(SearchProgress {
-            grid_points: total,
-            claimed: corpus.visited_len(),
-            evaluated: agg.stats.evaluated,
-            memory_pruned: agg.stats.memory_pruned,
-            bound_skipped: agg.stats.bound_skipped,
-        });
-    }
+    agg.apply(outcomes, opts);
+    agg.report_progress(opts, total, corpus.visited_len());
 }

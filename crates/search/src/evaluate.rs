@@ -1,17 +1,26 @@
-//! The streaming parallel evaluator: one shared trace-fitted cost
-//! model and block library, one reassembly + replay per candidate
-//! that cannot be skipped, bounded top-k retention per worker.
+//! The evaluation pipeline both search engines share: one shared
+//! trace-fitted cost model and block library, one reassembly + replay
+//! per candidate that cannot be skipped, and one way to walk batches.
 //!
-//! Workers claim grid indices from a single atomic cursor, decode and
-//! lattice-check them on the fly ([`crate::enumerate::Grid`]), gate on
-//! memory feasibility, and then — when a retention bound is set —
-//! consult the memoized analytic lower bound
-//! ([`crate::memo::StageCostCache`]) to skip full interleaved-1F1B
-//! scoring for candidates that provably cannot enter the top-k. Peak
-//! memory is proportional to `top_k × threads`, not to the size of the
-//! space, and the merged result is byte-identical to ranking every
-//! candidate: a candidate is only skipped when its objective key is
-//! *strictly* worse than `k` already-scored candidates.
+//! [`Evaluator::process`] runs one grid index through decode → lattice
+//! check → memory gate → lower-bound screen → full scoring.
+//! [`process_batch`] scores a fixed batch of indices in parallel
+//! against one screen threshold, [`Aggregate`] folds the batches into
+//! the retained top-k, the bounded example lists and the counters, and
+//! [`Aggregate::finish`] closes the run. The exhaustive walk
+//! ([`run_exhaustive`]) feeds the whole grid through them in index
+//! order; the adaptive engine ([`crate::adaptive`]) feeds its probes,
+//! rounds and verification sweep through the same three.
+//!
+//! When a retention bound is set, a candidate is skipped only when the
+//! memoized analytic lower bound on its objective key
+//! ([`crate::memo::StageCostCache`]) is *strictly* worse than the k-th
+//! best key merged before its batch, so the result is byte-identical
+//! to ranking every candidate. The threshold moves only between
+//! batches, and batch boundaries ignore the worker count, so which
+//! candidates are scored, skipped and reported is the same at every
+//! thread count. Peak memory is the top-k plus one batch's outcomes,
+//! not the size of the space.
 
 use crate::candidate::Candidate;
 use crate::enumerate::Grid;
@@ -26,8 +35,8 @@ use lumos_cost::{CostModel, LookupCostModel};
 use lumos_model::{utilization, MemoryEstimate, TrainingSetup, Utilization};
 use lumos_trace::Dur;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtomicOrdering};
+use std::time::Instant;
 
 /// Why a fully scored candidate was rejected instead of ranked.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,7 +133,7 @@ impl CandidateResult {
     }
 }
 
-/// Everything the streaming engine produced, pre-merge of the final
+/// Everything one search engine produced, pre-merge of the final
 /// report. The shared trace-fitted cost model lives in the
 /// [`crate::SearchCalibration`] the run was given, so the refinement
 /// phase prices engine executions identically to the screen without
@@ -138,100 +147,11 @@ pub(crate) struct EngineOutcome {
     pub threads: usize,
 }
 
-/// Shared per-run atomic counters.
-#[derive(Default)]
-struct Counters {
-    claimed: AtomicUsize,
-    budget: AtomicUsize,
-    divisibility: AtomicUsize,
-    structural: AtomicUsize,
-    memory_pruned: AtomicUsize,
-    bound_skipped: AtomicUsize,
-    evaluated: AtomicUsize,
-    infeasible: AtomicUsize,
-}
-
-/// A max-heap entry ordered by (objective key, index) under the
-/// NaN-safe total order: the heap's top is the *worst* retained
-/// candidate, the one a new candidate must strictly beat.
-struct HeapEntry {
-    key: f64,
-    result: CandidateResult,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        objective_key_cmp(self.key, other.key)
-            .then_with(|| self.result.index.cmp(&other.result.index))
-    }
-}
-
-/// Per-worker bounded retention: an unbounded list when no cap is set
-/// (full-ranking compatibility mode), a size-`k` max-heap otherwise.
-struct TopK {
-    cap: Option<usize>,
-    heap: BinaryHeap<HeapEntry>,
-}
-
-impl TopK {
-    fn new(cap: Option<usize>) -> Self {
-        TopK {
-            cap,
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    /// `true` once the retention bound is reached (never for
-    /// unbounded retention — skipping stays disabled there).
-    fn full(&self) -> bool {
-        self.cap.is_some_and(|k| self.heap.len() >= k)
-    }
-
-    /// The objective key a challenger must strictly beat, once full.
-    fn worst_key(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.key)
-    }
-
-    fn push(&mut self, key: f64, result: CandidateResult) {
-        let entry = HeapEntry { key, result };
-        match self.cap {
-            Some(k) if self.heap.len() >= k => {
-                if k == 0 {
-                    return;
-                }
-                if entry.cmp(self.heap.peek().expect("non-empty")) == Ordering::Less {
-                    self.heap.pop();
-                    self.heap.push(entry);
-                }
-            }
-            _ => self.heap.push(entry),
-        }
-    }
-
-    fn into_results(self) -> Vec<CandidateResult> {
-        self.heap.into_iter().map(|e| e.result).collect()
-    }
-}
-
-/// What one worker hands back at join time.
-struct WorkerOut {
-    results: Vec<CandidateResult>,
-    pruned: Vec<PrunedCandidate>,
-    rejected: Vec<RejectedCandidate>,
-    /// Lowest-index evaluation failure this worker hit.
-    error: Option<(usize, SearchError)>,
-}
+/// Largest batch either engine scores under one screen threshold: the
+/// exhaustive walk's batches double up to it, and the adaptive
+/// verification sweep is cut into it (its budget is re-checked between
+/// chunks, so overshoot is bounded by one chunk's evaluations).
+pub(crate) const SWEEP_CHUNK: usize = 16_384;
 
 /// One grid point's fate in the decode → lattice → memory-gate →
 /// bound-screen → evaluate pipeline.
@@ -253,9 +173,9 @@ pub(crate) enum IndexOutcome {
 /// The per-candidate scoring pipeline with its shared pieces bundled:
 /// the grid decoder, the trace-fitted cost model and block library,
 /// and the lazily built stage-cost bound cache. Both the exhaustive
-/// walk ([`run_streaming`]) and the adaptive engine
-/// ([`crate::adaptive`]) drive it index by index, so a candidate is
-/// scored identically no matter which engine reached it.
+/// walk ([`run_exhaustive`]) and the adaptive engine
+/// ([`crate::adaptive`]) drive it through [`process_batch`], so a
+/// candidate is scored identically no matter which engine reached it.
 pub(crate) struct Evaluator<'a, C: CostModel> {
     grid: Grid<'a>,
     base: &'a TrainingSetup,
@@ -321,7 +241,7 @@ impl<'a, C: CostModel> Evaluator<'a, C> {
     /// to be skipped — ties must still be scored, the enumeration-
     /// index tie-break could admit them. `None` disables the screen:
     /// everything admissible is scored.
-    pub(crate) fn process(&self, index: usize, screen: Option<f64>) -> IndexOutcome {
+    fn process(&self, index: usize, screen: Option<f64>) -> IndexOutcome {
         let cand = self.grid.candidate(index);
         let setup = match self.grid.admit(&cand) {
             Ok(setup) => setup,
@@ -369,17 +289,218 @@ impl<'a, C: CostModel> Evaluator<'a, C> {
     }
 }
 
-/// Runs the full streaming pipeline over the grid of `spec` (already
-/// normalized): claim → decode → lattice → memory gate → lower-bound
-/// skip → evaluate → per-worker top-k, merged deterministically.
-/// The calibration (lookup tables + block library) is prebuilt and
-/// shared — repeated queries against one [`crate::SearchCalibration`]
-/// never re-walk the source trace.
-pub(crate) fn run_streaming<C>(
+/// Scores one fixed batch of grid indices in parallel against one
+/// screen threshold and returns the outcomes sorted by index.
+/// Generation-synchronous: the batch and its threshold are fixed while
+/// workers run, and the merge order is independent of which worker
+/// processed what. A cancelled batch is [`SearchError::DeadlineExceeded`];
+/// otherwise the lowest failing index's error wins.
+pub(crate) fn process_batch<C>(
+    evaluator: &Evaluator<'_, C>,
+    batch: &[usize],
+    screen: Option<f64>,
+    threads: usize,
+    opts: &SearchOptions,
+    deadline: Option<Instant>,
+) -> Result<Vec<(usize, IndexOutcome)>, SearchError>
+where
+    C: CostModel + Send + Sync,
+{
+    if batch.is_empty() {
+        return Ok(Vec::new());
+    }
+    let workers = threads.min(batch.len());
+    let expired = AtomicBool::new(false);
+    // The lowest failing index seen so far. Higher indices are not worth
+    // scoring once one failed, and the batch's lowest failing index is
+    // never skipped, so it is still the error reported. It publishes no
+    // other data: a stale read only scores more.
+    let first_failure = AtomicUsize::new(usize::MAX);
+    let per_worker = crate::parallel::run_claimed(workers, batch.len(), |_t, claims| {
+        let mut out = Vec::new();
+        while let Some(slot) = claims.next() {
+            if expired.load(AtomicOrdering::Relaxed) {
+                break;
+            }
+            if crate::cancel_requested(opts, deadline) {
+                expired.store(true, AtomicOrdering::Relaxed);
+                break;
+            }
+            let index = batch[slot];
+            if index > first_failure.load(AtomicOrdering::Relaxed) {
+                continue;
+            }
+            let outcome = evaluator.process(index, screen);
+            if matches!(outcome, IndexOutcome::Failed(_)) {
+                first_failure.fetch_min(index, AtomicOrdering::Relaxed);
+            }
+            out.push((index, outcome));
+        }
+        out
+    });
+    if expired.load(AtomicOrdering::Relaxed) {
+        return Err(SearchError::DeadlineExceeded);
+    }
+    let mut outcomes: Vec<(usize, IndexOutcome)> = per_worker.into_iter().flatten().collect();
+    outcomes.sort_by_key(|(index, _)| *index);
+    // Deterministic error selection: the lowest failing index wins.
+    if let Some(pos) = outcomes
+        .iter()
+        .position(|(_, o)| matches!(o, IndexOutcome::Failed(_)))
+    {
+        let (_, IndexOutcome::Failed(err)) = outcomes.swap_remove(pos) else {
+            unreachable!("position matched Failed");
+        };
+        return Err(*err);
+    }
+    Ok(outcomes)
+}
+
+/// Merged, deterministically ordered state accumulated batch by batch:
+/// the retained top-k, the bounded example lists and the counters.
+#[derive(Default)]
+pub(crate) struct Aggregate {
+    results: Vec<CandidateResult>,
+    pruned: Vec<PrunedCandidate>,
+    rejected: Vec<RejectedCandidate>,
+    pub(crate) stats: PruneStats,
+}
+
+impl Aggregate {
+    /// Folds one batch's index-ordered outcomes in (errors were already
+    /// taken out by [`process_batch`]).
+    pub(crate) fn apply(&mut self, outcomes: Vec<(usize, IndexOutcome)>, opts: &SearchOptions) {
+        for (index, outcome) in outcomes {
+            self.stats.enumerated += 1;
+            match outcome {
+                IndexOutcome::Lattice(crate::RejectReason::Budget) => {
+                    self.stats.budget_rejects += 1;
+                }
+                IndexOutcome::Lattice(crate::RejectReason::Divisibility) => {
+                    self.stats.divisibility_rejects += 1;
+                }
+                IndexOutcome::Lattice(crate::RejectReason::Structural) => {
+                    self.stats.structural_rejects += 1;
+                }
+                IndexOutcome::MemoryPruned(pruned) => {
+                    self.stats.memory_pruned += 1;
+                    bounded_push(&mut self.pruned, pruned, opts.top_k, pruned_order);
+                }
+                IndexOutcome::BoundSkipped => self.stats.bound_skipped += 1,
+                IndexOutcome::Failed(_) => unreachable!("batch errors handled before apply"),
+                IndexOutcome::Scored(result) => {
+                    self.stats.evaluated += 1;
+                    let result = *result;
+                    match result.infeasibility.clone() {
+                        Some(reason) => {
+                            self.stats.infeasible += 1;
+                            bounded_push(
+                                &mut self.rejected,
+                                RejectedCandidate {
+                                    candidate: result.candidate,
+                                    label: result.label.clone(),
+                                    index,
+                                    reason,
+                                },
+                                opts.top_k,
+                                rejected_order,
+                            );
+                        }
+                        None => self.results.push(result),
+                    }
+                }
+            }
+        }
+        // The ranking is a total order (key, then unique index), so the
+        // top k of everything merged so far is the top k of the last
+        // top k plus this batch. Unbounded retention has no threshold
+        // to keep current and is ranked once, by `finish`.
+        if let Some(k) = opts.top_k {
+            self.results.sort_by(|a, b| rank_cmp(a, b, opts.objective));
+            self.results.truncate(k);
+        }
+    }
+
+    /// The screen threshold: the k-th best key once k feasible results
+    /// exist (`None` before that, or under unbounded retention, where
+    /// skipping must stay disabled to keep the full ranking exact).
+    pub(crate) fn threshold(&self, opts: &SearchOptions) -> Option<f64> {
+        let k = opts.top_k?;
+        if k == 0 || self.results.len() < k {
+            return None;
+        }
+        Some(opts.objective.key(&self.results[k - 1]))
+    }
+
+    /// Streams a progress snapshot after a merged batch; `claimed` is
+    /// how many grid points the engine has walked so far.
+    pub(crate) fn report_progress(&self, opts: &SearchOptions, grid_points: usize, claimed: usize) {
+        if let Some(sink) = &opts.progress {
+            (sink.0)(SearchProgress {
+                grid_points,
+                claimed,
+                evaluated: self.stats.evaluated,
+                memory_pruned: self.stats.memory_pruned,
+                bound_skipped: self.stats.bound_skipped,
+            });
+        }
+    }
+
+    /// Closes a run: a space where nothing got past the lattice is an
+    /// error; the results are ranked and the example lists put in their
+    /// retention orders, each cut to the retention bound.
+    pub(crate) fn finish(
+        self,
+        opts: &SearchOptions,
+        memo: MemoStats,
+        threads: usize,
+    ) -> Result<EngineOutcome, SearchError> {
+        let Aggregate {
+            mut results,
+            mut pruned,
+            mut rejected,
+            stats,
+        } = self;
+        if stats.memory_pruned + stats.bound_skipped + stats.evaluated == 0 {
+            return Err(SearchError::EmptySpace {
+                enumerated: stats.enumerated,
+                rejected: stats.budget_rejects
+                    + stats.divisibility_rejects
+                    + stats.structural_rejects,
+            });
+        }
+        results.sort_by(|a, b| rank_cmp(a, b, opts.objective));
+        pruned.sort_by(pruned_order);
+        rejected.sort_by(rejected_order);
+        if let Some(k) = opts.top_k {
+            pruned.truncate(k);
+            rejected.truncate(k);
+        }
+        Ok(EngineOutcome {
+            results,
+            pruned,
+            rejected,
+            stats,
+            memo,
+            threads,
+        })
+    }
+}
+
+/// The exhaustive walk over the grid of `spec` (already normalized):
+/// every index in order, in batches that double from one index up to
+/// [`SWEEP_CHUNK`], each screened against the threshold merged before
+/// it. Batches start at one so the bound is armed as soon as k results
+/// exist, and their boundaries ignore the worker count, so which
+/// candidates get scored is the same at every thread count. The
+/// calibration (lookup tables + block library) is prebuilt and shared —
+/// repeated queries against one [`crate::SearchCalibration`] never
+/// re-walk the source trace.
+pub(crate) fn run_exhaustive<C>(
     calib: &crate::SearchCalibration<C>,
     spec: &crate::SpaceSpec,
     opts: &SearchOptions,
-    deadline: Option<std::time::Instant>,
+    deadline: Option<Instant>,
 ) -> Result<EngineOutcome, SearchError>
 where
     C: CostModel + Send + Sync,
@@ -387,209 +508,43 @@ where
     let evaluator = Evaluator::new(calib, spec, opts);
     let total = evaluator.grid().total();
     let threads = crate::parallel::effective_threads(opts.threads, total);
-
-    let counters = Counters::default();
-    let abort = AtomicBool::new(false);
-    let expired = AtomicBool::new(false);
-    let progress_stride = (total / 20).clamp(1, 65_536);
-
-    let outs: Vec<WorkerOut> = crate::parallel::run_claimed(threads, total, |_t, claims| {
-        let mut top = TopK::new(opts.top_k);
-        let mut out = WorkerOut {
-            results: Vec::new(),
-            pruned: Vec::new(),
-            rejected: Vec::new(),
-            error: None,
-        };
-        loop {
-            if abort.load(AtomicOrdering::Relaxed) {
-                break;
-            }
-            if crate::cancel_requested(opts, deadline) {
-                expired.store(true, AtomicOrdering::Relaxed);
-                abort.store(true, AtomicOrdering::Relaxed);
-                break;
-            }
-            let Some(index) = claims.next() else { break };
-            let claimed = counters.claimed.fetch_add(1, AtomicOrdering::Relaxed) + 1;
-            if claimed % progress_stride == 0 {
-                if let Some(sink) = &opts.progress {
-                    (sink.0)(SearchProgress {
-                        grid_points: total,
-                        claimed,
-                        evaluated: counters.evaluated.load(AtomicOrdering::Relaxed),
-                        memory_pruned: counters.memory_pruned.load(AtomicOrdering::Relaxed),
-                        bound_skipped: counters.bound_skipped.load(AtomicOrdering::Relaxed),
-                    });
-                }
-            }
-            // Lower-bound screen: only once the local heap already
-            // holds k candidates does the worst retained key become a
-            // threshold. (With `top_k = Some(0)` the heap is trivially
-            // full but has no worst entry to dominate, so nothing is
-            // ever *claimed* to be dominated: every candidate is still
-            // scored honestly, just not retained.)
-            let screen = if top.full() { top.worst_key() } else { None };
-            match evaluator.process(index, screen) {
-                IndexOutcome::Lattice(crate::RejectReason::Budget) => {
-                    counters.budget.fetch_add(1, AtomicOrdering::Relaxed);
-                }
-                IndexOutcome::Lattice(crate::RejectReason::Divisibility) => {
-                    counters.divisibility.fetch_add(1, AtomicOrdering::Relaxed);
-                }
-                IndexOutcome::Lattice(crate::RejectReason::Structural) => {
-                    counters.structural.fetch_add(1, AtomicOrdering::Relaxed);
-                }
-                IndexOutcome::MemoryPruned(pruned) => {
-                    counters.memory_pruned.fetch_add(1, AtomicOrdering::Relaxed);
-                    bounded_push(&mut out.pruned, pruned, opts.top_k, pruned_order);
-                }
-                IndexOutcome::BoundSkipped => {
-                    counters.bound_skipped.fetch_add(1, AtomicOrdering::Relaxed);
-                }
-                IndexOutcome::Failed(err) => {
-                    if out.error.as_ref().is_none_or(|(i, _)| index < *i) {
-                        out.error = Some((index, *err));
-                    }
-                    abort.store(true, AtomicOrdering::Relaxed);
-                    break;
-                }
-                IndexOutcome::Scored(result) => {
-                    counters.evaluated.fetch_add(1, AtomicOrdering::Relaxed);
-                    let result = *result;
-                    match result.infeasibility.clone() {
-                        Some(reason) => {
-                            counters.infeasible.fetch_add(1, AtomicOrdering::Relaxed);
-                            bounded_push(
-                                &mut out.rejected,
-                                RejectedCandidate {
-                                    candidate: result.candidate,
-                                    label: result.label.clone(),
-                                    index: result.index,
-                                    reason,
-                                },
-                                opts.top_k,
-                                rejected_order,
-                            );
-                        }
-                        None => top.push(opts.objective.key(&result), result),
-                    }
-                }
-            }
-        }
-        out.results = top.into_results();
-        finish_bounded(&mut out.pruned, opts.top_k, pruned_order);
-        finish_bounded(&mut out.rejected, opts.top_k, rejected_order);
-        out
-    });
-
-    // Deterministic error selection: the lowest-index failure wins
-    // among the failures workers saw before aborting.
-    let mut error: Option<(usize, SearchError)> = None;
-    let mut results = Vec::new();
-    let mut pruned = Vec::new();
-    let mut rejected = Vec::new();
-    for out in outs {
-        if let Some((i, e)) = out.error {
-            if error.as_ref().is_none_or(|(j, _)| i < *j) {
-                error = Some((i, e));
-            }
-        }
-        results.extend(out.results);
-        pruned.extend(out.pruned);
-        rejected.extend(out.rejected);
+    let mut agg = Aggregate::default();
+    let (mut start, mut len) = (0, 1);
+    while start < total {
+        let end = (start + len).min(total);
+        let batch: Vec<usize> = (start..end).collect();
+        let screen = agg.threshold(opts);
+        let outcomes = process_batch(&evaluator, &batch, screen, threads, opts, deadline)?;
+        agg.apply(outcomes, opts);
+        agg.report_progress(opts, total, end);
+        start = end;
+        len = (len * 2).min(SWEEP_CHUNK);
     }
-    if let Some((_, e)) = error {
-        return Err(e);
-    }
-    // Cancellation beats the empty-space diagnosis: an interrupted run
-    // may not have claimed enough of the grid to say anything about it.
-    if expired.load(AtomicOrdering::Relaxed) {
-        return Err(SearchError::DeadlineExceeded);
-    }
-
-    let stats = PruneStats {
-        enumerated: counters.claimed.load(AtomicOrdering::Relaxed),
-        budget_rejects: counters.budget.load(AtomicOrdering::Relaxed),
-        divisibility_rejects: counters.divisibility.load(AtomicOrdering::Relaxed),
-        structural_rejects: counters.structural.load(AtomicOrdering::Relaxed),
-        memory_pruned: counters.memory_pruned.load(AtomicOrdering::Relaxed),
-        bound_skipped: counters.bound_skipped.load(AtomicOrdering::Relaxed),
-        evaluated: counters.evaluated.load(AtomicOrdering::Relaxed),
-        infeasible: counters.infeasible.load(AtomicOrdering::Relaxed),
-        ..PruneStats::default()
-    };
-    if stats.memory_pruned + stats.bound_skipped + stats.evaluated == 0 {
-        return Err(SearchError::EmptySpace {
-            enumerated: stats.enumerated,
-            rejected: stats.budget_rejects + stats.divisibility_rejects + stats.structural_rejects,
-        });
-    }
-
-    // Deterministic merges: the union of per-worker top-k sets
-    // contains the global top-k; ranking + truncation recovers it
-    // exactly, independent of how workers carved up the grid.
-    results.sort_by(|a, b| rank_cmp(a, b, opts.objective));
-    if let Some(k) = opts.top_k {
-        results.truncate(k);
-    }
-    pruned.sort_by(pruned_order);
-    rejected.sort_by(rejected_order);
-    if let Some(k) = opts.top_k {
-        pruned.truncate(k);
-        rejected.truncate(k);
-    }
-
-    let memo = evaluator.memo_stats();
-    Ok(EngineOutcome {
-        results,
-        pruned,
-        rejected,
-        stats,
-        memo,
-        threads,
-    })
+    agg.finish(opts, evaluator.memo_stats(), threads)
 }
 
 /// Retention order for pruned examples: worst offender (largest
 /// requirement) first, enumeration index as tie-break.
-pub(crate) fn pruned_order(a: &PrunedCandidate, b: &PrunedCandidate) -> Ordering {
+fn pruned_order(a: &PrunedCandidate, b: &PrunedCandidate) -> Ordering {
     b.required_bytes
         .cmp(&a.required_bytes)
         .then_with(|| a.index.cmp(&b.index))
 }
 
 /// Retention order for rejected examples: enumeration order.
-pub(crate) fn rejected_order(a: &RejectedCandidate, b: &RejectedCandidate) -> Ordering {
+fn rejected_order(a: &RejectedCandidate, b: &RejectedCandidate) -> Ordering {
     a.index.cmp(&b.index)
 }
 
 /// Bounded example retention: unbounded when no cap is set; otherwise
 /// amortized sort-and-truncate keeping the `cap` best by `order`.
-pub(crate) fn bounded_push<T>(
-    list: &mut Vec<T>,
-    item: T,
-    cap: Option<usize>,
-    order: fn(&T, &T) -> Ordering,
-) {
+fn bounded_push<T>(list: &mut Vec<T>, item: T, cap: Option<usize>, order: fn(&T, &T) -> Ordering) {
     list.push(item);
     if let Some(cap) = cap {
         if list.len() >= cap.saturating_mul(2) + 16 {
             list.sort_by(order);
             list.truncate(cap);
         }
-    }
-}
-
-/// Final truncation pass for [`bounded_push`] lists.
-pub(crate) fn finish_bounded<T>(
-    list: &mut Vec<T>,
-    cap: Option<usize>,
-    order: fn(&T, &T) -> Ordering,
-) {
-    if let Some(cap) = cap {
-        list.sort_by(order);
-        list.truncate(cap);
     }
 }
 

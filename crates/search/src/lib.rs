@@ -16,9 +16,10 @@
 //! 2. **Stream** candidates: the grid is a mixed-radix index space
 //!    decoded on demand ([`CandidateStream`]), never a materialized
 //!    vector, so enumeration costs O(1) memory however large the
-//!    space. Worker threads claim grid indices from one atomic
-//!    cursor; lattice violations are rejected before they cost
-//!    anything;
+//!    space. The grid is walked in index order, in batches that double
+//!    from one index up to 16 384; worker threads claim a batch's
+//!    indices from one atomic cursor. Lattice violations are rejected
+//!    before they cost anything;
 //! 3. **Pre-prune** on memory feasibility via
 //!    [`lumos_model::MemoryModel`] — configurations that would OOM
 //!    never reach simulation, and every pruned candidate records the
@@ -27,10 +28,10 @@
 //!    derived once per [`lumos_model::StageCostKey`] and memoized
 //!    across every candidate that differs only in PP/DP/micro-batch
 //!    count/interleave. The memo feeds a sound analytic lower bound
-//!    on iteration time; once a worker's top-k heap is full,
-//!    candidates whose bound is strictly worse than the heap's worst
-//!    entry are counted ([`PruneStats::bound_skipped`]) and never
-//!    fully simulated — without changing the reported top-k;
+//!    on iteration time; once k results are merged, candidates of the
+//!    next batches whose bound is strictly worse than the k-th best key
+//!    are counted ([`PruneStats::bound_skipped`]) and never fully
+//!    simulated — without changing the reported top-k;
 //! 5. **Evaluate** the rest in parallel: the trace-fitted
 //!    [`lumos_cost::LookupCostModel`] and the reassembly block
 //!    library are each built **once** and shared read-only across
@@ -39,12 +40,12 @@
 //!    (zero makespan, bubble → 1, missing peak FLOP/s, non-finite
 //!    objective) become typed [`Infeasibility`] rejections instead of
 //!    NaN-ranked garbage;
-//! 6. **Rank** into a [`SearchReport`]: bounded per-worker top-k
-//!    heaps merged under a NaN-safe total order ([`f64::total_cmp`],
-//!    non-finite keys strictly last, enumeration index as tie-break).
-//!    With [`SearchOptions::top_k`] set, peak memory is proportional
-//!    to `top_k × threads` — not to the size of the space — and the
-//!    result is byte-identical to ranking every candidate;
+//! 6. **Rank** into a [`SearchReport`]: each batch is merged, in index
+//!    order, into one top-k under a NaN-safe total order
+//!    ([`f64::total_cmp`], non-finite keys strictly last, enumeration
+//!    index as tie-break). With [`SearchOptions::top_k`] set, peak
+//!    memory is the top-k plus one batch — not the size of the space —
+//!    and the result is byte-identical to ranking every candidate;
 //! 7. **Refine** (optional, [`SearchOptions::refine_sim`]): lower each
 //!    analytic finalist to a full multi-rank program and execute it
 //!    through the ground-truth discrete-event engine
@@ -68,11 +69,11 @@
 //! ([`AdaptiveOutcome`]), and a fixed [`SearchOptions::seed`] replays
 //! the run byte-identically.
 //!
-//! Reported top-k results are bit-for-bit deterministic: the same spec
-//! produces the same ranking regardless of thread count or how workers
-//! happened to carve up the grid. (Skip *counters* may vary across
-//! runs — they depend on how early each worker's heap filled — but
-//! which candidates appear in the report never does.)
+//! Search is deterministic: the same spec produces the same ranking,
+//! the same [`PruneStats`] and the same error regardless of thread
+//! count or how workers happened to carve up a batch, because the
+//! screen threshold changes only between batches and batch boundaries
+//! ignore the worker count.
 //!
 //! # Quickstart
 //!
@@ -156,14 +157,14 @@ use std::sync::Arc;
 /// short list even when the screen retained the whole space.
 const DEFAULT_REFINE_FINALISTS: usize = 16;
 
-/// A live progress snapshot of a streaming search, delivered to
-/// [`SearchOptions::progress`] roughly every 5% of the grid (at most
-/// every 65 536 grid points).
+/// A live progress snapshot of a search, delivered to
+/// [`SearchOptions::progress`] after each merged batch (the exhaustive
+/// walk's batches double from one grid point up to 16 384).
 #[derive(Debug, Clone, Copy)]
 pub struct SearchProgress {
     /// Total grid points in the space.
     pub grid_points: usize,
-    /// Grid points claimed by workers so far.
+    /// Grid points walked so far.
     pub claimed: usize,
     /// Candidates fully simulated so far.
     pub evaluated: usize,
@@ -173,8 +174,8 @@ pub struct SearchProgress {
     pub bound_skipped: usize,
 }
 
-/// A progress callback, invoked from worker threads (keep it cheap and
-/// thread-safe — e.g. a line to stderr).
+/// A progress callback, invoked after each merged batch from the thread
+/// that called the search (keep it cheap — e.g. a line to stderr).
 #[derive(Clone)]
 pub struct ProgressSink(pub Arc<dyn Fn(SearchProgress) + Send + Sync>);
 
@@ -273,7 +274,7 @@ pub struct SearchOptions {
     /// [`SharedStageMemo`].
     pub shared_memo: Option<Arc<SharedStageMemo>>,
     /// Run the corpus-guided adaptive engine ([`crate::adaptive`])
-    /// instead of the exhaustive streaming walk: seed probes, a
+    /// instead of the exhaustive walk: seed probes, a
     /// power-scheduled mutation frontier, and (on spaces small enough)
     /// a screened verification sweep that proves the result equals the
     /// exhaustive top-k. The setting for spaces too large to
@@ -321,8 +322,8 @@ impl Default for SearchOptions {
 
 /// `true` when the run should abort cooperatively: its cancel flag is
 /// raised or its wall-clock deadline instant has passed. Checked by
-/// the streaming evaluator between candidates and by refinement
-/// between finalists.
+/// the batch evaluator between candidates and by refinement between
+/// finalists.
 pub(crate) fn cancel_requested(opts: &SearchOptions, deadline: Option<std::time::Instant>) -> bool {
     opts.cancel
         .as_ref()
@@ -480,7 +481,7 @@ where
         (outcome, Some(adaptive))
     } else {
         (
-            evaluate::run_streaming(calib, &normalized, opts, deadline)?,
+            evaluate::run_exhaustive(calib, &normalized, opts, deadline)?,
             None,
         )
     };

@@ -44,10 +44,11 @@ struct CachedCosts {
     head_secs: f64,
     /// Set when any block/op-list pairing mismatched during
     /// derivation. Reassembling such a candidate would *error*, so no
-    /// candidate under this key may be skipped: a skip would turn a
-    /// deterministic failure into a scheduling-dependent one (skipped
-    /// on runs where the worker's heap filled early, aborting the
-    /// search on runs where it filled late).
+    /// candidate under this key may be skipped: a skip would hide the
+    /// failure whenever a threshold happened to exist when the
+    /// candidate was reached, so whether the search fails would hinge
+    /// on the walk order (where the candidate sits in the grid, or
+    /// which path the adaptive engine took) instead of on the space.
     unusable: bool,
 }
 
@@ -116,7 +117,8 @@ pub(crate) struct StageCostCache<'a, C> {
     /// `false` when the library is missing any block reassembly could
     /// request: evaluating some candidate would then *error*, and
     /// bound-skipping it instead would make the search's success
-    /// scheduling-dependent — so no bound is ever issued.
+    /// depend on the walk order (see `CachedCosts::unusable`) — so no
+    /// bound is ever issued.
     complete: bool,
     map: Mutex<HashMap<StageCostKey, Arc<CachedCosts>>>,
     /// Resolved per-candidate stage work, keyed by `(stage-cost key,

@@ -1,12 +1,13 @@
 //! Worker-pool sizing and the shared atomic-cursor claim loop.
 //!
-//! Every parallel walk in the workspace — the streaming evaluator
-//! (`evaluate::run_streaming`), `lumos lint`'s space-file mode, and
-//! the adaptive engine's batches and verification sweep — shards the
-//! same way: plain `std::thread::scope` threads claiming indices from
-//! one shared atomic cursor ([`Claims`]), so load imbalance between
-//! items self-levels without a work-stealing runtime (the usual crate
-//! for this is `rayon`; this workspace builds offline).
+//! Every parallel walk in the workspace — the batch evaluator both
+//! search engines score through (`evaluate::process_batch`), the
+//! refinement of search finalists, and `lumos lint`'s space-file mode
+//! — shards the same way: plain `std::thread::scope` threads claiming
+//! indices from one shared atomic cursor ([`Claims`]), so load
+//! imbalance between items self-levels without a work-stealing
+//! runtime (the usual crate for this is `rayon`; this workspace builds
+//! offline).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -41,12 +42,6 @@ impl Claims {
     pub fn next(&self) -> Option<usize> {
         let i = self.cursor.fetch_add(1, Ordering::Relaxed);
         (i < self.total).then_some(i)
-    }
-
-    /// Indices handed out so far (may overshoot `total` by up to the
-    /// worker count once the range drains).
-    pub fn claimed(&self) -> usize {
-        self.cursor.load(Ordering::Relaxed).min(self.total)
     }
 }
 
@@ -105,13 +100,12 @@ mod tests {
     }
 
     #[test]
-    fn claimed_saturates_at_total() {
+    fn next_stays_none_past_total() {
         let claims = Claims::new(2);
         assert_eq!(claims.next(), Some(0));
         assert_eq!(claims.next(), Some(1));
         assert_eq!(claims.next(), None);
         assert_eq!(claims.next(), None);
-        assert_eq!(claims.claimed(), 2);
     }
 
     #[test]

@@ -68,7 +68,7 @@ use lumos_cluster::{lower, JitterModel, MeasuredStats, PreparedJob};
 use lumos_cost::{CostModel, HostOverheads, LookupCostModel};
 use lumos_model::{utilization, TrainingSetup};
 use lumos_trace::Dur;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Robustness statistics from the jitter-replica pass of one finalist.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -182,12 +182,10 @@ where
         return Ok(Vec::new());
     }
     let threads = crate::parallel::effective_threads(opts.threads, finalists.len());
-    let cursor = AtomicUsize::new(0);
-    let expired = std::sync::atomic::AtomicBool::new(false);
-
-    let worker = || {
-        let mut out: Vec<(usize, Result<RefinedResult, SearchError>)> = Vec::new();
-        loop {
+    let expired = AtomicBool::new(false);
+    let per_worker = crate::parallel::run_claimed(threads, finalists.len(), |_t, claims| {
+        let mut out = Vec::new();
+        while let Some(slot) = claims.next() {
             if expired.load(Ordering::Relaxed) {
                 break;
             }
@@ -195,23 +193,10 @@ where
                 expired.store(true, Ordering::Relaxed);
                 break;
             }
-            let slot = cursor.fetch_add(1, Ordering::Relaxed);
-            if slot >= finalists.len() {
-                break;
-            }
             out.push((slot, refine_one(&finalists[slot], opts, lookup)));
         }
         out
-    };
-
-    let per_worker: Vec<Vec<(usize, Result<RefinedResult, SearchError>)>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("refinement worker panicked"))
-                .collect()
-        });
+    });
 
     // A cancelled run leaves unclaimed slots behind — bail before the
     // merge below, which (correctly) insists every slot was claimed.

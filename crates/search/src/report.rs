@@ -152,9 +152,10 @@ impl SearchReport {
     /// Formats the header, prune statistics, and the top-`k` table.
     ///
     /// The text is a deterministic result: it prints only numbers that
-    /// repeat across runs and worker counts. The worker count and the
-    /// counters that depend on how workers interleave (`evaluated`,
-    /// bound skips, memo hits and misses) stay in [`SearchReport::stats`]
+    /// describe the answer, never the work that found it. The worker
+    /// count and the work counters (`evaluated`, bound skips, memo hits
+    /// and misses — the adaptive engine or a warm shared memo reach the
+    /// same answer with other counts) stay in [`SearchReport::stats`]
     /// and [`SearchReport::memo`]; `lumos search --progress` prints
     /// them on stderr.
     pub fn format_top(&self, k: usize) -> String {

@@ -10,16 +10,19 @@
 //!   sort-panic bug);
 //! * degenerate candidates surface as typed rejections, not NaN rows;
 //! * a ≥100k-candidate space completes with retention proportional to
-//!   top-k, not to the space size.
+//!   top-k, not to the space size;
+//! * the exhaustive walk does the same work at every thread count:
+//!   equal counters and equal results at 1, 2, 4 and 7 workers, and the
+//!   same evaluation error when a candidate cannot be priced.
 
 use lumos_cluster::{GroundTruthCluster, JitterModel};
 use lumos_cost::AnalyticalCostModel;
 use lumos_model::{BatchConfig, ModelConfig, Parallelism, ScheduleKind, TrainingSetup};
 use lumos_search::{
     enumerate_candidates, search, CandidateResult, CandidateStream, Infeasibility, Objective,
-    SearchOptions, SearchReport, SpaceSpec,
+    SearchOptions, SearchReport, SpaceSpec, SpecFile,
 };
-use lumos_trace::ClusterTrace;
+use lumos_trace::{ClusterTrace, EventKind};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -106,6 +109,71 @@ fn bounded_topk_is_byte_identical_to_full_ranking() {
             );
             assert_eq!(s.enumerated, full.stats.enumerated);
         }
+    }
+}
+
+#[test]
+fn exhaustive_walk_does_the_same_work_at_every_thread_count() {
+    // The tiny model at tp2·pp2·dp1 over the committed sweep space: at
+    // one worker the lower bound skips part of the grid. The screen
+    // threshold moves only between batches whose boundaries ignore
+    // the worker count, so every worker count must score, skip and
+    // report exactly the same candidates.
+    let base = TrainingSetup::new(ModelConfig::tiny(), Parallelism::new(2, 2, 1).unwrap());
+    let trace = lumos_search::profile_base(&base, 2025).unwrap();
+    let path = format!(
+        "{}/../../examples/spaces/sweep.toml",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let spec = SpecFile::parse(&std::fs::read_to_string(path).unwrap())
+        .unwrap()
+        .space;
+    let run = |threads: usize| {
+        let opts = SearchOptions {
+            top_k: Some(10),
+            threads: Some(threads),
+            ..SearchOptions::default()
+        };
+        search(&trace, &base, &spec, &opts, AnalyticalCostModel::h100()).unwrap()
+    };
+    let one = run(1);
+    assert!(one.stats.bound_skipped > 0, "{:?}", one.stats);
+    let want: Vec<_> = one.results.iter().map(fingerprint).collect();
+    for threads in [2, 4, 7] {
+        let report = run(threads);
+        assert_eq!(report.stats, one.stats, "threads {threads}");
+        let got: Vec<_> = report.results.iter().map(fingerprint).collect();
+        assert_eq!(got, want, "threads {threads}");
+    }
+}
+
+#[test]
+fn evaluation_error_is_the_same_at_every_thread_count() {
+    // A base trace without its micro-batch-3 blocks: candidates that
+    // reassemble four micro-batches cannot be priced, two-micro-batch
+    // candidates still can. The lowest failing grid index is reported.
+    let (base, trace) = shared_trace();
+    let mut broken = trace.clone();
+    for rank in broken.ranks_mut() {
+        rank.events_mut().retain(|e| {
+            !(matches!(e.kind, EventKind::UserAnnotation { .. }) && e.name.contains("mb=3"))
+        });
+    }
+    let spec = SpaceSpec::deployment_grid(&[1], &[1, 2], &[1, 2]).with_microbatches(&[2, 4]);
+    let error = |threads: usize| {
+        let opts = SearchOptions {
+            top_k: Some(3),
+            threads: Some(threads),
+            ..SearchOptions::default()
+        };
+        search(&broken, base, &spec, &opts, AnalyticalCostModel::h100())
+            .unwrap_err()
+            .to_string()
+    };
+    let one = error(1);
+    assert!(one.contains("mb: 3"), "{one}");
+    for threads in [2, 4, 7] {
+        assert_eq!(error(threads), one, "threads {threads}");
     }
 }
 
@@ -416,13 +484,21 @@ fn deadline_interrupts_refinement_phase_too() {
     use std::sync::Arc;
     let (base, trace) = shared_trace();
     let spec = SpaceSpec::deployment_grid(&[1], &[2], &[1]).with_microbatches(&[2]);
-    // The cancel flag flips during the screen, so the run reaches the
-    // refinement phase already cancelled — its workers must bail with
-    // the typed error instead of panicking on unclaimed slots.
-    let cancel = Arc::new(AtomicBool::new(true));
+    // The cancel flag flips once the screen has merged its last batch
+    // (progress is reported on the calling thread after each batch), so
+    // the run reaches the refinement phase already cancelled — its
+    // workers must bail with the typed error instead of panicking on
+    // unclaimed slots.
+    let cancel = Arc::new(AtomicBool::new(false));
+    let raise = Arc::clone(&cancel);
     let opts = SearchOptions {
         refine_sim: true,
         cancel: Some(cancel),
+        progress: Some(lumos_search::ProgressSink::new(move |p| {
+            if p.claimed == p.grid_points {
+                raise.store(true, std::sync::atomic::Ordering::Relaxed);
+            }
+        })),
         ..SearchOptions::default()
     };
     let err = search(trace, base, &spec, &opts, AnalyticalCostModel::h100()).unwrap_err();

@@ -17,11 +17,12 @@
 //! Durations travel as integer nanoseconds (`*_ns`) — never floats —
 //! so equality is exact.
 //!
-//! Only deterministic numbers appear in [`SearchResponse`]: grid
-//! totals, lattice-reject counts, memory prunes, and the ranked
-//! results themselves are identical across thread counts, while
-//! bound-skip / evaluated / memo counters (which depend on heap-fill
-//! timing) are deliberately excluded.
+//! Only numbers that describe the answer appear in [`SearchResponse`]:
+//! grid totals, lattice-reject counts, memory prunes, and the ranked
+//! results themselves. Bound-skip / evaluated / memo counters describe
+//! the work that found it (a warm shared memo, or the adaptive engine,
+//! reaches the same answer with other counts) and are deliberately
+//! excluded.
 
 use lumos_search::{RefinedResult, SearchReport};
 use serde::{Deserialize, Serialize};
