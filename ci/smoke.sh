@@ -328,4 +328,26 @@ step "faults: explain the committed fixture"
 grep -q "1 straggler, 1 degradation, 2 failure" "$T/explain.out"
 grep -q "replica(s) clean" "$T/explain.out"
 
+# Trace-reader smoke: real Kineto output carries metadata (`"ph":"M"`)
+# and flow (`"ph":"s"`) events without `cat` or `dur`, which the
+# reader skips; a complete event missing a required field is rejected
+# naming the field and the event's index.
+step "trace: Kineto metadata and flow events are skipped"
+./target/release/lumos synth --model tiny --out "$T/kineto.json"
+./target/release/lumos replay "$T/kineto.json" > "$T/replay-plain.out"
+sed 's/^{"traceEvents":\[/&{"name":"process_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"python3"}},{"ph":"s","id":1,"pid":0,"tid":1,"ts":5.0,"cat":"ac2g","name":"ac2g"},/' \
+  "$T/kineto.json" > "$T/kineto-meta.json"
+grep -q '"ph":"M"' "$T/kineto-meta.json"
+./target/release/lumos replay "$T/kineto-meta.json" | tee "$T/replay-meta.out"
+diff "$T/replay-plain.out" "$T/replay-meta.out"
+
+step "trace: an event without dur is rejected naming the field and index (exit 1)"
+sed 's/,"dur":[0-9.]*//3' "$T/kineto.json" > "$T/kineto-nodur.json"
+rc=0
+./target/release/lumos replay "$T/kineto-nodur.json" 2>"$T/nodur.err" || rc=$?
+cat "$T/nodur.err"
+test "$rc" -eq 1
+grep -q '`dur`' "$T/nodur.err"
+grep -q '#2' "$T/nodur.err"
+
 echo "smoke: all checks passed"

@@ -27,18 +27,32 @@ pub const HELP: &str = "lumos info <trace.json | artifact.json> [--top N]\n\
 /// Chrome trace: a JSON object carrying the artifact's identity
 /// fields. The full digest/version validation happens on load.
 fn sniff_artifact(path: &str) -> bool {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return false;
-    };
-    let Ok(value) = serde_json::from_str::<serde_json::Value>(&text) else {
-        return false;
-    };
-    match value {
-        serde_json::Value::Object(map) => ["version", "digest", "fingerprint"]
-            .iter()
-            .all(|k| map.contains_key(k)),
-        _ => false,
+    std::fs::read_to_string(path)
+        .ok()
+        .and_then(|text| has_identity_fields(&text).ok())
+        .unwrap_or(false)
+}
+
+/// Whether `text` is a JSON object with the artifact's identity
+/// fields, checked by walking its top-level keys without building a
+/// value tree (a trace can be tens of megabytes).
+fn has_identity_fields(text: &str) -> Result<bool, serde_json::Error> {
+    const IDENTITY: [&str; 3] = ["version", "digest", "fingerprint"];
+    let mut r = serde_json::Reader::new(text);
+    let mut found = [false; IDENTITY.len()];
+    if r.peek()? == serde_json::Kind::Object {
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            if let Some(i) = IDENTITY.iter().position(|k| *k == key) {
+                found[i] = true;
+            }
+            r.skip()?;
+        }
+    } else {
+        r.skip()?;
     }
+    r.end()?;
+    Ok(found.iter().all(|&f| f))
 }
 
 /// Prints the artifact summary.
@@ -173,4 +187,22 @@ pub fn run(args: &ArgSet, out: &mut dyn Write) -> Result<(), CliError> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::has_identity_fields;
+
+    #[test]
+    fn identity_fields_are_found_by_walking_the_top_level() {
+        let artifact = r#"{"version":3,"fingerprint":{"events":1},"tables":[1,2],"digest":"0x1"}"#;
+        assert!(has_identity_fields(artifact).unwrap());
+        // Nested or missing identity fields, and other documents.
+        assert!(!has_identity_fields(r#"{"traceEvents":[],"version":1,"digest":"x"}"#).unwrap());
+        assert!(!has_identity_fields(r#"{"x":{"version":1,"digest":2,"fingerprint":3}}"#).unwrap());
+        assert!(!has_identity_fields(r#"[{"version":1,"digest":2,"fingerprint":3}]"#).unwrap());
+        // Malformed JSON anywhere is no artifact.
+        assert!(has_identity_fields(&format!("{} x", &artifact)).is_err());
+        assert!(has_identity_fields(&artifact.replace("[1,2]", "[1,]")).is_err());
+    }
 }

@@ -7,13 +7,27 @@
 //! that format (viewable in `chrome://tracing` / Perfetto) and reads
 //! them back, preserving the structured kernel classification through
 //! an `args.lumos` extension field.
+//!
+//! [`from_chrome_json`] reads a document in one pass over its text,
+//! on the vendored `serde_json` pull [`Reader`], without building a
+//! value tree: it walks `traceEvents` one object at a time and pushes
+//! each complete event straight into its rank's event vector. Names
+//! are interned per trace, so each distinct name is allocated once;
+//! of `args` only `correlation`, `stream` and the `lumos` extension
+//! are read, and only `lumos` becomes a (small) value. Events of every
+//! other phase — Kineto's `"M"` metadata, `"s"`/`"f"` flows, `"i"`
+//! instants — are checked to be valid JSON and skipped, and keep their
+//! place in the event numbering that errors report.
 
 use crate::error::TraceError;
 use crate::event::{CudaRuntimeKind, EventKind, KernelClass, TraceEvent};
 use crate::time::{Dur, Ts};
 use crate::trace::{ClusterTrace, RankId, RankTrace, StreamId, ThreadId};
 use serde::{Deserialize, Serialize};
-use serde_json::{json, Value};
+use serde_json::{json, Kind, Number, Reader, Value};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 /// Options controlling Chrome Trace Format export.
 #[derive(Debug, Clone)]
@@ -29,7 +43,7 @@ impl Default for ChromeTraceOptions {
     }
 }
 
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 struct ChromeEvent {
     ph: String,
     name: String,
@@ -39,17 +53,17 @@ struct ChromeEvent {
     dur: f64,
     pid: u64,
     tid: u64,
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    #[serde(skip_serializing_if = "Option::is_none")]
     args: Option<Value>,
 }
 
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 struct ChromeDocument {
     #[serde(rename = "traceEvents")]
     trace_events: Vec<ChromeEvent>,
-    #[serde(rename = "displayTimeUnit", default)]
+    #[serde(rename = "displayTimeUnit")]
     display_time_unit: Option<String>,
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    #[serde(skip_serializing_if = "Option::is_none")]
     lumos_label: Option<String>,
 }
 
@@ -114,85 +128,345 @@ fn id32(value: u64, field: &'static str, index: usize) -> Result<u32, TraceError
     u32::try_from(value).map_err(|_| TraceError::MalformedChromeEvent { field, index })
 }
 
-/// Converts one Chrome event. `base_us` is the document's timestamp
-/// origin (the minimum `ts` when that minimum is negative, else 0):
-/// subtracting it normalizes traces whose clock starts below zero
-/// without disturbing already-normalized documents.
-fn chrome_to_event(
-    c: &ChromeEvent,
-    index: usize,
-    base_us: f64,
-) -> Result<(RankId, TraceEvent), TraceError> {
-    if !c.ts.is_finite() {
-        return Err(TraceError::MalformedChromeEvent { field: "ts", index });
-    }
-    let ts = Ts(ns_from_us(c.ts - base_us, "ts", index)?);
-    if !c.dur.is_finite() || c.dur < 0.0 {
-        return Err(TraceError::MalformedChromeEvent {
-            field: "dur",
-            index,
-        });
-    }
-    let dur = Dur(ns_from_us(c.dur, "dur", index)?);
-    let rank = RankId(id32(c.pid, "pid", index)?);
-    let correlation = c
-        .args
-        .as_ref()
-        .and_then(|a| a.get("correlation"))
-        .and_then(Value::as_u64)
-        .unwrap_or(0);
+/// A document shape error, reported as [`TraceError::Json`].
+fn shape_error(message: String) -> TraceError {
+    TraceError::Json(serde::de::Error::new(message).into())
+}
 
-    let kind = match c.cat.as_str() {
-        CAT_CPU_OP => EventKind::CpuOp {
-            tid: ThreadId(id32(c.tid, "tid", index)?),
-        },
-        CAT_ANNOTATION => EventKind::UserAnnotation {
-            tid: ThreadId(id32(c.tid, "tid", index)?),
-        },
-        CAT_RUNTIME => {
-            let rt_kind = match c.args.as_ref().and_then(|a| a.get("lumos")) {
-                Some(v) => serde_json::from_value(v.clone())?,
-                None => runtime_kind_from_name(&c.name),
-            };
-            EventKind::CudaRuntime {
-                tid: ThreadId(id32(c.tid, "tid", index)?),
-                kind: rt_kind,
-                correlation,
+/// Reads a string member, or skips a member of another type (`None`).
+fn string_member<'a>(r: &mut Reader<'a>) -> Result<Option<Cow<'a, str>>, serde_json::Error> {
+    if r.peek()? == Kind::String {
+        r.string().map(Some)
+    } else {
+        r.skip().map(|()| None)
+    }
+}
+
+/// Reads a number member, or skips a member of another type (`None`).
+fn number_member(r: &mut Reader<'_>) -> Result<Option<Number>, serde_json::Error> {
+    if r.peek()? == Kind::Number {
+        r.number().map(Some)
+    } else {
+        r.skip().map(|()| None)
+    }
+}
+
+/// The members of `args` the reader uses, as they would read from a
+/// parsed `args` value: a number that is no `u64` reads as absent,
+/// and an `args` that is no object has none of them.
+#[derive(Default)]
+struct Args {
+    correlation: Option<u64>,
+    stream: Option<u64>,
+    lumos: Option<Value>,
+}
+
+impl Args {
+    fn read(r: &mut Reader<'_>) -> Result<Self, serde_json::Error> {
+        let mut args = Args::default();
+        if r.peek()? != Kind::Object {
+            r.skip()?;
+            return Ok(args);
+        }
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "correlation" => args.correlation = number_member(r)?.and_then(|n| n.as_u64()),
+                "stream" => args.stream = number_member(r)?.and_then(|n| n.as_u64()),
+                "lumos" => args.lumos = Some(r.value()?),
+                _ => r.skip()?,
             }
         }
-        CAT_KERNEL => {
-            let stream = c
-                .args
-                .as_ref()
-                .and_then(|a| a.get("stream"))
-                .and_then(Value::as_u64)
-                .unwrap_or(c.tid);
-            let class = match c.args.as_ref().and_then(|a| a.get("lumos")) {
-                Some(v) => serde_json::from_value(v.clone())?,
-                None => KernelClass::Other,
-            };
-            EventKind::Kernel {
-                stream: StreamId(id32(stream, "stream", index)?),
-                correlation,
-                class,
+        Ok(args)
+    }
+}
+
+/// One `traceEvents` element's members. A repeated key keeps its last
+/// value, as in a parsed tree; a member of the wrong JSON type reads
+/// as `None`, like an absent one.
+#[derive(Default)]
+struct Members<'a> {
+    ph: Option<Cow<'a, str>>,
+    name: Option<Cow<'a, str>>,
+    cat: Option<Cow<'a, str>>,
+    ts: Option<Number>,
+    dur: Option<Number>,
+    pid: Option<Number>,
+    tid: Option<Number>,
+    args: Args,
+}
+
+impl<'a> Members<'a> {
+    fn read(r: &mut Reader<'a>) -> Result<Self, serde_json::Error> {
+        let mut m = Members::default();
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "ph" => m.ph = string_member(r)?,
+                "name" => m.name = string_member(r)?,
+                "cat" => m.cat = string_member(r)?,
+                "ts" => m.ts = number_member(r)?,
+                "dur" => m.dur = number_member(r)?,
+                "pid" => m.pid = number_member(r)?,
+                "tid" => m.tid = number_member(r)?,
+                "args" => m.args = Args::read(r)?,
+                _ => r.skip()?,
             }
+        }
+        Ok(m)
+    }
+
+    /// The complete event these members describe, or the first
+    /// required field (in this order) that is missing or mistyped.
+    fn complete(self) -> Result<Complete<'a>, &'static str> {
+        Ok(Complete {
+            name: self.name.ok_or("name")?,
+            cat: self.cat.ok_or("cat")?,
+            ts: self.ts.ok_or("ts")?.as_f64(),
+            dur: self.dur.ok_or("dur")?.as_f64(),
+            pid: self.pid.and_then(|n| n.as_u64()).ok_or("pid")?,
+            tid: self.tid.and_then(|n| n.as_u64()).ok_or("tid")?,
+            args: self.args,
+        })
+    }
+}
+
+/// A complete (`"ph": "X"`) event with every required field.
+struct Complete<'a> {
+    name: Cow<'a, str>,
+    cat: Cow<'a, str>,
+    /// Microseconds, not yet shifted to the document origin.
+    ts: f64,
+    dur: f64,
+    pid: u64,
+    tid: u64,
+    args: Args,
+}
+
+impl Complete<'_> {
+    /// Everything of the event but its name and timestamp, checked in
+    /// the order its errors rank: `dur`, `pid`, then by category (a
+    /// runtime call's or kernel's `args.lumos` before its `tid` or
+    /// stream).
+    fn convert(&self, index: usize) -> Result<(RankId, EventKind, Dur), TraceError> {
+        if !self.dur.is_finite() || self.dur < 0.0 {
+            return Err(TraceError::MalformedChromeEvent {
+                field: "dur",
+                index,
+            });
+        }
+        let dur = Dur(ns_from_us(self.dur, "dur", index)?);
+        let rank = RankId(id32(self.pid, "pid", index)?);
+        let correlation = self.args.correlation.unwrap_or(0);
+        let kind = match &*self.cat {
+            CAT_CPU_OP => EventKind::CpuOp {
+                tid: ThreadId(id32(self.tid, "tid", index)?),
+            },
+            CAT_ANNOTATION => EventKind::UserAnnotation {
+                tid: ThreadId(id32(self.tid, "tid", index)?),
+            },
+            CAT_RUNTIME => {
+                let kind = match &self.args.lumos {
+                    Some(v) => {
+                        CudaRuntimeKind::deserialize_value(v).map_err(serde_json::Error::from)?
+                    }
+                    None => runtime_kind_from_name(&self.name),
+                };
+                EventKind::CudaRuntime {
+                    tid: ThreadId(id32(self.tid, "tid", index)?),
+                    kind,
+                    correlation,
+                }
+            }
+            CAT_KERNEL => {
+                let class = match &self.args.lumos {
+                    Some(v) => {
+                        KernelClass::deserialize_value(v).map_err(serde_json::Error::from)?
+                    }
+                    None => KernelClass::Other,
+                };
+                EventKind::Kernel {
+                    stream: StreamId(id32(self.args.stream.unwrap_or(self.tid), "stream", index)?),
+                    correlation,
+                    class,
+                }
+            }
+            _ => {
+                return Err(TraceError::MalformedChromeEvent {
+                    field: "cat",
+                    index,
+                })
+            }
+        };
+        Ok((rank, kind, dur))
+    }
+}
+
+/// One rank's events as read, each with its raw `ts` (µs) and array
+/// index beside it until the document origin is known.
+struct PendingRank {
+    trace: RankTrace,
+    ts_us: Vec<(f64, usize)>,
+}
+
+/// What the pass over a `traceEvents` array found. The recorded errors
+/// rank in field order: `shape`, then `non_finite`, then the first
+/// `ts` overflow (known only once `origin_us` is), then `failed`.
+#[derive(Default)]
+struct Events {
+    /// Each rank's events so far, in rank order.
+    ranks: BTreeMap<RankId, PendingRank>,
+    /// One shared copy of each distinct event name.
+    names: HashSet<Arc<str>>,
+    /// The first element that is not an object, has no string `ph`, or
+    /// is a complete event missing a required field.
+    shape: Option<TraceError>,
+    /// The first complete event whose `ts` is not finite.
+    non_finite: Option<usize>,
+    /// The first complete event that failed to convert, with its raw
+    /// `ts`, whose own overflow would outrank the failure.
+    failed: Option<(usize, f64, TraceError)>,
+    /// The smallest complete-event `ts` if it is negative, else 0.
+    origin_us: f64,
+}
+
+impl Events {
+    fn read(r: &mut Reader<'_>) -> Result<Self, serde_json::Error> {
+        let mut events = Events::default();
+        r.begin_array()?;
+        let mut index = 0;
+        while r.next_element()? {
+            events.element(r, index)?;
+            index += 1;
+        }
+        Ok(events)
+    }
+
+    /// Reads element `index`. Past a shape error the rest of the array
+    /// is only validated.
+    fn element(&mut self, r: &mut Reader<'_>, index: usize) -> Result<(), serde_json::Error> {
+        if self.shape.is_some() {
+            return r.skip();
+        }
+        if r.peek()? != Kind::Object {
+            r.skip()?;
+            self.shape = Some(shape_error(format!(
+                "chrome trace event #{index} is not an object"
+            )));
+            return Ok(());
+        }
+        let members = Members::read(r)?;
+        match members.ph.as_deref() {
+            None => {
+                self.shape = Some(shape_error(format!(
+                    "chrome trace event #{index} has no string `ph`"
+                )))
+            }
+            Some("X") => match members.complete() {
+                Ok(event) => self.complete(event, index),
+                Err(field) => self.shape = Some(TraceError::MalformedChromeEvent { field, index }),
+            },
+            Some(_) => {}
+        }
+        Ok(())
+    }
+
+    /// Records complete event `index`: its `ts` towards the origin, and
+    /// the event itself (timestamp pending) into its rank's vector.
+    fn complete(&mut self, event: Complete<'_>, index: usize) {
+        if !event.ts.is_finite() {
+            self.non_finite.get_or_insert(index);
+            return;
+        }
+        self.origin_us = self.origin_us.min(event.ts);
+        // Past an error nothing more is built: only the ranking of the
+        // errors found so far can still change.
+        if self.non_finite.is_some() || self.failed.is_some() {
+            return;
+        }
+        let (rank, kind, dur) = match event.convert(index) {
+            Ok(converted) => converted,
+            Err(e) => {
+                self.failed = Some((index, event.ts, e));
+                return;
+            }
+        };
+        let name = match self.names.get(&*event.name) {
+            Some(name) => name.clone(),
+            None => {
+                let name: Arc<str> = Arc::from(&*event.name);
+                self.names.insert(name.clone());
+                name
+            }
+        };
+        let pending = self.ranks.entry(rank).or_insert_with(|| PendingRank {
+            trace: RankTrace::new(rank),
+            ts_us: Vec::new(),
+        });
+        pending.trace.push(TraceEvent {
+            name,
+            kind,
+            ts: Ts(0),
+            dur,
+        });
+        pending.ts_us.push((event.ts, index));
+    }
+
+    /// Ranks the errors that remain after the shape errors, shifts
+    /// every timestamp by the document origin, and assembles the
+    /// ranks in id order.
+    fn finish(mut self, label: String) -> Result<ClusterTrace, TraceError> {
+        if let Some(index) = self.non_finite {
+            return Err(TraceError::MalformedChromeEvent { field: "ts", index });
+        }
+        let origin = self.origin_us;
+        let mut overflow: Option<usize> = None;
+        for pending in self.ranks.values_mut() {
+            let events = pending.trace.events_mut();
+            for (event, &(us, index)) in events.iter_mut().zip(&pending.ts_us) {
+                match ns_from_us(us - origin, "ts", index) {
+                    Ok(ns) => event.ts = Ts(ns),
+                    Err(_) => {
+                        // A rank's events are in array order, so its
+                        // first overflow is its earliest.
+                        overflow = Some(overflow.map_or(index, |o| o.min(index)));
+                        break;
+                    }
+                }
+            }
+        }
+        if let Some(index) = overflow {
+            return Err(TraceError::MalformedChromeEvent { field: "ts", index });
+        }
+        if let Some((index, us, e)) = self.failed {
+            ns_from_us(us - origin, "ts", index)?;
+            return Err(e);
+        }
+        let mut cluster = ClusterTrace::new(label);
+        for pending in self.ranks.into_values() {
+            cluster.push_rank(pending.trace);
+        }
+        Ok(cluster)
+    }
+}
+
+/// Reads an optional string member (`null` reads as absent); the
+/// inner error is a shape error for a member of another type.
+fn optional_string(
+    r: &mut Reader<'_>,
+    key: &str,
+) -> Result<Result<Option<String>, TraceError>, serde_json::Error> {
+    Ok(match r.peek()? {
+        Kind::String => Ok(Some(r.string()?.into_owned())),
+        Kind::Null => {
+            r.skip()?;
+            Ok(None)
         }
         _ => {
-            return Err(TraceError::MalformedChromeEvent {
-                field: "cat",
-                index,
-            })
+            r.skip()?;
+            Err(shape_error(format!("`{key}` is not a string")))
         }
-    };
-    Ok((
-        rank,
-        TraceEvent {
-            name: c.name.as_str().into(),
-            kind,
-            ts,
-            dur,
-        },
-    ))
+    })
 }
 
 /// Best-effort mapping from a Kineto runtime event name to a
@@ -244,68 +518,81 @@ pub fn to_chrome_json(trace: &ClusterTrace, opts: &ChromeTraceOptions) -> String
     serde_json::to_string(&doc).expect("chrome document serializes")
 }
 
-/// Parses Chrome Trace Format JSON into a cluster trace.
+/// Parses Chrome Trace Format JSON into a cluster trace, in one pass
+/// over the text (see the module docs).
 ///
 /// Accepts both Lumos-written traces (lossless) and raw Kineto traces
 /// (kernel classes default to [`KernelClass::Other`], runtime kinds
-/// are inferred from API names). Documents whose minimum timestamp is
-/// negative — real Kineto clocks can start below the capture origin —
-/// are normalized by that minimum, preserving every inter-event
-/// interval; documents that already start at or above zero parse
-/// unchanged.
+/// are inferred from API names). Only complete (`"ph": "X"`) events
+/// are read; events of other phases only need to be valid JSON with a
+/// string `ph`. Documents whose minimum timestamp is negative — real
+/// Kineto clocks can start below the capture origin — are normalized
+/// by that minimum, preserving every inter-event interval; documents
+/// that already start at or above zero parse unchanged. Numbers keep
+/// the meaning they have in a parsed [`Value`]: a `pid` of `1.0` is
+/// rank 1, and `-0` is no `u64`.
 ///
 /// # Errors
 ///
-/// Returns [`TraceError::Json`] on malformed JSON and
-/// [`TraceError::MalformedChromeEvent`] on events with unknown
-/// categories, non-finite or overflowing `ts`/`dur`, or
-/// `pid`/`tid`/stream ids that do not fit the 32-bit rank/thread/
-/// stream id space.
+/// Event numbers count every element of `traceEvents`, whatever its
+/// phase. The first error found in this order is returned:
+///
+/// 1. [`TraceError::Json`] for a JSON syntax error anywhere;
+/// 2. shape errors, in document field order: [`TraceError::Json`] for
+///    a document that is not an object or has no `traceEvents` array;
+///    then for each `traceEvents` element in turn, [`TraceError::Json`]
+///    if it is not an object or has no string `ph`, and
+///    [`TraceError::MalformedChromeEvent`] naming the first of `name`,
+///    `cat` (strings), `ts`, `dur` (numbers), `pid`, `tid` (`u64`s)
+///    that a complete event lacks or mistypes; then
+///    [`TraceError::Json`] for a `displayTimeUnit` or `lumos_label`
+///    that is neither a string nor `null`;
+/// 3. [`TraceError::MalformedChromeEvent`] for the first complete
+///    event whose `ts` is not finite;
+/// 4. per-event conversion errors, in array order and within an event
+///    in this order: `ts` overflowing once shifted to the document
+///    origin, a negative, non-finite or overflowing `dur`, a `pid`
+///    beyond 32 bits, then by category — an unknown `cat`, a CPU op's
+///    or annotation's `tid` beyond 32 bits, a runtime call's
+///    `args.lumos` that does not decode ([`TraceError::Json`]) or its
+///    `tid`, a kernel's `args.lumos` or its stream (`args.stream`,
+///    else `tid`) beyond 32 bits.
 pub fn from_chrome_json(json_text: &str) -> Result<ClusterTrace, TraceError> {
-    let doc: ChromeDocument = serde_json::from_str(json_text)?;
-    // Pass 1: the document's timestamp origin. Only a *negative*
-    // minimum shifts the trace (so well-formed documents round-trip
-    // bit-exactly); non-finite timestamps are reported with their
-    // event index.
-    let mut base_us = 0.0f64;
-    for (i, ce) in doc.trace_events.iter().enumerate() {
-        if ce.ph != "X" {
-            continue;
+    let mut r = Reader::new(json_text);
+    // A syntax error anywhere outranks every shape error, so shape
+    // errors are recorded while the whole text is read. A repeated
+    // key keeps its last value, as in a parsed tree.
+    let mut events = Err("missing field `traceEvents`");
+    let mut time_unit = Ok(None);
+    let mut label = Ok(None);
+    let is_object = r.peek()? == Kind::Object;
+    if is_object {
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "traceEvents" if r.peek()? == Kind::Array => events = Ok(Events::read(&mut r)?),
+                "traceEvents" => {
+                    r.skip()?;
+                    events = Err("`traceEvents` is not an array");
+                }
+                "displayTimeUnit" => time_unit = optional_string(&mut r, "displayTimeUnit")?,
+                "lumos_label" => label = optional_string(&mut r, "lumos_label")?,
+                _ => r.skip()?,
+            }
         }
-        if !ce.ts.is_finite() {
-            return Err(TraceError::MalformedChromeEvent {
-                field: "ts",
-                index: i,
-            });
-        }
-        base_us = base_us.min(ce.ts);
+    } else {
+        r.skip()?;
     }
-    let mut cluster = ClusterTrace::new(doc.lumos_label.unwrap_or_default());
-    let mut rank_order: Vec<RankId> = Vec::new();
-    let mut per_rank: std::collections::HashMap<RankId, RankTrace> =
-        std::collections::HashMap::new();
-    for (i, ce) in doc.trace_events.iter().enumerate() {
-        // Skip metadata events ("M") and other phases; only complete
-        // events carry timing.
-        if ce.ph != "X" {
-            continue;
-        }
-        let (rank, event) = chrome_to_event(ce, i, base_us)?;
-        per_rank
-            .entry(rank)
-            .or_insert_with(|| {
-                rank_order.push(rank);
-                RankTrace::new(rank)
-            })
-            .push(event);
+    r.end()?;
+    if !is_object {
+        return Err(shape_error("a Chrome trace must be a JSON object".into()));
     }
-    rank_order.sort_unstable();
-    for r in rank_order {
-        if let Some(t) = per_rank.remove(&r) {
-            cluster.push_rank(t);
-        }
+    let mut events = events.map_err(|message| shape_error(message.into()))?;
+    if let Some(e) = events.shape.take() {
+        return Err(e);
     }
-    Ok(cluster)
+    time_unit?;
+    events.finish(label?.unwrap_or_default())
 }
 
 #[cfg(test)]
@@ -395,6 +682,122 @@ mod tests {
         assert_eq!(kernel.kind.correlation(), Some(42));
         assert_eq!(kernel.ts, Ts(30_000));
         assert_eq!(kernel.dur, Dur(100_000));
+    }
+
+    #[test]
+    fn other_phases_are_skipped() {
+        // Kineto's own shapes: `M` metadata without `cat` or `dur`,
+        // flow `s`/`f` and instant `i` events without `dur`, one with
+        // a timestamp below every complete event's.
+        let complete = [
+            r#"{"ph":"X","name":"aten::mm","cat":"cpu_op","ts":10.0,"dur":5.0,"pid":0,"tid":1}"#,
+            r#"{"ph":"X","name":"cudaLaunchKernel","cat":"cuda_runtime","ts":12.0,"dur":1.0,"pid":0,"tid":1,"args":{"correlation":3}}"#,
+            r#"{"ph":"X","name":"sgemm","cat":"kernel","ts":14.0,"dur":20.0,"pid":0,"tid":7,"args":{"correlation":3,"stream":7}}"#,
+        ];
+        let others = [
+            r#"{"name":"process_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"python3"}}"#,
+            r#"{"name":"thread_name","ph":"M","pid":0,"tid":1,"args":{"name":"main"}}"#,
+            r#"{"ph":"s","id":3,"pid":0,"tid":1,"ts":12.0,"cat":"ac2g","name":"ac2g"}"#,
+            r#"{"ph":"f","id":3,"pid":0,"tid":7,"ts":14.0,"cat":"ac2g","name":"ac2g","bp":"e"}"#,
+            r#"{"ph":"i","s":"t","name":"Iteration Start","pid":0,"tid":1,"ts":-100.0}"#,
+        ];
+        let doc = |events: &[&str]| format!(r#"{{"traceEvents":[{}]}}"#, events.join(","));
+        let plain = from_chrome_json(&doc(&complete)).unwrap();
+        let mixed = [
+            others[0],
+            others[1],
+            complete[0],
+            others[2],
+            complete[1],
+            others[4],
+            others[3],
+            complete[2],
+        ];
+        let parsed = from_chrome_json(&doc(&mixed)).expect("other phases are skipped");
+        assert_eq!(parsed.world_size(), plain.world_size());
+        for (a, b) in plain.ranks().iter().zip(parsed.ranks()) {
+            assert_eq!(a.rank(), b.rank());
+            assert_eq!(a.events(), b.events());
+        }
+        assert_eq!(parsed.ranks()[0].events()[0].ts, Ts(10_000));
+    }
+
+    #[test]
+    fn missing_or_mistyped_fields_name_field_and_index() {
+        // Indices count every element, whatever its phase.
+        let fields = [
+            ("name", r#""name":"x""#, "5"),
+            ("cat", r#""cat":"cpu_op""#, "null"),
+            ("ts", r#""ts":1"#, r#""1""#),
+            ("dur", r#""dur":1"#, "[]"),
+            ("pid", r#""pid":0"#, "-1"),
+            ("tid", r#""tid":0"#, "0.5"),
+        ];
+        let all: Vec<&str> = fields.iter().map(|f| f.1).collect();
+        for (i, &(field, member, mistyped)) in fields.iter().enumerate() {
+            let key = member.split(':').next().unwrap();
+            let without: Vec<&str> = all.iter().copied().filter(|m| *m != member).collect();
+            let mut with_bad = all.clone();
+            let bad = format!("{key}:{mistyped}");
+            with_bad[i] = &bad;
+            for members in [without, with_bad] {
+                let json = format!(
+                    r#"{{"traceEvents":[{{"ph":"M","name":"process_name","pid":0}},{{"ph":"X",{}}}]}}"#,
+                    members.join(",")
+                );
+                match from_chrome_json(&json) {
+                    Err(TraceError::MalformedChromeEvent { field: f, index: 1 }) => {
+                        assert_eq!(f, field, "{json}")
+                    }
+                    other => panic!("expected `{field}` at #1 for {json}, got {other:?}"),
+                }
+            }
+        }
+        let err = from_chrome_json(
+            r#"{"traceEvents":[{"ph":"X","name":"x","cat":"cpu_op","ts":0,"pid":0,"tid":0}]}"#,
+        )
+        .unwrap_err()
+        .to_string();
+        assert!(err.contains("#0") && err.contains("`dur`"), "{err}");
+    }
+
+    #[test]
+    fn errors_rank_syntax_then_shape_then_ts_then_conversion() {
+        let event = |i: usize, rest: &str| {
+            format!(
+                r#"{{"ph":"X","name":"e{i}","cat":"cpu_op","ts":{i},"dur":1,"pid":0,"tid":0{rest}}}"#
+            )
+        };
+        let doc = |events: &[String]| format!(r#"{{"traceEvents":[{}]}}"#, events.join(","));
+        let malformed = |json: &str| match from_chrome_json(json) {
+            Err(TraceError::MalformedChromeEvent { field, index }) => (field, index),
+            other => panic!("expected a malformed event for {json}, got {other:?}"),
+        };
+        // A syntax error after a missing field wins.
+        let missing = r#"{"ph":"X","name":"x","cat":"cpu_op","ts":0,"pid":0,"tid":0}"#.to_string();
+        let json = doc(&[missing.clone(), event(1, "")]);
+        assert_eq!(malformed(&json), ("dur", 0));
+        assert!(matches!(
+            from_chrome_json(&format!("{json} x")),
+            Err(TraceError::Json(_))
+        ));
+        // A missing field wins over an earlier non-finite `ts`, which
+        // wins over an earlier conversion error.
+        let mystery = event(0, "").replace("cpu_op", "mystery");
+        let infinite = event(1, "").replace(r#""ts":1"#, r#""ts":1e999"#);
+        assert_eq!(
+            malformed(&doc(&[mystery.clone(), infinite.clone(), missing])),
+            ("dur", 2)
+        );
+        assert_eq!(malformed(&doc(&[mystery.clone(), infinite])), ("ts", 1));
+        assert_eq!(malformed(&doc(std::slice::from_ref(&mystery))), ("cat", 0));
+        // An event's `ts` overflow outranks its other conversion errors
+        // even when only a later event's negative `ts` moves the origin
+        // far enough: 1e16 us - (-9e15 us) overflows u64 nanoseconds.
+        let late_origin = event(1, "").replace(r#""ts":1"#, r#""ts":-9e15"#);
+        let far = mystery.replace(r#""ts":0"#, r#""ts":1e16"#);
+        assert_eq!(malformed(&doc(std::slice::from_ref(&far))), ("cat", 0));
+        assert_eq!(malformed(&doc(&[far, late_origin])), ("ts", 0));
     }
 
     #[test]

@@ -40,13 +40,17 @@ pub enum TraceError {
         /// Overlapping kernel's interval.
         second: TimeSpan,
     },
-    /// Chrome Trace Format JSON could not be parsed.
+    /// Chrome Trace Format JSON could not be parsed, did not have a
+    /// trace document's shape, or held an undecodable `args.lumos`
+    /// (see [`crate::from_chrome_json`]).
     Json(serde_json::Error),
-    /// A Chrome trace event was missing a required field.
+    /// A complete Chrome trace event was missing a required field, or
+    /// one of its fields was mistyped or out of range.
     MalformedChromeEvent {
         /// Which field was missing or invalid.
         field: &'static str,
-        /// Event index in the `traceEvents` array.
+        /// Event index in the `traceEvents` array, counting events of
+        /// every phase.
         index: usize,
     },
 }
