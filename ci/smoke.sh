@@ -135,11 +135,11 @@ step "perfbench: builds against the workspace crates with its lockfile as commit
 CARGO_TARGET_DIR=target/perfbench-check \
   cargo check --offline --locked --manifest-path perfbench/Cargo.toml
 
-# Schedule-matrix smoke: exercise the schedule registry seam through
-# the real CLI — search the schedules example space (1f1b, gpipe,
-# zb-h1 side by side, engine-refined and statically verified) and
-# lint it (every candidate under every registered schedule lowers to
-# a deadlock-free multi-rank program).
+# Schedule-matrix smoke: exercise the schedule axis through the real
+# CLI — search the schedules example space (1f1b, gpipe, zb-h1 side by
+# side, engine-refined and statically verified) and lint it (every
+# candidate under every schedule lowers to a deadlock-free multi-rank
+# program).
 step "schedules: synthesize a base trace"
 ./target/release/lumos synth --model tiny --tp 2 --pp 2 --dp 1 --out "$T/sched.json"
 

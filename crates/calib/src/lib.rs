@@ -3,7 +3,8 @@
 //! Lumos's workflow is "profile one iteration, then answer many
 //! what-if questions from it" (§3.4) — but fitting the question-
 //! answering machinery (the [`lumos_cost::LookupTables`] priced from
-//! every kernel observation and the [`BlockLibrary`] carved out of
+//! every kernel observation and the
+//! [`BlockLibrary`](lumos_core::manipulate::BlockLibrary) carved out of
 //! every annotation range) costs a full walk over the trace. This
 //! crate makes that fit a **persistent, versioned artifact** so the
 //! walk happens once per trace instead of once per invocation:
@@ -23,8 +24,9 @@
 //!   their source trace, so there is no cross-version migration —
 //!   bump the constant whenever the serialized shape of any bundled
 //!   component changes incompatibly;
-//! * `setup` — the [`TrainingSetup`] of the profiled deployment (what
-//!   `predict`/`search` treat as the base configuration);
+//! * `setup` — the [`lumos_model::TrainingSetup`] of the profiled
+//!   deployment (what `predict`/`search` treat as the base
+//!   configuration);
 //! * `hardware` — the hardware-preset name the calibration assumed
 //!   for fallback costs (e.g. `"h100"`); consumers resolve the same
 //!   preset (`AnalyticalCostModel::from_preset`) so reloaded
@@ -37,7 +39,8 @@
 //!   content, re-computed and checked on load (bit-rot / hand-edit
 //!   detection for the whole payload);
 //! * `tables` — the fitted [`lumos_cost::LookupTables`];
-//! * `library` — the extracted [`BlockLibrary`].
+//! * `library` — the extracted
+//!   [`BlockLibrary`](lumos_core::manipulate::BlockLibrary).
 //!
 //! Round-trips are bit-exact: a prediction priced from a reloaded
 //! artifact is identical — output bytes included — to one priced from

@@ -21,16 +21,14 @@ pub fn parse_model(name: &str) -> Result<ModelConfig, CliError> {
     ModelConfig::from_preset(name).map_err(|e| CliError::Usage(e.to_string()))
 }
 
-/// Resolves a pipeline-schedule name against the schedule registry
-/// (`1f1b`, `gpipe`, `zb-h1`, plus anything registered at runtime).
+/// Resolves a pipeline-schedule name (`1f1b`, `gpipe`, `zb-h1`, or a
+/// wire name).
 ///
 /// # Errors
 ///
-/// Returns [`CliError::Usage`] listing the registry's known set.
+/// Returns [`CliError::Usage`] listing the known set.
 pub fn parse_schedule(name: &str) -> Result<lumos_model::ScheduleKind, CliError> {
-    lumos_model::ScheduleBuilder::from_name(name)
-        .build()
-        .map_err(|e| CliError::Usage(e.to_string()))
+    lumos_model::ScheduleKind::from_name(name).map_err(|e| CliError::Usage(e.to_string()))
 }
 
 /// Reads a spec file (a `--space` search space or a `--faults` fault
@@ -258,7 +256,7 @@ mod tests {
     }
 
     #[test]
-    fn schedule_names_resolve_via_registry() {
+    fn schedule_names_resolve() {
         assert_eq!(
             parse_schedule("zb-h1").unwrap(),
             lumos_model::ScheduleKind::ZbH1

@@ -112,7 +112,6 @@ impl MeasuredStats {
 pub struct GroundTruthCluster<C> {
     job: LoweredJob,
     cost: C,
-    overheads: HostOverheads,
     jitter: JitterModel,
 }
 
@@ -126,7 +125,6 @@ impl<C: CostModel> GroundTruthCluster<C> {
         Ok(GroundTruthCluster {
             job: lower(config)?,
             cost,
-            overheads: HostOverheads::default(),
             jitter: JitterModel::none(),
         })
     }
@@ -134,12 +132,6 @@ impl<C: CostModel> GroundTruthCluster<C> {
     /// Sets the run-to-run variance model (builder style).
     pub fn with_jitter(mut self, jitter: JitterModel) -> Self {
         self.jitter = jitter;
-        self
-    }
-
-    /// Sets host-overhead constants (builder style).
-    pub fn with_overheads(mut self, overheads: HostOverheads) -> Self {
-        self.overheads = overheads;
         self
     }
 
@@ -163,7 +155,7 @@ impl<C: CostModel> GroundTruthCluster<C> {
         Ok(execute(
             &self.job,
             &self.cost,
-            &self.overheads,
+            &HostOverheads::default(),
             &self.jitter,
             iteration,
         )?)
@@ -178,7 +170,12 @@ impl<C: CostModel> GroundTruthCluster<C> {
     /// Returns engine deadlock errors (lowering bugs).
     pub fn metrics_iteration(&self, iteration: u64) -> Result<EngineMetrics, ClusterError> {
         let prep = PreparedJob::new(&self.job)?;
-        Ok(prep.execute_metrics(&self.cost, &self.overheads, &self.jitter, iteration)?)
+        Ok(prep.execute_metrics(
+            &self.cost,
+            &HostOverheads::default(),
+            &self.jitter,
+            iteration,
+        )?)
     }
 
     /// Runs `n` iterations and collects only makespans — "measuring
@@ -195,8 +192,13 @@ impl<C: CostModel> GroundTruthCluster<C> {
         let mut iterations = Vec::with_capacity(n);
         for i in 0..n {
             iterations.push(
-                prep.execute_metrics(&self.cost, &self.overheads, &self.jitter, i as u64)?
-                    .makespan,
+                prep.execute_metrics(
+                    &self.cost,
+                    &HostOverheads::default(),
+                    &self.jitter,
+                    i as u64,
+                )?
+                .makespan,
             );
         }
         Ok(MeasuredStats { iterations })

@@ -1,7 +1,7 @@
 //! Deterministic, replayable fault injection over the discrete-event
 //! engine.
 //!
-//! The [`crate::jitter`] model answers "how does this configuration
+//! The [`crate::JitterModel`] answers "how does this configuration
 //! behave under *healthy* run-to-run variance?". At the scale the
 //! north-star targets, stragglers, link degradation, and rank
 //! failures are the steady state, not the exception — this module
@@ -28,11 +28,11 @@
 //! the shared spec-file reader [`lumos_model::spec`]. Which faults
 //! fire in a given replica is sampled with the same
 //! hash-the-`(seed, replica, site)` idiom as [`crate::JitterModel`]
-//! ([`crate::jitter::mix`]), so every replica is **byte-identical to
+//! (`jitter::mix`), so every replica is **byte-identical to
 //! replay**: no RNG state threads between replicas, and thread count
 //! or evaluation order can never change a draw. The compiled
 //! [`RunScenario`] is executed through the engine's metrics-only
-//! [`crate::sink::EventSink`] fast path
+//! event-sink fast path
 //! ([`crate::PreparedJob::execute_metrics_faulted`]), so hundreds of
 //! fault replicas per search finalist stay affordable.
 

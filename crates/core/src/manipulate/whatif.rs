@@ -17,26 +17,7 @@ use lumos_trace::{KernelClass, ScaleError};
 
 /// Scales the duration of every task matched by `predicate` by
 /// `factor` (0.5 = twice as fast). Returns the number of tasks
-/// affected.
-///
-/// # Panics
-///
-/// Panics if `factor` is negative or not finite. Callers handling
-/// user-supplied factors should use [`try_scale_tasks`].
-pub fn scale_tasks(
-    graph: &mut ExecutionGraph,
-    factor: f64,
-    predicate: impl Fn(&Task) -> bool,
-) -> usize {
-    match try_scale_tasks(graph, factor, predicate) {
-        Ok(n) => n,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`scale_tasks`]: rejects negative, NaN, and infinite
-/// factors with a typed error instead of panicking. The graph is left
-/// untouched on error.
+/// affected. The graph is left untouched on error.
 ///
 /// # Errors
 ///
@@ -62,23 +43,6 @@ pub fn try_scale_tasks(
 
 /// Scales every GPU kernel whose class matches `matcher`.
 ///
-/// # Panics
-///
-/// Panics on invalid factors; see [`try_scale_kernel_class`].
-pub fn scale_kernel_class(
-    graph: &mut ExecutionGraph,
-    factor: f64,
-    matcher: impl Fn(&KernelClass) -> bool,
-) -> usize {
-    scale_tasks(
-        graph,
-        factor,
-        |t| matches!(&t.kind, TaskKind::Kernel(c) if matcher(c)),
-    )
-}
-
-/// Fallible [`scale_kernel_class`].
-///
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidScale`] on invalid factors.
@@ -96,15 +60,6 @@ pub fn try_scale_kernel_class(
 
 /// Scales every GEMM kernel ("what if matmuls were 2× faster?").
 ///
-/// # Panics
-///
-/// Panics on invalid factors; see [`try_scale_gemms`].
-pub fn scale_gemms(graph: &mut ExecutionGraph, factor: f64) -> usize {
-    scale_kernel_class(graph, factor, |c| matches!(c, KernelClass::Gemm { .. }))
-}
-
-/// Fallible [`scale_gemms`].
-///
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidScale`] on invalid factors.
@@ -115,15 +70,6 @@ pub fn try_scale_gemms(graph: &mut ExecutionGraph, factor: f64) -> Result<usize,
 /// Scales every communication kernel ("what if the network were 2×
 /// faster?").
 ///
-/// # Panics
-///
-/// Panics on invalid factors; see [`try_scale_comms`].
-pub fn scale_comms(graph: &mut ExecutionGraph, factor: f64) -> usize {
-    scale_kernel_class(graph, factor, KernelClass::is_comm)
-}
-
-/// Fallible [`scale_comms`].
-///
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidScale`] on invalid factors.
@@ -132,17 +78,6 @@ pub fn try_scale_comms(graph: &mut ExecutionGraph, factor: f64) -> Result<usize,
 }
 
 /// Scales every host-side task ("what if dispatch overhead halved?").
-///
-/// # Panics
-///
-/// Panics on invalid factors; see [`try_scale_host`].
-pub fn scale_host(graph: &mut ExecutionGraph, factor: f64) -> usize {
-    scale_tasks(graph, factor, |t| {
-        matches!(t.kind, TaskKind::CpuOp | TaskKind::Runtime(_))
-    })
-}
-
-/// Fallible [`scale_host`].
 ///
 /// # Errors
 ///
@@ -305,7 +240,7 @@ mod tests {
     #[test]
     fn scale_gemms_targets_gemms_only() {
         let mut g = graph_with_kernels();
-        assert_eq!(scale_gemms(&mut g, 0.5), 1);
+        assert_eq!(try_scale_gemms(&mut g, 0.5).unwrap(), 1);
         assert_eq!(g.task(0).duration, Dur(50));
         assert_eq!(g.task(1).duration, Dur(200));
         assert_eq!(g.task(2).duration, Dur(50));
@@ -314,22 +249,15 @@ mod tests {
     #[test]
     fn scale_comms_targets_collectives() {
         let mut g = graph_with_kernels();
-        assert_eq!(scale_comms(&mut g, 2.0), 1);
+        assert_eq!(try_scale_comms(&mut g, 2.0).unwrap(), 1);
         assert_eq!(g.task(1).duration, Dur(400));
     }
 
     #[test]
     fn scale_host_targets_cpu_tasks() {
         let mut g = graph_with_kernels();
-        assert_eq!(scale_host(&mut g, 0.1), 1);
+        assert_eq!(try_scale_host(&mut g, 0.1).unwrap(), 1);
         assert_eq!(g.task(2).duration, Dur(5));
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_factor_panics() {
-        let mut g = graph_with_kernels();
-        scale_gemms(&mut g, -1.0);
     }
 
     #[test]
@@ -349,7 +277,7 @@ mod tests {
         assert_eq!(g.task(0).duration, Dur(100));
         assert_eq!(g.task(1).duration, Dur(200));
         assert_eq!(g.task(2).duration, Dur(50));
-        // Valid factors behave exactly like the panicking variants.
+        // Valid factors still apply afterwards.
         assert_eq!(try_scale_gemms(&mut g, 0.5).unwrap(), 1);
         assert_eq!(g.task(0).duration, Dur(50));
         assert_eq!(try_scale_comms(&mut g, 2.0).unwrap(), 1);

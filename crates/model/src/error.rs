@@ -45,12 +45,12 @@ pub enum ModelError {
         /// Which dimension.
         dim: &'static str,
     },
-    /// A schedule name did not resolve against the registry (see
-    /// [`crate::registry::resolve`]).
+    /// A schedule name matched no policy's name or wire name (see
+    /// [`crate::ScheduleKind::from_name`]).
     UnknownSchedule {
         /// The unrecognized name.
         name: String,
-        /// Comma-separated names the registry does know.
+        /// Comma-separated names of every policy.
         known: String,
     },
 }

@@ -13,9 +13,9 @@
 //!   tensor parallelism (forward and backward), embedding/head ops,
 //!   and the optimizer step;
 //! * [`PipelineSchedule`] — pipeline-schedule generation with
-//!   validation and bubble analytics, driven by the pluggable
-//!   [`registry`] of [`Schedule`] policies (1F1B per Narayanan et
-//!   al., 2021, GPipe, and the zero-bubble ZB-H1 variant built in);
+//!   validation and bubble analytics for the [`ScheduleKind`]
+//!   policies: 1F1B (Narayanan et al., 2021), GPipe, and the
+//!   zero-bubble ZB-H1 variant;
 //! * [`memory`] — per-rank GPU memory estimation (weights, gradients,
 //!   optimizer state, in-flight activations) with OOM checking, the
 //!   feasibility gate the paper's §5 limitations call for;
@@ -44,12 +44,10 @@ mod error;
 pub mod flops;
 mod gpt3;
 pub mod inference;
-pub mod interleaved;
 pub mod memory;
 pub mod ops;
 mod parallel;
 pub mod recovery;
-pub mod registry;
 mod schedule;
 mod setup;
 pub mod spec;
@@ -60,11 +58,9 @@ pub use error::ModelError;
 pub use flops::{iteration_flops, utilization, IterationFlops, Utilization};
 pub use gpt3::ModelConfig;
 pub use inference::InferenceSetup;
-pub use interleaved::{InterleavedItem, InterleavedSchedule};
 pub use memory::{MemoryEstimate, MemoryModel, OomError, OptimizerPlacement, Recompute};
 pub use parallel::{CommScope, GroupRegistry, Parallelism, RankCoords, ScopeClass};
 pub use recovery::RecoveryCosts;
-pub use registry::{Schedule, ScheduleAdjustment, ScheduleBuilder};
-pub use schedule::{PipelineSchedule, ScheduleItem, ScheduleKind};
+pub use schedule::{PipelineSchedule, ScheduleAdjustment, ScheduleItem, ScheduleKind};
 pub use setup::TrainingSetup;
 pub use stagecost::{StageCostKey, StageWork};

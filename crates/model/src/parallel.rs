@@ -236,7 +236,7 @@ const SCOPE_DP: u64 = 2 << 40;
 const SCOPE_PP: u64 = 3 << 40;
 const SCOPE_EMB: u64 = 4 << 40;
 
-/// The axis class a [`CommGroupId`] belongs to, recoverable from the
+/// The axis class a `CommGroupId` belongs to, recoverable from the
 /// id alone (the scope tag lives in the bits above the 40-bit
 /// payload). Unlike [`CommScope`] it carries no coordinates, so
 /// consumers that only need "is this a DP group?" — e.g. targeted

@@ -3,15 +3,17 @@
 //! Generates per-stage forward/backward orderings for the 1F1B policy
 //! (Narayanan et al., 2021 — the policy named in the paper's Figure 4),
 //! GPipe (all-forward-then-all-backward, for comparison studies), and
-//! any other policy registered in [`crate::registry`]. Graph
+//! the zero-bubble ZB-H1 variant (Qi et al., 2023). Graph
 //! manipulation regenerates these schedules when the
 //! pipeline-parallel degree changes (§3.4).
+//!
+//! Interleaved 1F1B (Megatron's virtual pipeline) is not a policy of
+//! its own: its `v` model chunks per rank are the search's
+//! `interleave` axis, priced through 1F1B's [`ScheduleAdjustment`].
 
 use crate::error::ModelError;
-use crate::registry::{self, Schedule, ScheduleAdjustment};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 /// One slot in a stage's execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -61,125 +63,234 @@ impl fmt::Display for ScheduleItem {
     }
 }
 
-/// A handle to one registered scheduling policy.
+/// Rescales a makespan simulated under one schedule shape (the
+/// *skeleton*) into an estimate for the schedule actually being
+/// scored (the *target*).
 ///
-/// Historically a closed enum; now a copyable wrapper around a
-/// `&'static dyn Schedule` from [`crate::registry`], so new policies
-/// plug in without touching generation, memory accounting, scoring,
-/// or lowering. The built-in policies remain reachable as associated
-/// constants (`ScheduleKind::OneFOneB`, `ScheduleKind::GPipe`,
-/// `ScheduleKind::ZbH1`) and keep their pre-registry serialized names.
-#[derive(Clone, Copy)]
-pub struct ScheduleKind(&'static dyn Schedule);
+/// Replay-based estimation pastes recorded blocks into a plain
+/// 1F1B/GPipe skeleton, so schedules that reshape the pipeline —
+/// interleaved 1F1B, zero-bubble — are scored by stripping the
+/// skeleton's analytic bubble out of the simulated time and
+/// re-applying their own, plus any extra pipeline-communication cost:
+///
+/// ```text
+/// work  = simulated · (1 − skeleton_bubble)
+/// extra = (comm_amplification − 1) · pp_comm_secs_per_rank
+/// time  = work / (1 − target_bubble) + extra
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ScheduleAdjustment {
+    /// Analytic bubble fraction of the schedule shape that was
+    /// simulated.
+    pub skeleton_bubble: f64,
+    /// Analytic bubble fraction of the schedule being scored.
+    pub target_bubble: f64,
+    /// Pipeline-communication multiplier vs the skeleton (1.0 when
+    /// the target sends the same activation traffic).
+    pub comm_amplification: f64,
+}
+
+impl ScheduleAdjustment {
+    /// Returns `true` when the bubble fractions make the rescale
+    /// meaningless (degenerate pipelines where a bubble reaches 1).
+    pub fn is_degenerate(&self) -> bool {
+        self.target_bubble >= 1.0 || self.target_bubble.is_nan() || self.skeleton_bubble >= 1.0
+    }
+
+    /// Applies the adjustment to a simulated makespan, both in
+    /// seconds. `pp_comm_secs_per_rank` is the average per-rank time
+    /// spent in pipeline send/recv kernels during the simulation.
+    pub fn apply_secs(&self, simulated_secs: f64, pp_comm_secs_per_rank: f64) -> f64 {
+        let work_secs = simulated_secs * (1.0 - self.skeleton_bubble);
+        let extra_comm_secs = (self.comm_amplification - 1.0) * pp_comm_secs_per_rank;
+        (work_secs / (1.0 - self.target_bubble) + extra_comm_secs).max(0.0)
+    }
+
+    /// The factor a lower bound on the skeleton's makespan must be
+    /// scaled by to remain a lower bound on the adjusted makespan
+    /// (communication extras are dropped — they only add time).
+    pub fn bound_scale(&self) -> f64 {
+        (1.0 - self.skeleton_bubble) / (1.0 - self.target_bubble)
+    }
+}
+
+/// A pipeline-scheduling policy.
+///
+/// Everything the toolkit needs to know about a policy is a `match`
+/// on this enum: per-stage item order, in-flight activation bound,
+/// analytic bubble, and the adjustments search applies when one
+/// simulated schedule shape stands in for another. Serializes as its
+/// [`wire_name`](ScheduleKind::wire_name); `Display` prints the
+/// [`name`](ScheduleKind::name) and `Debug` the wire name.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ScheduleKind {
+    /// One-forward-one-backward, Megatron's default (Narayanan et
+    /// al., 2021): bounded activation memory, `(P−1)/(M+P−1)` bubble.
+    /// Carries the interleaved virtual-stage adjustment when
+    /// `interleave > 1`.
+    OneFOneB,
+    /// GPipe: all forwards, then all backwards. Same analytic bubble
+    /// as 1F1B but unbounded in-flight activations.
+    GPipe,
+    /// Zero-bubble H1 (Qi et al., 2023): backward is split into an
+    /// input-grad item `B` and a weight-grad item `W`; weight-grad
+    /// work fills the cool-down bubble, shrinking the analytic bubble
+    /// to `(P−1)/(3M+P−1)` at 1F1B's activation memory.
+    ZbH1,
+}
 
 impl ScheduleKind {
-    /// One-forward-one-backward (Megatron's default; bounded
-    /// activation memory).
-    #[allow(non_upper_case_globals)]
-    pub const OneFOneB: ScheduleKind = ScheduleKind(&registry::ONE_F_ONE_B);
-    /// GPipe: all forwards, then all backwards.
-    #[allow(non_upper_case_globals)]
-    pub const GPipe: ScheduleKind = ScheduleKind(&registry::GPIPE);
-    /// Zero-bubble H1: backward split into input-grad and weight-grad
-    /// items; weight-grad fills the cool-down bubble.
-    #[allow(non_upper_case_globals)]
-    pub const ZbH1: ScheduleKind = ScheduleKind(&registry::ZB_H1);
+    /// Every policy, in catalogue order.
+    pub const ALL: [ScheduleKind; 3] = [
+        ScheduleKind::OneFOneB,
+        ScheduleKind::GPipe,
+        ScheduleKind::ZbH1,
+    ];
 
-    /// Wraps a registered schedule object.
-    pub(crate) fn from_schedule(schedule: &'static dyn Schedule) -> Self {
-        ScheduleKind(schedule)
+    /// Resolves a name (`"1f1b"`) or a wire name (`"OneFOneB"`) — the
+    /// one place that turns user-supplied names (space files, CLI
+    /// flags, serve requests, serialized setups) into policies.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::UnknownSchedule`] naming the known set.
+    pub fn from_name(name: &str) -> Result<Self, ModelError> {
+        Self::ALL
+            .into_iter()
+            .find(|k| k.name() == name || k.wire_name() == name)
+            .ok_or_else(|| ModelError::UnknownSchedule {
+                name: name.to_string(),
+                known: known_names(),
+            })
     }
 
-    /// Looks the name up in the registry (accepts registry names like
-    /// `"1f1b"` and legacy wire names like `"OneFOneB"`).
-    pub fn from_name(name: &str) -> Option<Self> {
-        registry::resolve(name)
-    }
-
-    /// The underlying schedule object.
-    pub fn as_schedule(&self) -> &'static dyn Schedule {
-        self.0
-    }
-
-    /// Registry name (`"1f1b"`, `"gpipe"`, `"zb-h1"`).
+    /// Name used in space files, CLI flags, and reports (`"1f1b"`,
+    /// `"gpipe"`, `"zb-h1"`).
     pub fn name(&self) -> &'static str {
-        self.0.name()
+        match self {
+            ScheduleKind::OneFOneB => "1f1b",
+            ScheduleKind::GPipe => "gpipe",
+            ScheduleKind::ZbH1 => "zb-h1",
+        }
     }
 
-    /// Stable serialization tag (`"OneFOneB"`, `"GPipe"`, `"zb-h1"`).
+    /// Stable serialization tag. 1F1B and GPipe keep their original
+    /// enum variant names (`"OneFOneB"`, `"GPipe"`) so existing setups
+    /// and calibration artifacts load byte-identically; ZB-H1 uses
+    /// its name.
     pub fn wire_name(&self) -> &'static str {
-        self.0.wire_name()
+        match self {
+            ScheduleKind::OneFOneB => "OneFOneB",
+            ScheduleKind::GPipe => "GPipe",
+            ScheduleKind::ZbH1 => "zb-h1",
+        }
     }
 
-    /// One-line description for catalogues and `lumos info`.
-    pub fn description(&self) -> &'static str {
-        self.0.description()
-    }
-
-    /// The execution order of one stage.
+    /// The execution order of one stage: which micro-batch
+    /// forward/backward/weight-grad items it runs, in order.
     pub fn stage_order(&self, stage: u32, num_stages: u32, m: u32) -> Vec<ScheduleItem> {
-        self.0.stage_order(stage, num_stages, m)
+        match self {
+            ScheduleKind::OneFOneB => one_f_one_b_order(stage, num_stages, m),
+            ScheduleKind::GPipe => gpipe_order(m),
+            ScheduleKind::ZbH1 => zb_h1_order(stage, num_stages, m),
+        }
     }
 
-    /// Peak in-flight micro-batches on `stage` (activation-memory
-    /// accounting and the validator's bound).
+    /// Peak number of in-flight micro-batches (live activation sets)
+    /// on `stage`; the memory model charges activations for this many
+    /// micro-batches and the validator enforces it as a bound.
     pub fn in_flight(&self, num_stages: u32, stage: u32, microbatches: u32) -> u32 {
-        self.0.in_flight(num_stages, stage, microbatches)
+        match self {
+            // ZB-H1 keeps 1F1B's bound — the H1 variant's defining
+            // property (weight-grad needs stashed inputs, not the
+            // full activation set, and those are charged to the
+            // backward).
+            ScheduleKind::OneFOneB | ScheduleKind::ZbH1 => microbatches.min(num_stages - stage),
+            ScheduleKind::GPipe => microbatches,
+        }
     }
 
     /// Analytic pipeline bubble fraction under equal stage times.
     pub fn analytic_bubble(&self, num_stages: u32, num_microbatches: u32) -> f64 {
-        self.0.analytic_bubble(num_stages, num_microbatches)
+        match self {
+            ScheduleKind::OneFOneB | ScheduleKind::GPipe => {
+                PipelineSchedule::analytic_bubble(num_stages, num_microbatches)
+            }
+            ScheduleKind::ZbH1 => {
+                // With F = B = W = one unit of work, each stage runs
+                // 3M units and the pipeline fill costs P−1.
+                let p = num_stages as f64;
+                let m = num_microbatches as f64;
+                (p - 1.0) / (3.0 * m + p - 1.0)
+            }
+        }
     }
 
-    /// Whether backward is split into input-grad and weight-grad
-    /// items.
+    /// Whether backward is split into input-grad (`B`) and
+    /// weight-grad (`W`) items. Split schedules lower `W` as separate
+    /// compute on the backward thread and relocate data-parallel
+    /// gradient reductions to the last `W`.
     pub fn split_backward(&self) -> bool {
-        self.0.split_backward()
+        match self {
+            ScheduleKind::OneFOneB | ScheduleKind::GPipe => false,
+            ScheduleKind::ZbH1 => true,
+        }
     }
 
-    /// Adjustment for replay-based (phase-1) estimates; see
-    /// [`Schedule::replay_adjustment`].
+    /// Adjustment for phase-1 estimates, where the simulated trace is
+    /// a replayed 1F1B/GPipe-shaped skeleton. `None` means the replay
+    /// already has the right shape.
     pub fn replay_adjustment(
         &self,
         pp: u32,
         m: u32,
         interleave: u32,
     ) -> Option<ScheduleAdjustment> {
-        self.0.replay_adjustment(pp, m, interleave)
+        match self {
+            ScheduleKind::OneFOneB if interleave > 1 => Some(ScheduleAdjustment {
+                skeleton_bubble: PipelineSchedule::analytic_bubble(pp, m),
+                target_bubble: interleaved_bubble(pp, interleave, m),
+                comm_amplification: interleaved_comm_amplification(pp, interleave),
+            }),
+            // Replayed skeletons paste full recorded backward blocks
+            // into a 1F1B shape; rescale that shape's bubble into
+            // ZB-H1's.
+            ScheduleKind::ZbH1 => Some(ScheduleAdjustment {
+                skeleton_bubble: PipelineSchedule::analytic_bubble(pp, m),
+                target_bubble: self.analytic_bubble(pp, m),
+                comm_amplification: 1.0,
+            }),
+            ScheduleKind::OneFOneB | ScheduleKind::GPipe => None,
+        }
     }
 
-    /// Adjustment for engine-simulated (phase-2) estimates; see
-    /// [`Schedule::engine_adjustment`].
+    /// Adjustment for phase-2 estimates, where the engine simulates a
+    /// natively lowered program. `None` means the lowering already
+    /// realizes this schedule (no analytic correction needed).
     pub fn engine_adjustment(
         &self,
         pp: u32,
         m: u32,
         interleave: u32,
     ) -> Option<ScheduleAdjustment> {
-        self.0.engine_adjustment(pp, m, interleave)
+        match self {
+            // The engine lowers plain 1F1B programs; interleaved
+            // candidates still need the virtual-stage correction.
+            ScheduleKind::OneFOneB => self.replay_adjustment(pp, m, interleave),
+            // ZB-H1's lowering splits backward natively, so the
+            // engine simulates the real zero-bubble program.
+            ScheduleKind::GPipe | ScheduleKind::ZbH1 => None,
+        }
     }
 }
 
-impl PartialEq for ScheduleKind {
-    fn eq(&self, other: &Self) -> bool {
-        // Registry names are unique, so name equality is identity.
-        self.0.name() == other.0.name()
-    }
-}
-
-impl Eq for ScheduleKind {}
-
-impl Hash for ScheduleKind {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.0.name().hash(state);
-    }
+/// Every policy's name, comma-separated, for unknown-name errors.
+fn known_names() -> String {
+    ScheduleKind::ALL.map(|k| k.name()).join(", ")
 }
 
 impl fmt::Debug for ScheduleKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Matches the pre-registry derived output for the built-ins
-        // ("OneFOneB", "GPipe").
         f.write_str(self.wire_name())
     }
 }
@@ -192,8 +303,6 @@ impl fmt::Display for ScheduleKind {
 
 impl Serialize for ScheduleKind {
     fn serialize_value(&self) -> serde::Value {
-        // Byte-identical to the old derived enum encoding: a plain
-        // string holding the variant (wire) name.
         serde::Value::String(self.wire_name().to_string())
     }
 }
@@ -201,15 +310,88 @@ impl Serialize for ScheduleKind {
 impl Deserialize for ScheduleKind {
     fn deserialize_value(v: &serde::Value) -> Result<Self, serde::de::Error> {
         match v {
-            serde::Value::String(s) => registry::resolve(s).ok_or_else(|| {
+            serde::Value::String(s) => ScheduleKind::from_name(s).map_err(|_| {
                 serde::de::Error::new(format!(
                     "unknown schedule `{s}` for ScheduleKind (known: {})",
-                    registry::known_names().join(", ")
+                    known_names()
                 ))
             }),
             other => Err(serde::de::Error::expected("string for ScheduleKind", other)),
         }
     }
+}
+
+/// Megatron 1F1B order for one stage: `P − s − 1` warm-up forwards, a
+/// steady phase alternating forward/backward, then cool-down
+/// backwards.
+fn one_f_one_b_order(stage: u32, num_stages: u32, m: u32) -> Vec<ScheduleItem> {
+    let warmup = (num_stages - stage - 1).min(m);
+    let mut order = Vec::with_capacity(2 * m as usize);
+    for mb in 0..warmup {
+        order.push(ScheduleItem::Forward { mb });
+    }
+    let steady = m - warmup;
+    for i in 0..steady {
+        order.push(ScheduleItem::Forward { mb: warmup + i });
+        order.push(ScheduleItem::Backward { mb: i });
+    }
+    for mb in steady..m {
+        order.push(ScheduleItem::Backward { mb });
+    }
+    order
+}
+
+/// GPipe order: all forwards, then all backwards.
+fn gpipe_order(m: u32) -> Vec<ScheduleItem> {
+    (0..m)
+        .map(|mb| ScheduleItem::Forward { mb })
+        .chain((0..m).map(|mb| ScheduleItem::Backward { mb }))
+        .collect()
+}
+
+/// ZB-H1 order for one stage: the 1F1B skeleton with weight-grad
+/// items filling the cool-down (one `W` after each cool-down `B`) and
+/// the remainder draining at the end. Dropping the `W` items yields
+/// exactly the 1F1B order — replay paths rely on this.
+fn zb_h1_order(stage: u32, num_stages: u32, m: u32) -> Vec<ScheduleItem> {
+    let warmup = (num_stages - stage - 1).min(m);
+    let steady = m - warmup;
+    let mut order = Vec::with_capacity(3 * m as usize);
+    for mb in 0..warmup {
+        order.push(ScheduleItem::Forward { mb });
+    }
+    for i in 0..steady {
+        order.push(ScheduleItem::Forward { mb: warmup + i });
+        order.push(ScheduleItem::Backward { mb: i });
+    }
+    for mb in steady..m {
+        order.push(ScheduleItem::Backward { mb });
+        order.push(ScheduleItem::WeightGrad { mb: mb - steady });
+    }
+    for mb in warmup..m {
+        order.push(ScheduleItem::WeightGrad { mb });
+    }
+    order
+}
+
+/// Interleaved 1F1B's bubble fraction with `v` model chunks per rank
+/// under equal per-chunk stage times: `((p−1)/v) / (m + (p−1)/v)` —
+/// the Narayanan et al. result that interleaving divides the bubble
+/// by `v`.
+fn interleaved_bubble(p: u32, v: u32, m: u32) -> f64 {
+    let bubble = (p as f64 - 1.0) / v as f64;
+    bubble / (m as f64 + bubble)
+}
+
+/// Interleaved 1F1B's extra pipeline-communication factor vs plain
+/// 1F1B: every micro-batch crosses `p·v − 1` stage boundaries instead
+/// of `p − 1`.
+fn interleaved_comm_amplification(p: u32, v: u32) -> f64 {
+    let p = p as f64;
+    if p <= 1.0 {
+        return 1.0;
+    }
+    (p * v as f64 - 1.0) / (p - 1.0)
 }
 
 /// A complete pipeline schedule: for each stage, the order in which it
@@ -223,8 +405,7 @@ pub struct PipelineSchedule {
 }
 
 impl PipelineSchedule {
-    /// Generates a schedule by asking the policy object for every
-    /// stage's order.
+    /// Generates a schedule from the policy's order for every stage.
     ///
     /// # Errors
     ///
@@ -574,11 +755,7 @@ mod tests {
 
     #[test]
     fn kind_round_trips_through_serde() {
-        for kind in [
-            ScheduleKind::OneFOneB,
-            ScheduleKind::GPipe,
-            ScheduleKind::ZbH1,
-        ] {
+        for kind in ScheduleKind::ALL {
             let v = kind.serialize_value();
             assert_eq!(ScheduleKind::deserialize_value(&v).unwrap(), kind);
         }
@@ -594,6 +771,89 @@ mod tests {
         let bogus = serde::Value::String("pipedream".to_string());
         let err = ScheduleKind::deserialize_value(&bogus).unwrap_err();
         assert!(err.to_string().contains("1f1b"), "{err}");
+    }
+
+    #[test]
+    fn names_and_wire_names_resolve() {
+        for (name, kind) in [
+            ("1f1b", ScheduleKind::OneFOneB),
+            ("OneFOneB", ScheduleKind::OneFOneB),
+            ("gpipe", ScheduleKind::GPipe),
+            ("GPipe", ScheduleKind::GPipe),
+            ("zb-h1", ScheduleKind::ZbH1),
+        ] {
+            assert_eq!(ScheduleKind::from_name(name), Ok(kind), "{name}");
+        }
+    }
+
+    #[test]
+    fn unknown_name_lists_the_known_set() {
+        let err = ScheduleKind::from_name("bogus").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unknown schedule `bogus` (known: 1f1b, gpipe, zb-h1)"
+        );
+    }
+
+    #[test]
+    fn zb_h1_drops_to_one_f_one_b_skeleton() {
+        for p in 1..6u32 {
+            for m in 1..10u32 {
+                for s in 0..p {
+                    let zb: Vec<_> = ScheduleKind::ZbH1
+                        .stage_order(s, p, m)
+                        .into_iter()
+                        .filter(|i| !matches!(i, ScheduleItem::WeightGrad { .. }))
+                        .collect();
+                    assert_eq!(zb, one_f_one_b_order(s, p, m), "p={p} m={m} s={s}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zb_h1_bubble_beats_one_f_one_b() {
+        let zb = ScheduleKind::ZbH1.analytic_bubble(4, 8);
+        let plain = PipelineSchedule::analytic_bubble(4, 8);
+        assert!(zb < plain, "{zb} vs {plain}");
+        assert!((zb - 3.0 / 27.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn adjustment_matches_interleave_formula() {
+        let one_f_one_b = ScheduleKind::OneFOneB;
+        let adj = one_f_one_b.replay_adjustment(4, 8, 2).expect("interleaved");
+        assert_eq!(adj.skeleton_bubble, PipelineSchedule::analytic_bubble(4, 8));
+        assert_eq!(adj.target_bubble, interleaved_bubble(4, 2, 8));
+        assert_eq!(adj.comm_amplification, 7.0 / 3.0);
+        assert_eq!(one_f_one_b.engine_adjustment(4, 8, 2), Some(adj));
+        assert!(one_f_one_b.replay_adjustment(4, 8, 1).is_none());
+        assert!(ScheduleKind::GPipe.replay_adjustment(4, 8, 2).is_none());
+        assert!(ScheduleKind::GPipe.engine_adjustment(4, 8, 2).is_none());
+    }
+
+    #[test]
+    fn zb_adjustment_rescales_makespan_down() {
+        let zb = ScheduleKind::ZbH1;
+        let adj = zb.replay_adjustment(4, 8, 1).expect("zb adjusts replay");
+        assert!(!adj.is_degenerate());
+        let adjusted = adj.apply_secs(11.0, 0.0);
+        // 11 s of 1F1B-shaped time = 8 s of work; ZB-H1 runs it in
+        // 8 / (1 - 3/27) = 9 s.
+        assert!((adjusted - 9.0).abs() < 1e-9, "{adjusted}");
+        assert!(zb.engine_adjustment(4, 8, 1).is_none());
+    }
+
+    #[test]
+    fn interleaving_shrinks_the_bubble_and_amplifies_comm() {
+        let plain = PipelineSchedule::analytic_bubble(4, 8);
+        // One chunk per rank is plain 1F1B.
+        assert_eq!(interleaved_bubble(4, 1, 8), plain);
+        assert!(interleaved_bubble(4, 2, 8) < plain);
+        assert!(interleaved_bubble(4, 4, 8) < interleaved_bubble(4, 2, 8));
+        // (4*2 - 1)/(4 - 1) = 7/3; a single stage sends nothing.
+        assert!((interleaved_comm_amplification(4, 2) - 7.0 / 3.0).abs() < 1e-12);
+        assert_eq!(interleaved_comm_amplification(1, 4), 1.0);
     }
 }
 
@@ -620,6 +880,16 @@ mod proptests {
             for (_, order) in s.iter() {
                 prop_assert_eq!(order.len(), per_mb * m as usize);
             }
+        }
+
+        /// The interleaved bubble falls as chunks or micro-batches
+        /// are added.
+        #[test]
+        fn interleaved_bubble_monotone(p in 2u32..6, v in 2u32..5, groups in 1u32..4) {
+            let m = p * groups;
+            let base = interleaved_bubble(p, v, m);
+            prop_assert!(interleaved_bubble(p, v + 1, m) < base);
+            prop_assert!(interleaved_bubble(p, v, m + p) < base);
         }
 
         #[test]

@@ -8,7 +8,7 @@
 
 use crate::candidate::Candidate;
 use crate::space::{ResolvedAxes, SpaceSpec};
-use lumos_model::{InterleavedSchedule, ScheduleKind, TrainingSetup};
+use lumos_model::{ScheduleKind, TrainingSetup};
 
 /// Number of mixed-radix digits a grid index decodes into (innermost
 /// first: interleave, micro-batches, dp, pp, tp, schedule, arch).
@@ -297,13 +297,14 @@ fn admit(
             return Err(RejectReason::Structural);
         }
         // Interleaving needs pp > 1, layers divisible into pp × v
-        // chunks, and a generable schedule.
+        // chunks, and micro-batches in whole groups of pp
+        // (Megatron's virtual-pipeline constraint).
         if cand.pp < 2
             || !setup
                 .model
                 .num_layers
                 .is_multiple_of(cand.pp * cand.interleave)
-            || InterleavedSchedule::generate(cand.pp, cand.interleave, cand.microbatches).is_err()
+            || !cand.microbatches.is_multiple_of(cand.pp)
         {
             return Err(RejectReason::Divisibility);
         }
@@ -365,6 +366,33 @@ mod tests {
         let out = enumerate_candidates(&spec, &base);
         let vs: Vec<u32> = out.candidates.iter().map(|(c, _)| c.interleave).collect();
         assert_eq!(vs, vec![1, 2]);
+
+        // Interleaving also needs the micro-batches in whole groups of
+        // pp; plain 1F1B (v=1) takes any count.
+        let spec = SpaceSpec::deployment_grid(&[2], &[2, 4], &[1])
+            .with_interleave(&[1, 2])
+            .with_microbatches(&[3, 4, 6]);
+        let out = enumerate_candidates(&spec, &base);
+        let kept: Vec<(u32, u32, u32)> = out
+            .candidates
+            .iter()
+            .map(|(c, _)| (c.pp, c.microbatches, c.interleave))
+            .collect();
+        assert_eq!(
+            kept,
+            vec![
+                (2, 3, 1),
+                (2, 4, 1),
+                (2, 4, 2),
+                (2, 6, 1),
+                (2, 6, 2),
+                (4, 3, 1),
+                (4, 4, 1),
+                (4, 4, 2),
+                (4, 6, 1),
+            ]
+        );
+        assert_eq!(out.stats.divisibility_rejects, 3);
     }
 
     #[test]

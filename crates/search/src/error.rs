@@ -50,7 +50,7 @@ pub enum SearchError {
         source: lumos_cluster::VerifyError,
     },
     /// A malformed space-spec file, including a `schedules` name no
-    /// registered [`lumos_model::Schedule`] answers to.
+    /// [`lumos_model::ScheduleKind`] answers to.
     Spec(SpecError),
     /// The run was cancelled cooperatively before completing: its
     /// wall-clock deadline ([`crate::SearchOptions::deadline`])

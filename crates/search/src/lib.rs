@@ -235,7 +235,7 @@ pub struct SearchOptions {
     /// reproducible run to run.
     pub jitter_seed: u64,
     /// With [`SearchOptions::refine_sim`]: the fault-scenario
-    /// specification of the robustness pass ([`crate::faults`]).
+    /// specification of the robustness pass (see [`FaultStats`]).
     /// `None` — or a spec with no scenarios — leaves the report
     /// byte-identical to a fault-less run.
     pub fault_spec: Option<lumos_cluster::FaultSpec>,
@@ -273,7 +273,7 @@ pub struct SearchOptions {
     /// artifact). A warm memo never changes reported results — see
     /// [`SharedStageMemo`].
     pub shared_memo: Option<Arc<SharedStageMemo>>,
-    /// Run the corpus-guided adaptive engine ([`crate::adaptive`])
+    /// Run the corpus-guided adaptive engine ([`AdaptiveReport`])
     /// instead of the exhaustive walk: seed probes, a
     /// power-scheduled mutation frontier, and (on spaces small enough)
     /// a screened verification sweep that proves the result equals the
@@ -550,26 +550,4 @@ pub fn profile_base(base: &TrainingSetup, seed: u64) -> Result<ClusterTrace, Sea
         .profile_iteration(0)
         .map_err(|e| SearchError::BaseProfile(e.to_string()))?
         .trace)
-}
-
-/// One-call convenience: [`profile_base`] followed by [`search`] under
-/// the default H100 analytical fallback.
-///
-/// # Errors
-///
-/// Propagates base-profiling and search failures.
-pub fn profile_and_search(
-    base: &TrainingSetup,
-    spec: &SpaceSpec,
-    opts: &SearchOptions,
-    seed: u64,
-) -> Result<SearchReport, SearchError> {
-    let trace = profile_base(base, seed)?;
-    search(
-        &trace,
-        base,
-        spec,
-        opts,
-        lumos_cost::AnalyticalCostModel::h100(),
-    )
 }

@@ -56,7 +56,7 @@ struct CachedCosts {
 /// calibration — the cross-request warm cache behind a long-lived
 /// service (`lumos serve` keeps one per registry artifact).
 ///
-/// The per-run [`StageCostCache`] derives per-candidate
+/// The per-run `StageCostCache` derives per-candidate
 /// [`StageWork`] from `(base, library, lookup)` plus the candidate's
 /// `(stage-cost key, layer count)` alone, so work derived by one run
 /// is valid for every later run against the *same* calibration.

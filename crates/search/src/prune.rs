@@ -103,7 +103,7 @@ pub struct PrunedCandidate {
 /// pruned **iff** its peak-stage estimate exceeds capacity (tested by
 /// `pruning_is_exact_and_loses_no_candidate` in
 /// `tests/search_engine.rs`). The streaming engine applies the same
-/// check per-candidate ([`gate_one`]); this batch form serves callers
+/// check per-candidate (`gate_one`); this batch form serves callers
 /// holding a materialized candidate list.
 pub fn memory_gate(
     candidates: &[(Candidate, TrainingSetup)],

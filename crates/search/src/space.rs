@@ -54,8 +54,8 @@ pub struct SpaceSpec {
     pub microbatches: Vec<u32>,
     /// Interleaved-1F1B virtual-chunk counts (`1` = plain 1F1B).
     pub interleave: Vec<u32>,
-    /// Pipeline schedules to enumerate (registry handles); empty =
-    /// keep the base setup's schedule.
+    /// Pipeline schedules to enumerate; empty = keep the base setup's
+    /// schedule.
     pub schedules: Vec<ScheduleKind>,
     /// Exact allowed world sizes (cluster sizes); `None` = any size
     /// within budget.

@@ -24,7 +24,7 @@ use crate::report::Objective;
 use crate::space::{ArchPoint, SpaceSpec};
 use crate::SearchError;
 use lumos_model::spec::{self, Value};
-use lumos_model::{ScheduleBuilder, ScheduleKind};
+use lumos_model::ScheduleKind;
 
 /// A parsed spec file: the space plus optional search options.
 #[derive(Debug, Clone, Default)]
@@ -80,12 +80,10 @@ impl SpecFile {
     }
 }
 
-/// `"1f1b"` → its registry handle; an unknown name fails listing the
-/// registered set, so a typo in a spec file names its alternatives.
+/// `"1f1b"` → its policy; an unknown name fails listing the known
+/// set, so a typo in a spec file names its alternatives.
 fn schedule(value: &Value) -> Result<ScheduleKind, String> {
-    ScheduleBuilder::from_name(value.string()?)
-        .build()
-        .map_err(|e| e.to_string())
+    ScheduleKind::from_name(value.string()?).map_err(|e| e.to_string())
 }
 
 /// `[layers, hidden, ffn]` → a labeled arch point.

@@ -177,15 +177,13 @@ fn bad_request(detail: impl Into<String>) -> ErrorResponse {
     ErrorResponse::new("bad_request", detail)
 }
 
-/// Resolves schedule names against the registry; an unknown name is a
-/// `bad_request` whose detail lists the registered set.
+/// Resolves schedule names; an unknown name is a `bad_request` whose
+/// detail lists the known set.
 fn resolve_schedules(names: &[String]) -> Result<Vec<lumos_model::ScheduleKind>, ErrorResponse> {
     names
         .iter()
         .map(|name| {
-            lumos_model::ScheduleBuilder::from_name(name)
-                .build()
-                .map_err(|e| bad_request(e.to_string()))
+            lumos_model::ScheduleKind::from_name(name).map_err(|e| bad_request(e.to_string()))
         })
         .collect()
 }

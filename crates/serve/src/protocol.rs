@@ -101,7 +101,7 @@ pub struct SearchRequest {
     pub microbatches: Vec<u32>,
     /// Interleave axis.
     pub interleave: Vec<u32>,
-    /// Schedule axis: registered schedule names (empty = base's).
+    /// Schedule axis: schedule names (empty = base's).
     pub schedules: Vec<String>,
     /// Exact allowed world sizes.
     pub gpus: Option<Vec<u32>>,
@@ -154,7 +154,7 @@ pub struct RefineRequest {
     pub microbatches: Option<u32>,
     /// Interleaved-1F1B virtual chunks (default: 1).
     pub interleave: Option<u32>,
-    /// Registered schedule name (default: the artifact base's).
+    /// Schedule name (default: the artifact base's).
     pub schedule: Option<String>,
     /// Jitter replicas (0 = zero-jitter refinement only).
     pub jitter_replicas: u32,

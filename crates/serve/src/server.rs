@@ -79,15 +79,9 @@ impl Server {
         })
     }
 
-    /// A flag that stops the accept loop when set (the `shutdown`
-    /// request uses it; tests can too).
-    pub fn stop_handle(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stop)
-    }
-
-    /// Serves until a `shutdown` request (or the stop handle) stops
-    /// the loop. Each connection gets its own thread; compute
-    /// concurrency is bounded by the pool, not the connection count.
+    /// Serves until a `shutdown` request stops the loop. Each
+    /// connection gets its own thread; compute concurrency is bounded
+    /// by the pool, not the connection count.
     ///
     /// # Errors
     ///

@@ -207,13 +207,6 @@ impl KernelClass {
             _ => None,
         }
     }
-
-    /// Returns `true` for kernels whose runtime depends on tensor
-    /// shapes in a way Lumos re-costs during manipulation (§4.3.2
-    /// observes GEMM and communication kernels dominate the change).
-    pub fn is_shape_sensitive(&self) -> bool {
-        !matches!(self, KernelClass::Other)
-    }
 }
 
 /// Host-side CUDA runtime API calls captured by the profiler.

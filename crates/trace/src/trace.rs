@@ -105,12 +105,6 @@ impl RankTrace {
         self.events.iter().filter(|e| e.is_gpu())
     }
 
-    /// Iterator over host-side events (CPU ops, runtime calls,
-    /// annotations).
-    pub fn host_events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(|e| !e.is_gpu())
-    }
-
     /// Iterator over user annotations.
     pub fn annotations(&self) -> impl Iterator<Item = &TraceEvent> {
         self.events

@@ -61,14 +61,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // What-if 1: a fused decode step halves host dispatch work.
     let mut host_graph = lumos.build_graph(&out.trace)?;
-    lumos::core::manipulate::whatif::scale_host(&mut host_graph, 0.5);
+    lumos::core::manipulate::whatif::try_scale_host(&mut host_graph, 0.5)?;
     let host_fast = lumos::core::simulate(&host_graph, &SimOptions::default())?.makespan();
 
     // What-if 2: a better decode-attention kernel runs 2x faster.
     let mut attn_graph = lumos.build_graph(&out.trace)?;
-    let touched = lumos::core::manipulate::whatif::scale_kernel_class(&mut attn_graph, 0.5, |c| {
-        matches!(c, KernelClass::AttentionDecode { .. })
-    });
+    let touched =
+        lumos::core::manipulate::whatif::try_scale_kernel_class(&mut attn_graph, 0.5, |c| {
+            matches!(c, KernelClass::AttentionDecode { .. })
+        })?;
     let attn_fast = lumos::core::simulate(&attn_graph, &SimOptions::default())?.makespan();
 
     // What-if 3: pointwise fusion absorbs adjacent elementwise/norm

@@ -45,21 +45,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // re-simulate (paper: "how much the overall runtime would be
     // reduced if a kernel ran twice as fast").
     println!("\nwhat-if studies (2x speedups):");
-    type Edit = Box<dyn Fn(&mut lumos::core::ExecutionGraph) -> usize>;
+    type Edit =
+        Box<dyn Fn(&mut lumos::core::ExecutionGraph) -> Result<usize, lumos::core::CoreError>>;
     let scenarios: Vec<(&str, Edit)> = vec![
-        ("GEMMs 2x faster", Box::new(|g| whatif::scale_gemms(g, 0.5))),
+        (
+            "GEMMs 2x faster",
+            Box::new(|g| whatif::try_scale_gemms(g, 0.5)),
+        ),
         (
             "network 2x faster",
-            Box::new(|g| whatif::scale_comms(g, 0.5)),
+            Box::new(|g| whatif::try_scale_comms(g, 0.5)),
         ),
         (
             "host dispatch 2x faster",
-            Box::new(|g| whatif::scale_host(g, 0.5)),
+            Box::new(|g| whatif::try_scale_host(g, 0.5)),
         ),
     ];
     for (label, apply) in scenarios {
         let mut graph = lumos.build_graph(&profiled.trace)?;
-        let touched = apply(&mut graph);
+        let touched = apply(&mut graph)?;
         let sim = simulate(&graph, &SimOptions::default())?;
         let speedup = baseline.as_secs_f64() / sim.makespan().as_secs_f64();
         println!(

@@ -11,7 +11,8 @@
 //!   breakdown / SM-utilization / queue-delay analytics;
 //! * [`model`] — GPT-3 architectures, 3D parallelism, operator IR
 //!   (training and inference), pipeline schedules (1F1B, GPipe,
-//!   interleaved), memory estimation, and MFU accounting;
+//!   ZB-H1; interleaved 1F1B as an adjustment), memory estimation,
+//!   and MFU accounting;
 //! * [`cost`] — H100/A100 hardware specs and kernel/collective cost
 //!   models (ring and tree algorithm families);
 //! * [`cluster`] — the ground-truth multi-rank execution engine
@@ -102,8 +103,7 @@ pub mod prelude {
     pub use lumos_core::{analysis, manipulate, Lumos, Replayed, SimOptions};
     pub use lumos_cost::{AnalyticalCostModel, CostModel, LookupCostModel};
     pub use lumos_model::{
-        registry, BatchConfig, ModelConfig, Parallelism, PipelineSchedule, Schedule,
-        ScheduleBuilder, ScheduleKind, TrainingSetup,
+        BatchConfig, ModelConfig, Parallelism, PipelineSchedule, ScheduleKind, TrainingSetup,
     };
     pub use lumos_search::{
         search as search_space, search_calibrated, Objective, SearchCalibration, SearchOptions,

@@ -112,7 +112,7 @@ fn what_if_kernel_speedups_bounded_by_amdahl() {
     let baseline = lumos.replay(&trace).unwrap().makespan();
 
     let mut graph = lumos.build_graph(&trace).unwrap();
-    let touched = lumos::core::manipulate::whatif::scale_gemms(&mut graph, 0.5);
+    let touched = lumos::core::manipulate::whatif::try_scale_gemms(&mut graph, 0.5).unwrap();
     assert!(touched > 0);
     let sim = lumos::core::simulate(&graph, &SimOptions::default()).unwrap();
     // Faster GEMMs help, but never more than 2x (Amdahl).

@@ -54,10 +54,11 @@ fn straggler_rank_slows_everyone_through_rendezvous() {
             lumos::core::Processor::Thread { rank, .. } => rank == straggler,
         })
         .collect();
-    let slowed = lumos::core::manipulate::whatif::scale_tasks(&mut graph, 3.0, |t| {
+    let slowed = lumos::core::manipulate::whatif::try_scale_tasks(&mut graph, 3.0, |t| {
         straggler_procs.contains(&t.processor)
             && matches!(t.kind, lumos::core::TaskKind::Kernel(ref c) if !c.is_comm())
-    });
+    })
+    .unwrap();
     assert!(slowed > 0);
 
     let sim = lumos::core::simulate(&graph, &SimOptions::default()).unwrap();

@@ -58,19 +58,20 @@ fn small_batch_decode_is_host_bound() {
 
     let mut kernel_graph = lumos.build_graph(&trace).unwrap();
     let touched =
-        lumos::core::manipulate::whatif::scale_kernel_class(&mut kernel_graph, 0.5, |c| {
+        lumos::core::manipulate::whatif::try_scale_kernel_class(&mut kernel_graph, 0.5, |c| {
             matches!(
                 c,
                 KernelClass::AttentionDecode { .. } | KernelClass::Gemm { .. }
             )
-        });
+        })
+        .unwrap();
     assert!(touched > 0, "decode kernels present in the graph");
     let kernel_fast = lumos::core::simulate(&kernel_graph, &SimOptions::default())
         .unwrap()
         .makespan();
 
     let mut host_graph = lumos.build_graph(&trace).unwrap();
-    lumos::core::manipulate::whatif::scale_host(&mut host_graph, 0.5);
+    lumos::core::manipulate::whatif::try_scale_host(&mut host_graph, 0.5).unwrap();
     let host_fast = lumos::core::simulate(&host_graph, &SimOptions::default())
         .unwrap()
         .makespan();

@@ -92,11 +92,12 @@ proptest! {
         let lumos = Lumos::new();
         let baseline = lumos.replay(&out.trace).unwrap().makespan();
         let mut graph = lumos.build_graph(&out.trace).unwrap();
-        lumos::core::manipulate::whatif::scale_tasks(
+        lumos::core::manipulate::whatif::try_scale_tasks(
             &mut graph,
             factor_pct as f64 / 100.0,
             |t| matches!(t.kind, lumos::core::TaskKind::Kernel(_)),
-        );
+        )
+        .unwrap();
         let scaled = lumos::core::simulate(&graph, &SimOptions::default())
             .unwrap()
             .makespan();

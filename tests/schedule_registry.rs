@@ -1,7 +1,7 @@
-//! Schedule-registry integration: the pluggable schedule seam works
-//! end to end (zb-h1 lowers, verifies, simulates, and searches), the
-//! refactor left legacy 1F1B/GPipe behavior byte-identical, and every
-//! registered schedule simulates the fixture to pinned numbers.
+//! Schedule integration: every policy works end to end (zb-h1 lowers,
+//! verifies, simulates, and searches), 1F1B/GPipe keep their legacy
+//! labels and wire names, and every `ScheduleKind` simulates the
+//! fixture to pinned numbers.
 
 use lumos::cluster::{lower, verify};
 use lumos::prelude::*;
@@ -79,10 +79,11 @@ fn registered_schedules_simulate_the_fixture_to_pinned_numbers() {
         ("gpipe", 6_603_279, "0.574460", "0.272727"),
         ("zb-h1", 5_448_493, "0.493153", "0.111111"),
     ];
-    let schedules = registry::all();
-    let names: Vec<_> = schedules.iter().map(|s| s.name()).collect();
+    let names = ScheduleKind::ALL.map(|s| s.name());
     assert_eq!(names, pinned.map(|p| p.0));
-    for (schedule, (name, makespan_ns, share, analytic)) in schedules.into_iter().zip(pinned) {
+    for (schedule, (name, makespan_ns, share, analytic)) in
+        ScheduleKind::ALL.into_iter().zip(pinned)
+    {
         let setup = fixture(schedule);
         verify(&lower(&setup).unwrap())
             .unwrap_or_else(|e| panic!("{name} failed static verification: {e}"));
@@ -145,8 +146,8 @@ fn schedule_axis_searches_and_ranks_zb_h1_ahead() {
 
 #[test]
 fn default_space_reports_stay_schedule_suffix_free_and_deterministic() {
-    // Registry parity: spaces that never name a schedule axis keep
-    // their pre-refactor labels and rank deterministically.
+    // Spaces that never name a schedule axis keep their axis-free
+    // labels and rank deterministically.
     let base = fixture(ScheduleKind::OneFOneB);
     let (trace, _) = profiled(&base);
     let spec = SpaceSpec::deployment_grid(&[1], &[2, 4], &[1]).with_microbatches(&[4, 8]);
@@ -190,8 +191,8 @@ fn explicit_1f1b_axis_matches_default_numbers() {
 
 #[test]
 fn gpipe_stays_byte_identical_through_the_registry() {
-    // The registry dispatch prices GPipe exactly as the closed enum
-    // did: same generated order, same analytic bubble, same wire name.
+    // GPipe simulates to a valid trace and keeps its wire name, as
+    // 1F1B does.
     let setup = fixture(ScheduleKind::GPipe);
     let (trace, time) = profiled(&setup);
     trace.validate().unwrap();
@@ -204,7 +205,7 @@ fn gpipe_stays_byte_identical_through_the_registry() {
         serde_json::to_string(&ScheduleKind::OneFOneB).unwrap(),
         "\"OneFOneB\""
     );
-    // New schedules serialize under their registry name.
+    // ZB-H1 serializes under its name.
     assert_eq!(
         serde_json::to_string(&ScheduleKind::ZbH1).unwrap(),
         "\"zb-h1\""
