@@ -209,6 +209,24 @@ diff "$T/predict-daemon.json" "$T/predict-cli.json"
   --dp 1,2,4 --microbatches 2,4 --top 3 --refine-sim --json > "$T/search-cli.json"
 diff "$T/search-daemon.json" "$T/search-cli.json"
 
+step "serve: a mistyped key is refused as bad_request naming the key"
+ADDR=$(cat "$T/serve.addr")
+./target/release/lumos query --addr "$ADDR" \
+  "{\"kind\":\"predict\",\"artifact\":\"$DIGEST\",\"dp\":\"2\"}" | tee "$T/bad-dp.json"
+grep -q '"kind":"bad_request"' "$T/bad-dp.json"
+grep -qF '`dp`' "$T/bad-dp.json"
+
+step "serve: a broken knob rule is refused with the rule's text"
+./target/release/lumos query --addr "$ADDR" \
+  "{\"kind\":\"search\",\"artifact\":\"$DIGEST\",\"fault_replicas\":3}" | tee "$T/bad-rule.json"
+grep -qF '`fault_replicas` only applies with `faults_toml`' "$T/bad-rule.json"
+
+step "serve: the deadline stops a refine's replica pass"
+timeout 60 ./target/release/lumos query --addr "$ADDR" \
+  "{\"kind\":\"refine\",\"artifact\":\"$DIGEST\",\"jitter_replicas\":4294967295,\"deadline_ms\":300}" \
+  | tee "$T/deadline.json"
+grep -q '"kind":"deadline_exceeded"' "$T/deadline.json"
+
 step "serve: stats and shutdown"
 ADDR=$(cat "$T/serve.addr")
 ./target/release/lumos query --addr "$ADDR" '{"kind":"stats"}' | tee "$T/stats.json"

@@ -3,11 +3,13 @@
 //! through simulation, without touching hardware.
 
 use crate::args::{ArgSet, ArgSpec};
-use crate::common::{calibrated_input, load_setup, load_trace, ms, save_trace, sidecar_path};
+use crate::common::{
+    calibrated_input, knob_error, load_setup, load_trace, ms, save_trace, sidecar_path,
+};
 use crate::error::CliError;
-use lumos_core::manipulate::Transform;
 use lumos_core::{Lumos, Replayed};
 use lumos_cost::AnalyticalCostModel;
+use lumos_serve::protocol::PredictRequest;
 use std::io::Write;
 
 /// Options of `lumos predict`.
@@ -88,45 +90,20 @@ fn scales_from(args: &ArgSet) -> Result<Vec<ScaleOp>, CliError> {
     Ok(scales)
 }
 
-/// Builds the transform list from the parsed flags.
-///
-/// # Errors
-///
-/// Returns [`CliError::Usage`] when `--hidden`/`--ffn` are not given
-/// together.
-pub fn transforms_from(args: &ArgSet) -> Result<Vec<Transform>, CliError> {
-    let mut transforms = Vec::new();
-    if let Some(tp) = args.get_num_opt::<u32>("tp")? {
-        transforms.push(Transform::TensorParallel { tp });
-    }
-    if let Some(pp) = args.get_num_opt::<u32>("pp")? {
-        transforms.push(Transform::PipelineParallel { pp });
-    }
-    if let Some(dp) = args.get_num_opt::<u32>("dp")? {
-        transforms.push(Transform::DataParallel { dp });
-    }
-    if let Some(layers) = args.get_num_opt::<u32>("layers")? {
-        transforms.push(Transform::NumLayers { layers });
-    }
-    match (
-        args.get_num_opt::<u64>("hidden")?,
-        args.get_num_opt::<u64>("ffn")?,
-    ) {
-        (Some(hidden), Some(ffn)) => transforms.push(Transform::HiddenSize { hidden, ffn }),
-        (None, None) => {}
-        _ => {
-            return Err(CliError::Usage(
-                "--hidden and --ffn must be given together".to_string(),
-            ))
-        }
-    }
-    if let Some(seq_len) = args.get_num_opt::<u64>("seq")? {
-        transforms.push(Transform::SeqLen { seq_len });
-    }
-    if let Some(num) = args.get_num_opt::<u32>("microbatches")? {
-        transforms.push(Transform::Microbatches { num });
-    }
-    Ok(transforms)
+/// The transform flags as the serve protocol's predict request, whose
+/// rules and transform order the daemon shares.
+fn request_from(args: &ArgSet) -> Result<PredictRequest, CliError> {
+    Ok(PredictRequest {
+        tp: args.get_num_opt("tp")?,
+        pp: args.get_num_opt("pp")?,
+        dp: args.get_num_opt("dp")?,
+        layers: args.get_num_opt("layers")?,
+        hidden: args.get_num_opt("hidden")?,
+        ffn: args.get_num_opt("ffn")?,
+        seq: args.get_num_opt("seq")?,
+        microbatches: args.get_num_opt("microbatches")?,
+        ..PredictRequest::default()
+    })
 }
 
 /// Runs `lumos predict`.
@@ -135,7 +112,9 @@ pub fn transforms_from(args: &ArgSet) -> Result<Vec<Transform>, CliError> {
 ///
 /// Returns usage, I/O, parse, transform, and simulation failures.
 pub fn run(args: &ArgSet, out: &mut dyn Write) -> Result<(), CliError> {
-    let transforms = transforms_from(args)?;
+    let transforms = request_from(args)?
+        .transforms()
+        .map_err(|e| knob_error(&e, None))?;
     let scales = scales_from(args)?;
     let json = args.has("json");
     if json {

@@ -5,12 +5,14 @@
 
 use crate::args::{ArgSet, ArgSpec};
 use crate::common::{
-    calibrated_input, load_setup, load_trace, parse_model, read_spec, sidecar_path, space_from,
+    calibrated_input, knob_error, load_setup, load_trace, parse_model, sidecar_path, space_from,
 };
 use crate::error::CliError;
-use lumos_cost::{AnalyticalCostModel, GpuSpec};
+use lumos_cost::AnalyticalCostModel;
 use lumos_model::{Parallelism, TrainingSetup};
-use lumos_search::{search_calibrated, SearchCalibration, SearchOptions};
+use lumos_search::{search_calibrated, SearchCalibration};
+use lumos_serve::protocol::SearchRequest;
+use std::fs;
 use std::io::Write;
 
 /// Options of `lumos search`.
@@ -134,7 +136,6 @@ pub const HELP: &str = "lumos search [<trace.json>] [--setup setup.json] [--spac
 fn calibration_from(
     args: &ArgSet,
     out: &mut dyn Write,
-    gpus_per_node: u32,
 ) -> Result<SearchCalibration<AnalyticalCostModel>, CliError> {
     // `--seed` is the adaptive RNG seed too, so it stays legal
     // alongside `--calib` when `--adaptive` is set.
@@ -147,11 +148,12 @@ fn calibration_from(
         Ok(SearchCalibration::from_artifact(&ci.artifact, ci.fallback))
     } else {
         let (trace, setup) = base_from(args, out)?;
+        // 8 GPUs per node, as `lumos predict` fits its tables.
         Ok(SearchCalibration::fit(
             &trace,
             &setup,
             AnalyticalCostModel::h100(),
-            gpus_per_node,
+            8,
         )?)
     }
 }
@@ -214,81 +216,41 @@ fn base_from(
 /// Returns usage, I/O, parse, and search failures.
 pub fn run(args: &ArgSet, out: &mut dyn Write) -> Result<(), CliError> {
     let file = space_from(args, args.get("space"))?;
-    let mut opts = SearchOptions::default();
-    if let Some(objective) = args.get("objective") {
-        opts.objective = objective.parse().map_err(|e: String| CliError::Usage(e))?;
-    } else if let Some(objective) = file.objective {
-        opts.objective = objective;
-    }
-    let memory_gib = match args.get_num_opt::<u32>("memory-gib")? {
-        Some(v) => Some(v),
-        None => file.gpu_memory_gib,
+    // The flags, merged over the space file, as the serve protocol's
+    // search request: one rule set and one wiring with the daemon.
+    let faults = args.get("faults");
+    let adaptive = args.has("adaptive");
+    // `--seed` seeds the search only under --adaptive; otherwise it is
+    // the base-profile seed (see `base_from`).
+    let seed = args.get_num_opt::<u64>("seed")?;
+    let threads = args.get_num_opt::<usize>("threads")?;
+    let request = SearchRequest {
+        objective: args
+            .get("objective")
+            .map(str::to_string)
+            .or_else(|| file.objective.map(|o| o.to_string())),
+        memory_gib: args.get_num_opt("memory-gib")?.or(file.gpu_memory_gib),
+        top: args.get_num_opt("top")?.or(file.top_k),
+        refine_sim: args.has("refine-sim"),
+        jitter_replicas: args.get_num("jitter-replicas", 0)?,
+        jitter_seed: args.get_num_opt("jitter-seed")?,
+        faults_toml: match faults {
+            Some(path) => Some(fs::read_to_string(path).map_err(|e| CliError::file(path, e))?),
+            None => None,
+        },
+        fault_replicas: args.get_num_opt("fault-replicas")?,
+        fault_seed: args.get_num_opt("fault-seed")?,
+        adaptive,
+        budget: args.get_num_opt("budget")?,
+        seed: seed.filter(|_| adaptive),
+        ..SearchRequest::default()
     };
-    if let Some(gib) = memory_gib {
-        if gib == 0 {
-            return Err(CliError::Usage(
-                "gpu memory capacity must be positive (--memory-gib / gpu-memory-gib)".to_string(),
-            ));
-        }
-        opts.gpu = GpuSpec {
-            memory_gib: gib,
-            ..opts.gpu
-        };
-    }
-    opts.threads = args.get_num_opt::<usize>("threads")?;
-    let top = match args.get_num_opt::<usize>("top")? {
-        Some(k) => k,
-        None => file.top_k.unwrap_or(10),
-    };
-    if top == 0 {
-        return Err(CliError::Usage(
-            "--top must be at least 1 (a zero-length report retains nothing)".to_string(),
-        ));
-    }
+    let (mut opts, top) = request.options().map_err(|e| knob_error(&e, faults))?;
+    opts.threads = threads;
     // Streaming retention: keep only the top K in memory (and arm
     // lower-bound skipping) unless the user wants the full ranking.
     if !args.has("keep-all") {
         opts.top_k = Some(top);
-    }
-    // Phase two: engine-simulated refinement of the finals.
-    opts.refine_sim = args.has("refine-sim");
-    if let Some(replicas) = args.get_num_opt::<u32>("jitter-replicas")? {
-        opts.jitter_replicas = replicas;
-        if replicas > 0 {
-            opts.refine_sim = true; // robustness requires the refinement pass
-        }
-    }
-    if let Some(seed) = args.get_num_opt::<u64>("jitter-seed")? {
-        if !opts.refine_sim {
-            return Err(CliError::Usage(
-                "--jitter-seed only applies with --refine-sim / --jitter-replicas".to_string(),
-            ));
-        }
-        opts.jitter_seed = seed;
-    }
-    if let Some(path) = args.get("faults") {
-        opts.fault_spec = Some(read_spec(
-            "fault spec",
-            path,
-            lumos_cluster::FaultSpec::parse,
-        )?);
-        opts.refine_sim = true; // robustness requires the refinement pass
-    }
-    if let Some(replicas) = args.get_num_opt::<u32>("fault-replicas")? {
-        if opts.fault_spec.is_none() {
-            return Err(CliError::Usage(
-                "--fault-replicas only applies with --faults".to_string(),
-            ));
-        }
-        opts.fault_replicas = replicas;
-    }
-    if let Some(seed) = args.get_num_opt::<u64>("fault-seed")? {
-        if opts.fault_spec.is_none() {
-            return Err(CliError::Usage(
-                "--fault-seed only applies with --faults".to_string(),
-            ));
-        }
-        opts.fault_seed = seed;
     }
     if args.has("verify") {
         if !opts.refine_sim {
@@ -297,18 +259,6 @@ pub fn run(args: &ArgSet, out: &mut dyn Write) -> Result<(), CliError> {
             ));
         }
         opts.verify = true;
-    }
-    opts.adaptive = args.has("adaptive");
-    if let Some(budget) = args.get_num_opt::<usize>("budget")? {
-        if !opts.adaptive {
-            return Err(CliError::Usage(
-                "--budget only applies with --adaptive".to_string(),
-            ));
-        }
-        opts.budget = Some(budget);
-    }
-    if let Some(seed) = args.get_num_opt::<u64>("seed")? {
-        opts.seed = seed;
     }
     if args.has("progress") {
         opts.progress = Some(lumos_search::ProgressSink::new(|p| {
@@ -319,7 +269,7 @@ pub fn run(args: &ArgSet, out: &mut dyn Write) -> Result<(), CliError> {
         }));
     }
 
-    let calib = calibration_from(args, out, opts.gpus_per_node)?;
+    let calib = calibration_from(args, out)?;
     let report = search_calibrated(&calib, &file.space, &opts)?;
     if args.has("progress") {
         // Work counters and the thread count: telemetry, never the report.

@@ -6,6 +6,7 @@ use crate::error::CliError;
 use lumos_calib::CalibrationArtifact;
 use lumos_model::{ModelConfig, TrainingSetup};
 use lumos_search::SpecFile;
+use lumos_serve::protocol::KnobError;
 use lumos_trace::{from_chrome_json, to_chrome_json, ChromeTraceOptions, ClusterTrace, Dur};
 use std::fmt;
 use std::fs;
@@ -46,6 +47,20 @@ pub fn read_spec<T, E: fmt::Display>(
 ) -> Result<T, CliError> {
     let text = fs::read_to_string(path).map_err(|e| CliError::file(path, e))?;
     parse(&text).map_err(|e| CliError::Usage(format!("{what} `{path}`: {e}")))
+}
+
+/// A broken knob rule of the serve protocol's requests (the one rule
+/// set `lumos predict`/`search` and the daemon share) as a usage
+/// error, each knob spelled as its flag: `jitter_seed` is
+/// `--jitter-seed`, `memory_gib` also names the space-file key, and
+/// `faults_toml` is the `--faults` file when one was given.
+pub fn knob_error(err: &KnobError, faults: Option<&str>) -> CliError {
+    CliError::Usage(err.message(|key| match (key, faults) {
+        ("faults_toml", Some(path)) => format!("fault spec `{path}`"),
+        ("faults_toml", None) => "--faults".to_string(),
+        ("memory_gib", _) => "--memory-gib / gpu-memory-gib".to_string(),
+        _ => format!("--{}", key.replace('_', "-")),
+    }))
 }
 
 /// Comma-separated integer list (`--tp 1,2,4`).

@@ -66,15 +66,17 @@ pub struct FaultStats {
 /// `engine_clean` is the finalist's *unadjusted* engine makespan
 /// (degradation windows are fractions of the engine timeline);
 /// `simulated` is the adjusted clean makespan every replica's
-/// effective time is compared against.
+/// effective time is compared against. Replicas run under the default
+/// host overheads, as the clean run does, and each first checks for
+/// cancellation (the cancel flag or `deadline`).
 pub(crate) fn fault_pass<C>(
     finalist: &CandidateResult,
     opts: &SearchOptions,
     lookup: &LookupCostModel<C>,
-    overheads: &HostOverheads,
     prep: &PreparedJob<'_>,
     engine_clean: Dur,
     simulated: Dur,
+    deadline: Option<std::time::Instant>,
 ) -> Result<Option<FaultStats>, SearchError>
 where
     C: CostModel,
@@ -92,6 +94,7 @@ where
     let cand = &finalist.candidate;
     let setup = &finalist.setup;
     let world = setup.parallelism.world_size();
+    let overheads = HostOverheads::default();
     let no_jitter = JitterModel::none();
 
     // The elastic survivor (dp − 1) is simulated at most once, the
@@ -99,8 +102,11 @@ where
     // unavailable (dp = 1 or the survivor will not lower).
     let mut survivor_s: Option<Option<f64>> = None;
 
-    let mut iterations = Vec::with_capacity(opts.fault_replicas as usize);
+    let mut iterations = Vec::new();
     for replica in 0..opts.fault_replicas {
+        if crate::cancel_requested(opts, deadline) {
+            return Err(SearchError::DeadlineExceeded);
+        }
         let real = spec.realize(opts.fault_seed, replica, world);
         if real.is_clean() {
             iterations.push(simulated);
@@ -113,14 +119,14 @@ where
             simulated
         } else {
             let out = prep
-                .execute_metrics_faulted(lookup, overheads, &no_jitter, 0, &scenario)
+                .execute_metrics_faulted(lookup, &overheads, &no_jitter, 0, &scenario)
                 .map_err(|e| fail(format!("engine (fault replica {replica}): {e}")))?;
             adjusted_makespan(cand, setup, out.makespan, out.pipeline_comm_secs_per_rank())
                 .map_err(&fail)?
         };
         let survivor = if real.wants_survivor() {
             *survivor_s
-                .get_or_insert_with(|| survivor_iteration_s(finalist, opts, lookup, overheads))
+                .get_or_insert_with(|| survivor_iteration_s(finalist, opts, lookup, &overheads))
         } else {
             None
         };

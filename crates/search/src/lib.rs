@@ -204,9 +204,6 @@ pub struct SearchOptions {
     pub memory_model: MemoryModel,
     /// Worker threads (`None` = available parallelism).
     pub threads: Option<usize>,
-    /// GPUs per node, for collective-topology classification in the
-    /// shared lookup cost model.
-    pub gpus_per_node: u32,
     /// Retention bound: `Some(k)` keeps only the global top-k results
     /// (and at most `k` pruned/rejected example records) in memory —
     /// the setting for million-candidate spaces, and what arms
@@ -257,8 +254,9 @@ pub struct SearchOptions {
     pub verify: bool,
     /// Optional progress callback for long searches.
     pub progress: Option<ProgressSink>,
-    /// Cooperative cancel flag: workers observe it between candidates
-    /// (and between refinement finalists) and, once raised, the run
+    /// Cooperative cancel flag: workers observe it between candidates,
+    /// between refinement finalists and before each jitter or fault
+    /// replica, and once it is raised the run
     /// aborts with [`SearchError::DeadlineExceeded`]. Raise it from
     /// another thread to interrupt a long search cleanly.
     pub cancel: Option<Arc<std::sync::atomic::AtomicBool>>,
@@ -300,7 +298,6 @@ impl Default for SearchOptions {
             gpu: GpuSpec::h100_sxm(),
             memory_model: MemoryModel::default(),
             threads: None,
-            gpus_per_node: 8,
             top_k: None,
             refine_sim: false,
             jitter_replicas: 0,
@@ -323,7 +320,7 @@ impl Default for SearchOptions {
 /// `true` when the run should abort cooperatively: its cancel flag is
 /// raised or its wall-clock deadline instant has passed. Checked by
 /// the batch evaluator between candidates and by refinement between
-/// finalists.
+/// finalists and before each jitter or fault replica.
 pub(crate) fn cancel_requested(opts: &SearchOptions, deadline: Option<std::time::Instant>) -> bool {
     opts.cancel
         .as_ref()
@@ -350,8 +347,8 @@ impl<C: CostModel> SearchCalibration<C> {
     /// Fits a calibration from a profiled trace: lookup tables from
     /// every kernel observation, the block library from every
     /// annotation range. `gpus_per_node` classifies collective
-    /// placements (pass [`SearchOptions::gpus_per_node`] to match what
-    /// plain [`search`] would do).
+    /// placements (plain [`search`] passes 8, as
+    /// [`lumos_core::Lumos::predict`] does).
     ///
     /// # Errors
     ///
@@ -447,7 +444,7 @@ pub fn search<C>(
 where
     C: CostModel + Send + Sync + 'static,
 {
-    let calib = SearchCalibration::fit(trace, base, fallback, opts.gpus_per_node)?;
+    let calib = SearchCalibration::fit(trace, base, fallback, 8)?;
     search_calibrated(&calib, spec, opts)
 }
 
@@ -455,9 +452,8 @@ where
 /// calibrate-once path. Repeated queries (different spaces,
 /// objectives, retention bounds, refinement settings) share one
 /// fitted cost model and block library; nothing re-reads or re-walks
-/// the source trace. [`SearchOptions::gpus_per_node`] is ignored here:
-/// collective-topology classification was fixed when the calibration
-/// was fitted.
+/// the source trace. Collective-topology classification was fixed
+/// when the calibration was fitted.
 ///
 /// # Errors
 ///

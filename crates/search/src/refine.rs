@@ -189,11 +189,12 @@ where
             if expired.load(Ordering::Relaxed) {
                 break;
             }
-            if crate::cancel_requested(opts, deadline) {
+            let result = refine_one(&finalists[slot], opts, lookup, deadline);
+            if matches!(result, Err(SearchError::DeadlineExceeded)) {
                 expired.store(true, Ordering::Relaxed);
                 break;
             }
-            out.push((slot, refine_one(&finalists[slot], opts, lookup)));
+            out.push((slot, result));
         }
         out
     });
@@ -230,15 +231,21 @@ where
 }
 
 /// Lowers and executes one finalist: zero-jitter simulation, then the
-/// optional jitter-replica pass.
+/// optional jitter-replica and fault-replica passes. The finalist and
+/// each replica first check for cancellation, so a deadline bounds
+/// the passes whatever their replica count.
 fn refine_one<C>(
     finalist: &CandidateResult,
     opts: &SearchOptions,
     lookup: &LookupCostModel<C>,
+    deadline: Option<std::time::Instant>,
 ) -> Result<RefinedResult, SearchError>
 where
     C: CostModel,
 {
+    if crate::cancel_requested(opts, deadline) {
+        return Err(SearchError::DeadlineExceeded);
+    }
     let fail = |detail: String| SearchError::Refinement {
         candidate: finalist.label.clone(),
         detail,
@@ -270,8 +277,11 @@ where
 
     let jitter = if opts.jitter_replicas > 0 {
         let model = JitterModel::realistic(opts.jitter_seed);
-        let mut iterations = Vec::with_capacity(opts.jitter_replicas as usize);
+        let mut iterations = Vec::new();
         for replica in 0..opts.jitter_replicas {
+            if crate::cancel_requested(opts, deadline) {
+                return Err(SearchError::DeadlineExceeded);
+            }
             let jittered = prep
                 .execute_metrics(lookup, &overheads, &model, replica as u64)
                 .map_err(|e| fail(format!("engine (jitter replica {replica}): {e}")))?;
@@ -311,10 +321,10 @@ where
         finalist,
         opts,
         lookup,
-        &overheads,
         &prep,
         out.makespan,
         simulated,
+        deadline,
     )?;
 
     let analytic = finalist.makespan;

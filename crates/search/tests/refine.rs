@@ -7,14 +7,20 @@
 //!   1F1B finalist agrees with the analytic screen within a tight
 //!   band (engine-vs-analytic agreement);
 //! * jitter replicas are deterministic, and their statistics are
-//!   internally consistent (`mean ≤ p95`, stability in `(0, 1]`).
+//!   internally consistent (`mean ≤ p95`, stability in `(0, 1]`);
+//! * a deadline stops the jitter and fault replica passes between
+//!   replicas, not only between finalists.
 
-use lumos_cluster::{execute, lower, GroundTruthCluster, JitterModel, MeasuredStats};
+use lumos_cluster::{execute, lower, FaultSpec, GroundTruthCluster, JitterModel, MeasuredStats};
 use lumos_cost::{AnalyticalCostModel, HostOverheads, LookupCostModel};
 use lumos_model::{BatchConfig, ModelConfig, Parallelism, ScheduleKind, TrainingSetup};
-use lumos_search::{search, Objective, RefinedResult, SearchOptions, SearchReport, SpaceSpec};
+use lumos_search::{
+    search, search_calibrated, Objective, RefinedResult, SearchCalibration, SearchError,
+    SearchOptions, SearchReport, SpaceSpec,
+};
 use lumos_trace::ClusterTrace;
 use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 /// An 8-layer research model, small enough that engine-executing a
 /// handful of finalists stays fast.
@@ -322,9 +328,8 @@ fn metrics_only_refinement_matches_full_trace_engine_execution() {
     let refined = report.refined.as_ref().expect("refinement ran");
     assert!(!refined.is_empty());
     // The same fit `search` performs internally (same trace, same
-    // fallback, same gpus-per-node classification).
-    let lookup =
-        LookupCostModel::fit_from_trace(trace, AnalyticalCostModel::h100(), opts.gpus_per_node);
+    // fallback, same 8-GPU-per-node classification).
+    let lookup = LookupCostModel::fit_from_trace(trace, AnalyticalCostModel::h100(), 8);
     let oh = HostOverheads::default();
     for (res, refd) in report.results.iter().zip(refined) {
         assert_eq!(res.index, refd.index);
@@ -352,5 +357,48 @@ fn metrics_only_refinement_matches_full_trace_engine_execution() {
         let j = refd.jitter.as_ref().expect("jitter stats present");
         assert_eq!(j.mean, stats.mean(), "{}: jittered mean", refd.label);
         assert_eq!(j.p95, stats.p95(), "{}: jittered p95", refd.label);
+    }
+}
+
+#[test]
+fn deadline_stops_refinement_inside_the_replica_pass() {
+    // One finalist whose replica pass runs far past the deadline: the
+    // deadline expires between replicas, never between finalists, and
+    // the run must still end with the typed error instead of finishing
+    // the pass and answering late.
+    let (base, trace) = shared_trace();
+    let calib = SearchCalibration::fit(trace, base, AnalyticalCostModel::h100(), 8).unwrap();
+    let one = SpaceSpec::empty();
+    let timed = |opts: &SearchOptions| {
+        let start = Instant::now();
+        let result = search_calibrated(&calib, &one, opts);
+        (start.elapsed(), result)
+    };
+    let straggler = "version = 1\n[[straggler]]\nprobability = 1.0\nslowdown = 2.0\n";
+    for faults in [false, true] {
+        let opts = |replicas: u32, deadline: Option<Duration>| SearchOptions {
+            refine_sim: true,
+            jitter_replicas: if faults { 0 } else { replicas },
+            fault_spec: faults.then(|| FaultSpec::parse(straggler).unwrap()),
+            fault_replicas: replicas,
+            deadline,
+            ..SearchOptions::default()
+        };
+        // Size the pass from this machine's speed: the run up to the
+        // replica pass, then eight replicas on top.
+        let (clean, result) = timed(&opts(0, None));
+        result.unwrap();
+        let (eight, result) = timed(&opts(8, None));
+        result.unwrap();
+        let per_replica = eight.saturating_sub(clean) / 8 + Duration::from_micros(1);
+        let deadline = clean * 4 + Duration::from_millis(50);
+        let replicas = (50 * deadline.as_nanos() / per_replica.as_nanos()).clamp(64, 1 << 20);
+        let (elapsed, result) = timed(&opts(replicas as u32, Some(deadline)));
+        assert!(
+            matches!(result, Err(SearchError::DeadlineExceeded)),
+            "faults {faults}: {replicas} replicas under a {deadline:?} deadline answered after \
+             {elapsed:?}: {:?}",
+            result.map(|r| r.refined)
+        );
     }
 }

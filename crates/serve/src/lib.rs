@@ -22,8 +22,10 @@
 //!   kind from fixed-bucket histograms, behind the `stats` request.
 //!
 //! Daemon responses are byte-identical to `lumos predict --json` /
-//! `lumos search --json` against the same artifact: both sides encode
-//! through [`protocol::response_line`] on the same response structs.
+//! `lumos search --json` against the same artifact: both sides read
+//! the request through the same [`protocol`] types and knob rules,
+//! and encode through [`protocol::response_line`] on the same
+//! response structs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,8 +1,9 @@
 //! The bounded worker pool and the per-request execution paths.
 //!
-//! Compute requests (`predict` / `search` / `refine`) flow through a
-//! bounded queue into a fixed set of worker threads — the daemon's
-//! backpressure story in one place:
+//! Compute requests (`predict` / `search` / `refine`), already checked
+//! when their line was parsed, flow through a bounded queue into a
+//! fixed set of worker threads — the daemon's backpressure story in
+//! one place:
 //!
 //! * **shed, don't buffer**: when the queue is full, [`Pool::submit`]
 //!   hands the job back and the connection answers with a typed
@@ -11,39 +12,28 @@
 //!   wait *and* service. A job that expires while queued is answered
 //!   `deadline_exceeded` without running; a search that expires
 //!   mid-run is cancelled cooperatively via
-//!   [`lumos_search::SearchOptions::deadline`] threaded into the
-//!   atomic-cursor evaluator;
+//!   [`lumos_search::SearchOptions::deadline`], checked between
+//!   candidates, finalists and replicas;
 //! * **artifacts are pinned at enqueue**: a job carries its
 //!   `Arc<LoadedArtifact>`, so a registry reload during queueing or
 //!   execution never changes what the request computes against.
 
-use crate::protocol::{self, ErrorResponse, PredictRequest, RefineRequest, SearchRequest};
+use crate::protocol::{self, ErrorResponse, Query, SearchQuery};
 use crate::registry::LoadedArtifact;
 use crate::stats::ServerStats;
 use lumos_core::manipulate::Transform;
 use lumos_core::Lumos;
-use lumos_cost::GpuSpec;
-use lumos_search::{search_calibrated, SearchError, SearchOptions, SpaceSpec};
+use lumos_search::{search_calibrated, SearchError, SearchOptions, SearchReport};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// A compute request bound for the pool.
-#[derive(Debug, Clone)]
-pub(crate) enum ComputeRequest {
-    Predict(PredictRequest),
-    Search(Box<SearchRequest>),
-    Refine(RefineRequest),
-}
-
-/// One queued unit of work: the pinned artifact, the request, and the
-/// reply channel its connection is waiting on.
+/// One queued unit of work: the pinned artifact, the checked query,
+/// and the reply channel its connection is waiting on.
 pub(crate) struct Job {
     pub artifact: Arc<LoadedArtifact>,
-    pub request: ComputeRequest,
-    /// Stats slot of the request kind.
-    pub kind_slot: usize,
+    pub query: Query,
     /// When the connection enqueued it (latency measurement origin).
     pub enqueued: Instant,
     /// Absolute expiry instant, from the request's `deadline_ms`.
@@ -149,19 +139,24 @@ fn run_job(job: &Job, stats: &ServerStats, search_threads: Option<usize>) -> Str
         ));
     }
     let remaining = job.deadline.map(|d| d.saturating_duration_since(now));
-    let outcome = match &job.request {
-        ComputeRequest::Predict(req) => execute_predict(&job.artifact, req),
-        ComputeRequest::Search(req) => {
-            execute_search(&job.artifact, req, search_threads, remaining, stats)
-        }
-        ComputeRequest::Refine(req) => {
-            execute_refine(&job.artifact, req, search_threads, remaining)
-        }
+    // The stats slot is the kind's index in `KIND_NAMES`.
+    let (slot, outcome) = match &job.query {
+        Query::Predict(transforms) => (0, execute_predict(&job.artifact, transforms)),
+        Query::Search(query) => (
+            1,
+            run_search(&job.artifact, query, search_threads, remaining)
+                .map(|report| search_line(&report, query.top, stats)),
+        ),
+        Query::Refine(query) => (
+            2,
+            run_search(&job.artifact, query, search_threads, remaining)
+                .and_then(|r| refine_line(&r)),
+        ),
     };
     match outcome {
         Ok(line) => {
             let latency_us = job.enqueued.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-            stats.record_served(job.kind_slot, latency_us);
+            stats.record_served(slot, latency_us);
             line
         }
         Err(err) => {
@@ -171,21 +166,6 @@ fn run_job(job: &Job, stats: &ServerStats, search_threads: Option<usize>) -> Str
             protocol::response_line(&err)
         }
     }
-}
-
-fn bad_request(detail: impl Into<String>) -> ErrorResponse {
-    ErrorResponse::new("bad_request", detail)
-}
-
-/// Resolves schedule names; an unknown name is a `bad_request` whose
-/// detail lists the known set.
-fn resolve_schedules(names: &[String]) -> Result<Vec<lumos_model::ScheduleKind>, ErrorResponse> {
-    names
-        .iter()
-        .map(|name| {
-            lumos_model::ScheduleKind::from_name(name).map_err(|e| bad_request(e.to_string()))
-        })
-        .collect()
 }
 
 /// Maps a search failure onto the protocol's error kinds.
@@ -200,176 +180,48 @@ fn search_error(err: &SearchError) -> ErrorResponse {
     }
 }
 
-/// The request's transforms in the same order `lumos predict` applies
-/// them — a different order could reassemble a different (equally
-/// valid) graph and break byte-identity with the CLI.
-fn predict_transforms(req: &PredictRequest) -> Result<Vec<Transform>, ErrorResponse> {
-    let mut transforms = Vec::new();
-    if let Some(tp) = req.tp {
-        transforms.push(Transform::TensorParallel { tp });
-    }
-    if let Some(pp) = req.pp {
-        transforms.push(Transform::PipelineParallel { pp });
-    }
-    if let Some(dp) = req.dp {
-        transforms.push(Transform::DataParallel { dp });
-    }
-    if let Some(layers) = req.layers {
-        transforms.push(Transform::NumLayers { layers });
-    }
-    match (req.hidden, req.ffn) {
-        (Some(hidden), Some(ffn)) => transforms.push(Transform::HiddenSize { hidden, ffn }),
-        (None, None) => {}
-        _ => return Err(bad_request("`hidden` and `ffn` must be given together")),
-    }
-    if let Some(seq_len) = req.seq {
-        transforms.push(Transform::SeqLen { seq_len });
-    }
-    if let Some(num) = req.microbatches {
-        transforms.push(Transform::Microbatches { num });
-    }
-    if transforms.is_empty() {
-        return Err(bad_request("no transform requested"));
-    }
-    Ok(transforms)
-}
-
-fn execute_predict(la: &LoadedArtifact, req: &PredictRequest) -> Result<String, ErrorResponse> {
-    let transforms = predict_transforms(req)?;
+fn execute_predict(la: &LoadedArtifact, transforms: &[Transform]) -> Result<String, ErrorResponse> {
     let toolkit = Lumos::new();
     let prediction = toolkit
         .predict_with_library(
             la.calibration.library(),
             la.calibration.base(),
-            &transforms,
+            transforms,
             la.calibration.lookup(),
         )
         .map_err(|e| ErrorResponse::new("infeasible", e.to_string()))?;
     let response = protocol::predict_response(
         &la.calibration.base().label(),
-        la.artifact.fingerprint.makespan,
+        la.calibration.base_makespan(),
         &prediction,
     );
     Ok(protocol::response_line(&response))
 }
 
-/// Search knobs shared by `search` and `refine`, mirroring the CLI's
-/// wiring exactly (objective / memory / top / refinement) so daemon
-/// and `--json` output stay byte-identical.
-#[allow(clippy::too_many_arguments)]
-fn search_options(
-    objective: Option<&str>,
-    memory_gib: Option<u32>,
-    top: usize,
-    refine_sim: bool,
-    jitter_replicas: u32,
-    jitter_seed: Option<u64>,
-    search_threads: Option<usize>,
-    remaining: Option<std::time::Duration>,
+/// Runs a checked query with the daemon's own knobs added: static
+/// verification of every program it simulates for a remote caller
+/// (free for clean programs, so answers stay byte-identical with the
+/// CLI, which verifies only under `--verify`), the worker's search
+/// threads, the remaining deadline, and the artifact's shared memo.
+fn run_search(
     la: &LoadedArtifact,
-) -> Result<SearchOptions, ErrorResponse> {
-    let mut opts = SearchOptions::default();
-    if let Some(objective) = objective {
-        opts.objective = objective.parse().map_err(|e: String| bad_request(e))?;
-    }
-    if let Some(gib) = memory_gib {
-        if gib == 0 {
-            return Err(bad_request("gpu memory capacity must be positive"));
-        }
-        opts.gpu = GpuSpec {
-            memory_gib: gib,
-            ..opts.gpu
-        };
-    }
-    opts.top_k = Some(top);
-    opts.refine_sim = refine_sim;
-    if jitter_replicas > 0 {
-        opts.jitter_replicas = jitter_replicas;
-        opts.refine_sim = true;
-    }
-    if let Some(seed) = jitter_seed {
-        if !opts.refine_sim {
-            return Err(bad_request(
-                "`jitter_seed` only applies with `refine_sim` / `jitter_replicas`",
-            ));
-        }
-        opts.jitter_seed = seed;
-    }
-    // Admission-time safety: anything the daemon simulates on behalf
-    // of a remote caller is statically verified first. Free for clean
-    // programs (results stay byte-identical with the CLI, which only
-    // verifies under --verify).
-    opts.verify = true;
-    opts.threads = search_threads;
-    opts.deadline = remaining;
-    opts.shared_memo = Some(Arc::clone(&la.shared_memo));
-    Ok(opts)
+    query: &SearchQuery,
+    search_threads: Option<usize>,
+    remaining: Option<Duration>,
+) -> Result<SearchReport, ErrorResponse> {
+    let opts = SearchOptions {
+        top_k: Some(query.top),
+        verify: true,
+        threads: search_threads,
+        deadline: remaining,
+        shared_memo: Some(Arc::clone(&la.shared_memo)),
+        ..query.options.clone()
+    };
+    search_calibrated(&la.calibration, &query.space, &opts).map_err(|e| search_error(&e))
 }
 
-fn execute_search(
-    la: &LoadedArtifact,
-    req: &SearchRequest,
-    search_threads: Option<usize>,
-    remaining: Option<std::time::Duration>,
-    stats: &ServerStats,
-) -> Result<String, ErrorResponse> {
-    let top = req.top.unwrap_or(10);
-    let mut opts = search_options(
-        req.objective.as_deref(),
-        req.memory_gib,
-        top,
-        req.refine_sim,
-        req.jitter_replicas,
-        req.jitter_seed,
-        search_threads,
-        remaining,
-        la,
-    )?;
-    if let Some(text) = &req.faults_toml {
-        let spec = lumos_cluster::FaultSpec::parse(text)
-            .map_err(|e| bad_request(format!("`faults_toml`: {e}")))?;
-        opts.fault_spec = Some(spec);
-        opts.refine_sim = true; // robustness requires the refinement pass
-    }
-    if let Some(replicas) = req.fault_replicas {
-        if opts.fault_spec.is_none() {
-            return Err(bad_request(
-                "`fault_replicas` only applies with `faults_toml`",
-            ));
-        }
-        opts.fault_replicas = replicas;
-    }
-    if let Some(seed) = req.fault_seed {
-        if opts.fault_spec.is_none() {
-            return Err(bad_request("`fault_seed` only applies with `faults_toml`"));
-        }
-        opts.fault_seed = seed;
-    }
-    opts.adaptive = req.adaptive;
-    if let Some(budget) = req.budget {
-        if !req.adaptive {
-            return Err(bad_request("`budget` only applies with `adaptive`"));
-        }
-        opts.budget = Some(budget);
-    }
-    if let Some(seed) = req.seed {
-        if !req.adaptive {
-            return Err(bad_request("`seed` only applies with `adaptive`"));
-        }
-        opts.seed = seed;
-    }
-    let mut space = SpaceSpec::empty();
-    space.tp = req.tp.clone();
-    space.pp = req.pp.clone();
-    space.dp = req.dp.clone();
-    space.microbatches = req.microbatches.clone();
-    space.interleave = req.interleave.clone();
-    space.schedules = resolve_schedules(&req.schedules)?;
-    space.gpus = req.gpus.clone();
-    if let Some(max_gpus) = req.max_gpus {
-        space.max_gpus = max_gpus;
-    }
-    let report = search_calibrated(&la.calibration, &space, &opts).map_err(|e| search_error(&e))?;
+/// The `search` answer, counting adaptive and fault work for `stats`.
+fn search_line(report: &SearchReport, top: usize, stats: &ServerStats) -> String {
     if let Some(adaptive) = &report.adaptive {
         stats.record_adaptive(adaptive.visited as u64, adaptive.frontier as u64);
     }
@@ -383,42 +235,12 @@ fn execute_search(
             stats.record_faults(replicas);
         }
     }
-    Ok(protocol::response_line(&protocol::search_response(
-        &report, top,
-    )))
+    protocol::response_line(&protocol::search_response(report, top))
 }
 
-fn execute_refine(
-    la: &LoadedArtifact,
-    req: &RefineRequest,
-    search_threads: Option<usize>,
-    remaining: Option<std::time::Duration>,
-) -> Result<String, ErrorResponse> {
-    let base = la.calibration.base();
-    // A single-point space: absent fields pin to the base values, so
-    // the whole search machinery (lattice, memory gate, refinement)
-    // runs over exactly one candidate.
-    let mut space = SpaceSpec::empty();
-    space.tp = vec![req.tp.unwrap_or(base.parallelism.tp)];
-    space.pp = vec![req.pp.unwrap_or(base.parallelism.pp)];
-    space.dp = vec![req.dp.unwrap_or(base.parallelism.dp)];
-    space.microbatches = vec![req.microbatches.unwrap_or(base.batch.num_microbatches)];
-    space.interleave = vec![req.interleave.unwrap_or(1)];
-    if let Some(name) = &req.schedule {
-        space.schedules = resolve_schedules(std::slice::from_ref(name))?;
-    }
-    let opts = search_options(
-        None,
-        None,
-        1,
-        true,
-        req.jitter_replicas,
-        req.jitter_seed,
-        search_threads,
-        remaining,
-        la,
-    )?;
-    let report = search_calibrated(&la.calibration, &space, &opts).map_err(|e| search_error(&e))?;
+/// The `refine` answer: the one refined candidate, or why there is
+/// none.
+fn refine_line(report: &SearchReport) -> Result<String, ErrorResponse> {
     match report.refined.as_ref().and_then(|r| r.first()) {
         Some(refined) => Ok(protocol::response_line(&protocol::refine_response(
             &report.base_label,

@@ -11,11 +11,19 @@
 //! answer for the same artifact and knobs — the property the
 //! integration tests and the CI smoke diff assert.
 //!
-//! Requests are parsed by hand from a [`serde_json::Value`] so a
-//! malformed line yields one precise `bad_request` message (unknown
-//! key, wrong type, missing field) instead of a generic shape error.
-//! Durations travel as integer nanoseconds (`*_ns`) — never floats —
-//! so equality is exact.
+//! Requests are read the same way for both front-ends. The three
+//! request types derive `Deserialize` with `deny_unknown_fields`, so a
+//! malformed line yields one precise `bad_request` message naming the
+//! key (unknown key, wrong type, out of range, missing field). Each
+//! knob rule is then written once, in [`PredictRequest::transforms`]
+//! and [`SearchRequest::options`]: [`parse_request`] applies them when
+//! the daemon reads a line, so a request that breaks one never takes
+//! a queue slot, and `lumos predict`/`lumos search` fill the same
+//! request types from their flags and call the same functions. A
+//! broken rule ([`KnobError`]) names knobs by request key and each
+//! front-end spells them its own way: `` `jitter_seed` `` on the wire,
+//! `--jitter-seed` on the command line. Durations travel as integer
+//! nanoseconds (`*_ns`) — never floats — so equality is exact.
 //!
 //! Only numbers that describe the answer appear in [`SearchResponse`]:
 //! grid totals, lattice-reject counts, memory prunes, and the ranked
@@ -24,19 +32,26 @@
 //! reaches the same answer with other counts) and are deliberately
 //! excluded.
 
-use lumos_search::{RefinedResult, SearchReport};
+use lumos_core::manipulate::Transform;
+use lumos_cost::GpuSpec;
+use lumos_model::ScheduleKind;
+use lumos_search::{RefinedResult, SearchOptions, SearchReport, SpaceSpec};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
-/// A parsed request line.
-#[derive(Debug, Clone)]
+/// A parsed and checked request line.
+#[derive(Debug)]
 pub enum Request {
-    /// Price one configuration change against an artifact.
-    Predict(PredictRequest),
-    /// Rank a configuration space against an artifact.
-    Search(Box<SearchRequest>),
-    /// Engine-refine one candidate configuration.
-    Refine(RefineRequest),
+    /// Work for the pool (`predict`, `search`, `refine`): every knob
+    /// rule has passed and the knobs are what the engine takes.
+    Compute {
+        /// Digest key of the artifact to run against (`0x`-hex).
+        artifact: String,
+        /// Per-request deadline in milliseconds (queue wait included).
+        deadline_ms: Option<u64>,
+        /// What to compute.
+        query: Query,
+    },
     /// Report server statistics.
     Stats,
     /// Rescan the registry directory.
@@ -45,23 +60,34 @@ pub enum Request {
     Shutdown,
 }
 
-impl Request {
-    /// The request's `kind` string (used for per-kind stats keys).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Request::Predict(_) => "predict",
-            Request::Search(_) => "search",
-            Request::Refine(_) => "refine",
-            Request::Stats => "stats",
-            Request::Reload => "reload",
-            Request::Shutdown => "shutdown",
-        }
-    }
+/// The work a [`Request::Compute`] asks for.
+#[derive(Debug)]
+pub enum Query {
+    /// Price these transforms, applied in order.
+    Predict(Vec<Transform>),
+    /// Rank a space.
+    Search(Box<SearchQuery>),
+    /// Engine-refine the one candidate of a space.
+    Refine(Box<SearchQuery>),
+}
+
+/// A checked search: the space, the options its knobs set, and how
+/// many ranked results to report.
+#[derive(Debug)]
+pub struct SearchQuery {
+    /// The space to rank.
+    pub space: SpaceSpec,
+    /// The request's knobs; the daemon adds its own (verification,
+    /// threads, deadline, shared memo) before running.
+    pub options: SearchOptions,
+    /// Ranked results to report and retain.
+    pub top: usize,
 }
 
 /// `{"kind":"predict",...}` — mirror of `lumos predict --calib`:
 /// every transform field optional, at least one required.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct PredictRequest {
     /// Digest key of the artifact to price against (`0x`-hex).
     pub artifact: String,
@@ -87,21 +113,28 @@ pub struct PredictRequest {
 
 /// `{"kind":"search",...}` — mirror of `lumos search --calib`: axis
 /// arrays (empty / absent = base value), ranking knobs, refinement.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SearchRequest {
     /// Digest key of the artifact to search against (`0x`-hex).
     pub artifact: String,
     /// Tensor-parallel axis.
+    #[serde(default)]
     pub tp: Vec<u32>,
     /// Pipeline-parallel axis.
+    #[serde(default)]
     pub pp: Vec<u32>,
     /// Data-parallel axis.
+    #[serde(default)]
     pub dp: Vec<u32>,
     /// Micro-batch axis.
+    #[serde(default)]
     pub microbatches: Vec<u32>,
     /// Interleave axis.
+    #[serde(default)]
     pub interleave: Vec<u32>,
     /// Schedule axis: schedule names (empty = base's).
+    #[serde(default)]
     pub schedules: Vec<String>,
     /// Exact allowed world sizes.
     pub gpus: Option<Vec<u32>>,
@@ -114,8 +147,10 @@ pub struct SearchRequest {
     /// Per-GPU memory capacity for the feasibility gate.
     pub memory_gib: Option<u32>,
     /// Engine-refine the finals.
+    #[serde(default)]
     pub refine_sim: bool,
     /// Jitter replicas per finalist (> 0 implies `refine_sim`).
+    #[serde(default)]
     pub jitter_replicas: u32,
     /// Jitter-model seed.
     pub jitter_seed: Option<u64>,
@@ -131,6 +166,7 @@ pub struct SearchRequest {
     pub deadline_ms: Option<u64>,
     /// Run the corpus-guided adaptive engine instead of the
     /// exhaustive walk (mirror of `lumos search --adaptive`).
+    #[serde(default)]
     pub adaptive: bool,
     /// Adaptive full-evaluation budget (`--budget`).
     pub budget: Option<usize>,
@@ -140,7 +176,8 @@ pub struct SearchRequest {
 
 /// `{"kind":"refine",...}` — engine-refine a single pinned candidate
 /// (absent fields default to the artifact's base configuration).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct RefineRequest {
     /// Digest key of the artifact to refine against (`0x`-hex).
     pub artifact: String,
@@ -157,6 +194,7 @@ pub struct RefineRequest {
     /// Schedule name (default: the artifact base's).
     pub schedule: Option<String>,
     /// Jitter replicas (0 = zero-jitter refinement only).
+    #[serde(default)]
     pub jitter_replicas: u32,
     /// Jitter-model seed.
     pub jitter_seed: Option<u64>,
@@ -570,272 +608,536 @@ pub fn refine_response(base: &str, refined: &RefinedResult) -> RefineResponse {
 }
 
 // ---------------------------------------------------------------------
-// Request parsing
+// Requests and their knob rules
 // ---------------------------------------------------------------------
 
-/// Parses one request line. The error string is the `bad_request`
-/// detail the server sends back verbatim.
-///
-/// # Errors
-///
-/// Returns a message naming the malformed/unknown/missing field.
-pub fn parse_request(line: &str) -> Result<Request, String> {
-    let value: Value = serde_json::from_str(line).map_err(|e| format!("malformed JSON: {e}"))?;
-    let obj = value
-        .as_object()
-        .ok_or_else(|| format!("request must be a JSON object, got {}", value.kind()))?;
-    let kind = obj
-        .get("kind")
-        .ok_or("missing `kind` field")?
-        .as_str()
-        .ok_or("`kind` must be a string")?;
-    match kind {
-        "predict" => parse_predict(obj).map(Request::Predict),
-        "search" => parse_search(obj).map(|r| Request::Search(Box::new(r))),
-        "refine" => parse_refine(obj).map(Request::Refine),
-        "stats" => only_kind(obj).map(|()| Request::Stats),
-        "reload" => only_kind(obj).map(|()| Request::Reload),
-        "shutdown" => only_kind(obj).map(|()| Request::Shutdown),
-        other => Err(format!(
-            "unknown request kind `{other}` (expected predict, search, refine, stats, reload, \
-             or shutdown)"
-        )),
+/// A broken knob rule. Knobs are named by request key, and each
+/// front-end spells a key its own way when it renders the message
+/// ([`KnobError::message`]): `` `jitter_seed` `` on the wire,
+/// `--jitter-seed` on the command line.
+#[derive(Debug, Clone, PartialEq)]
+pub enum KnobError {
+    /// `hidden` without `ffn`, or `ffn` without `hidden`.
+    HiddenWithoutFfn,
+    /// `objective` names no objective (the parser's message).
+    Objective(String),
+    /// `memory_gib` is 0.
+    NoMemory,
+    /// `top` is 0.
+    TopZero,
+    /// The first knob was given, but none of the knobs it needs.
+    OnlyWith(&'static str, &'static [&'static str]),
+    /// `faults_toml` does not parse (the parser's message).
+    Faults(String),
+}
+
+impl KnobError {
+    /// The message, each knob spelled by `spell`.
+    pub fn message(&self, spell: impl Fn(&str) -> String) -> String {
+        match self {
+            KnobError::HiddenWithoutFfn => format!(
+                "{} and {} must be given together",
+                spell("hidden"),
+                spell("ffn")
+            ),
+            KnobError::Objective(detail) => detail.clone(),
+            KnobError::NoMemory => format!(
+                "gpu memory capacity must be positive ({})",
+                spell("memory_gib")
+            ),
+            KnobError::TopZero => format!(
+                "{} must be at least 1 (a zero-length report retains nothing)",
+                spell("top")
+            ),
+            KnobError::OnlyWith(key, needs) => {
+                let needs: Vec<String> = needs.iter().map(|k| spell(k)).collect();
+                format!("{} only applies with {}", spell(key), needs.join(" / "))
+            }
+            KnobError::Faults(detail) => format!("{}: {detail}", spell("faults_toml")),
+        }
     }
 }
 
-/// Rejects unknown keys so typos fail loudly, mirroring the CLI's
-/// unknown-option policy.
-fn check_keys(obj: &serde_json::Map, allowed: &[&str]) -> Result<(), String> {
-    for (key, _) in obj.iter() {
-        if key != "kind" && !allowed.contains(&key.as_str()) {
-            return Err(format!("unknown field `{key}`"));
-        }
+/// How the wire spells a knob in a `bad_request` detail.
+fn wire(key: &str) -> String {
+    format!("`{key}`")
+}
+
+/// Fails with [`KnobError::OnlyWith`] when `broken`.
+fn gate(broken: bool, key: &'static str, needs: &'static [&'static str]) -> Result<(), KnobError> {
+    if broken {
+        return Err(KnobError::OnlyWith(key, needs));
     }
     Ok(())
 }
 
-fn only_kind(obj: &serde_json::Map) -> Result<(), String> {
-    check_keys(obj, &[])
-}
-
-fn field_str(obj: &serde_json::Map, key: &str) -> Result<String, String> {
-    obj.get(key)
-        .ok_or_else(|| format!("missing `{key}` field"))?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("`{key}` must be a string"))
-}
-
-fn field_u64_opt(obj: &serde_json::Map, key: &str) -> Result<Option<u64>, String> {
-    match obj.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("`{key}` must be a non-negative integer")),
+impl PredictRequest {
+    /// The requested transforms, in the order `lumos predict` has
+    /// always applied them: another order could reassemble a
+    /// different (equally valid) graph and break byte-identity
+    /// between the daemon and the CLI.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KnobError::HiddenWithoutFfn`].
+    pub fn transforms(&self) -> Result<Vec<Transform>, KnobError> {
+        let width = match (self.hidden, self.ffn) {
+            (Some(hidden), Some(ffn)) => Some(Transform::HiddenSize { hidden, ffn }),
+            (None, None) => None,
+            _ => return Err(KnobError::HiddenWithoutFfn),
+        };
+        Ok([
+            self.tp.map(|tp| Transform::TensorParallel { tp }),
+            self.pp.map(|pp| Transform::PipelineParallel { pp }),
+            self.dp.map(|dp| Transform::DataParallel { dp }),
+            self.layers.map(|layers| Transform::NumLayers { layers }),
+            width,
+            self.seq.map(|seq_len| Transform::SeqLen { seq_len }),
+            self.microbatches.map(|num| Transform::Microbatches { num }),
+        ]
+        .into_iter()
+        .flatten()
+        .collect())
     }
 }
 
-fn field_u32_opt(obj: &serde_json::Map, key: &str) -> Result<Option<u32>, String> {
-    match field_u64_opt(obj, key)? {
-        None => Ok(None),
-        Some(v) => u32::try_from(v)
-            .map(Some)
-            .map_err(|_| format!("`{key}` is out of range")),
-    }
-}
-
-fn field_bool(obj: &serde_json::Map, key: &str) -> Result<bool, String> {
-    match obj.get(key) {
-        None => Ok(false),
-        Some(v) => v
-            .as_bool()
-            .ok_or_else(|| format!("`{key}` must be a boolean")),
-    }
-}
-
-/// A `u32` axis: an array of values (absent = empty = base value).
-fn field_axis(obj: &serde_json::Map, key: &str) -> Result<Vec<u32>, String> {
-    match obj.get(key) {
-        None => Ok(Vec::new()),
-        Some(v) => {
-            let arr = v
-                .as_array()
-                .ok_or_else(|| format!("`{key}` must be an array of integers"))?;
-            arr.iter()
-                .map(|e| {
-                    e.as_u64()
-                        .and_then(|n| u32::try_from(n).ok())
-                        .ok_or_else(|| format!("`{key}` must contain non-negative integers"))
-                })
-                .collect()
+impl SearchRequest {
+    /// Checks the ranking and refinement knobs, in this order, and
+    /// turns them into search options: `objective` parses,
+    /// `memory_gib` > 0, `top` ≥ 1, `jitter_seed` needs refinement,
+    /// `faults_toml` parses, `fault_replicas` and `fault_seed` need a
+    /// fault spec, `budget` and `seed` need `adaptive`. Jitter
+    /// replicas or a fault spec turn refinement on. Returns the
+    /// options and the report length (`top`, default 10); the caller
+    /// adds its own knobs, the retention bound included.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first broken rule.
+    pub fn options(&self) -> Result<(SearchOptions, usize), KnobError> {
+        let defaults = SearchOptions::default();
+        let objective = match &self.objective {
+            Some(name) => name.parse().map_err(KnobError::Objective)?,
+            None => defaults.objective,
+        };
+        let memory_gib = match self.memory_gib {
+            Some(0) => return Err(KnobError::NoMemory),
+            gib => gib.unwrap_or(defaults.gpu.memory_gib),
+        };
+        let top = self.top.unwrap_or(10);
+        if top == 0 {
+            return Err(KnobError::TopZero);
         }
-    }
-}
-
-/// A string axis: an array of names (absent = empty = base value).
-fn field_str_axis(obj: &serde_json::Map, key: &str) -> Result<Vec<String>, String> {
-    match obj.get(key) {
-        None => Ok(Vec::new()),
-        Some(v) => {
-            let arr = v
-                .as_array()
-                .ok_or_else(|| format!("`{key}` must be an array of strings"))?;
-            arr.iter()
-                .map(|e| {
-                    e.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("`{key}` must contain strings"))
-                })
-                .collect()
-        }
-    }
-}
-
-fn parse_predict(obj: &serde_json::Map) -> Result<PredictRequest, String> {
-    check_keys(
-        obj,
-        &[
-            "artifact",
-            "tp",
-            "pp",
-            "dp",
-            "layers",
-            "hidden",
-            "ffn",
-            "seq",
-            "microbatches",
-            "deadline_ms",
-        ],
-    )?;
-    let req = PredictRequest {
-        artifact: field_str(obj, "artifact")?,
-        tp: field_u32_opt(obj, "tp")?,
-        pp: field_u32_opt(obj, "pp")?,
-        dp: field_u32_opt(obj, "dp")?,
-        layers: field_u32_opt(obj, "layers")?,
-        hidden: field_u64_opt(obj, "hidden")?,
-        ffn: field_u64_opt(obj, "ffn")?,
-        seq: field_u64_opt(obj, "seq")?,
-        microbatches: field_u32_opt(obj, "microbatches")?,
-        deadline_ms: field_u64_opt(obj, "deadline_ms")?,
-    };
-    if req.hidden.is_some() != req.ffn.is_some() {
-        return Err("`hidden` and `ffn` must be given together".to_string());
-    }
-    if req.tp.is_none()
-        && req.pp.is_none()
-        && req.dp.is_none()
-        && req.layers.is_none()
-        && req.hidden.is_none()
-        && req.seq.is_none()
-        && req.microbatches.is_none()
-    {
-        return Err(
-            "no transform requested (pass tp/pp/dp/layers/hidden+ffn/seq/microbatches)".to_string(),
-        );
-    }
-    Ok(req)
-}
-
-fn parse_search(obj: &serde_json::Map) -> Result<SearchRequest, String> {
-    check_keys(
-        obj,
-        &[
-            "artifact",
-            "tp",
-            "pp",
-            "dp",
-            "microbatches",
-            "interleave",
-            "schedules",
-            "gpus",
-            "max_gpus",
-            "objective",
-            "top",
-            "memory_gib",
-            "refine_sim",
-            "jitter_replicas",
+        let refine = self.refine_sim || self.jitter_replicas > 0;
+        let jitter_needs = &["refine_sim", "jitter_replicas"];
+        gate(
+            self.jitter_seed.is_some() && !refine,
             "jitter_seed",
-            "faults_toml",
+            jitter_needs,
+        )?;
+        let fault_spec = match &self.faults_toml {
+            Some(text) => Some(
+                lumos_cluster::FaultSpec::parse(text)
+                    .map_err(|e| KnobError::Faults(e.to_string()))?,
+            ),
+            None => None,
+        };
+        let faults = fault_spec.is_some();
+        gate(
+            self.fault_replicas.is_some() && !faults,
             "fault_replicas",
+            &["faults_toml"],
+        )?;
+        gate(
+            self.fault_seed.is_some() && !faults,
             "fault_seed",
-            "deadline_ms",
-            "adaptive",
+            &["faults_toml"],
+        )?;
+        gate(
+            self.budget.is_some() && !self.adaptive,
             "budget",
-            "seed",
-        ],
-    )?;
-    let gpus = match obj.get("gpus") {
-        None => None,
-        Some(_) => Some(field_axis(obj, "gpus")?),
+            &["adaptive"],
+        )?;
+        gate(self.seed.is_some() && !self.adaptive, "seed", &["adaptive"])?;
+        let options = SearchOptions {
+            objective,
+            gpu: GpuSpec {
+                memory_gib,
+                ..defaults.gpu
+            },
+            refine_sim: refine || faults,
+            jitter_replicas: self.jitter_replicas,
+            jitter_seed: self.jitter_seed.unwrap_or(defaults.jitter_seed),
+            fault_spec,
+            fault_replicas: self.fault_replicas.unwrap_or(defaults.fault_replicas),
+            fault_seed: self.fault_seed.unwrap_or(defaults.fault_seed),
+            adaptive: self.adaptive,
+            budget: self.budget,
+            seed: self.seed.unwrap_or(defaults.seed),
+            ..defaults
+        };
+        Ok((options, top))
+    }
+
+    /// The checked search: the knob rules, then the space.
+    fn query(&self) -> Result<SearchQuery, String> {
+        let (options, top) = self.options().map_err(|e| e.message(wire))?;
+        let space = SpaceSpec {
+            tp: self.tp.clone(),
+            pp: self.pp.clone(),
+            dp: self.dp.clone(),
+            microbatches: self.microbatches.clone(),
+            interleave: self.interleave.clone(),
+            schedules: schedules("schedules", &self.schedules)?,
+            gpus: self.gpus.clone(),
+            max_gpus: self.max_gpus.unwrap_or(SpaceSpec::empty().max_gpus),
+            ..SpaceSpec::empty()
+        };
+        Ok(SearchQuery {
+            space,
+            options,
+            top,
+        })
+    }
+}
+
+impl RefineRequest {
+    /// The checked refinement: a one-candidate search whose absent
+    /// axes stay empty, which the search reads as the base value.
+    fn query(&self) -> Result<SearchQuery, String> {
+        let knobs = SearchRequest {
+            top: Some(1),
+            refine_sim: true,
+            jitter_replicas: self.jitter_replicas,
+            jitter_seed: self.jitter_seed,
+            ..SearchRequest::default()
+        };
+        let (options, top) = knobs.options().map_err(|e| e.message(wire))?;
+        let space = SpaceSpec {
+            tp: self.tp.into_iter().collect(),
+            pp: self.pp.into_iter().collect(),
+            dp: self.dp.into_iter().collect(),
+            microbatches: self.microbatches.into_iter().collect(),
+            interleave: self.interleave.into_iter().collect(),
+            schedules: schedules("schedule", self.schedule.as_slice())?,
+            ..SpaceSpec::empty()
+        };
+        Ok(SearchQuery {
+            space,
+            options,
+            top,
+        })
+    }
+}
+
+/// Resolves schedule names; an unknown name fails naming `key` and
+/// listing the known set.
+fn schedules(key: &str, names: &[String]) -> Result<Vec<ScheduleKind>, String> {
+    names
+        .iter()
+        .map(|name| ScheduleKind::from_name(name).map_err(|e| format!("`{key}`: {e}")))
+        .collect()
+}
+
+/// Parses and checks one request line: the JSON, the `kind`, each
+/// field's key and type, then the knob rules. The error string is
+/// the `bad_request` detail the server sends back verbatim; it names
+/// the offending key.
+///
+/// # Errors
+///
+/// Returns a message naming the malformed, unknown or missing field,
+/// or the broken knob rule.
+pub fn parse_request(line: &str) -> Result<Request, String> {
+    let value: Value = serde_json::from_str(line).map_err(|e| format!("malformed JSON: {e}"))?;
+    let Value::Object(mut fields) = value else {
+        return Err(format!(
+            "request must be a JSON object, got {}",
+            value.kind()
+        ));
     };
-    let top = match field_u64_opt(obj, "top")? {
-        Some(0) => return Err("`top` must be at least 1".to_string()),
-        Some(k) => Some(k as usize),
-        None => None,
+    let kind = match fields.remove("kind") {
+        Some(Value::String(kind)) => kind,
+        Some(_) => return Err("`kind` must be a string".to_string()),
+        None => return Err("missing `kind` field".to_string()),
     };
-    Ok(SearchRequest {
-        artifact: field_str(obj, "artifact")?,
-        tp: field_axis(obj, "tp")?,
-        pp: field_axis(obj, "pp")?,
-        dp: field_axis(obj, "dp")?,
-        microbatches: field_axis(obj, "microbatches")?,
-        interleave: field_axis(obj, "interleave")?,
-        schedules: field_str_axis(obj, "schedules")?,
-        gpus,
-        max_gpus: field_u32_opt(obj, "max_gpus")?,
-        objective: match obj.get("objective") {
-            None => None,
-            Some(_) => Some(field_str(obj, "objective")?),
-        },
-        top,
-        memory_gib: field_u32_opt(obj, "memory_gib")?,
-        refine_sim: field_bool(obj, "refine_sim")?,
-        jitter_replicas: field_u32_opt(obj, "jitter_replicas")?.unwrap_or(0),
-        jitter_seed: field_u64_opt(obj, "jitter_seed")?,
-        faults_toml: match obj.get("faults_toml") {
-            None => None,
-            Some(_) => Some(field_str(obj, "faults_toml")?),
-        },
-        fault_replicas: field_u32_opt(obj, "fault_replicas")?,
-        fault_seed: field_u64_opt(obj, "fault_seed")?,
-        deadline_ms: field_u64_opt(obj, "deadline_ms")?,
-        adaptive: field_bool(obj, "adaptive")?,
-        budget: field_u64_opt(obj, "budget")?.map(|b| b as usize),
-        seed: field_u64_opt(obj, "seed")?,
+    let (artifact, deadline_ms, query) = match kind.as_str() {
+        "predict" => {
+            let req = decode::<PredictRequest>(fields)?;
+            let transforms = req.transforms().map_err(|e| e.message(wire))?;
+            if transforms.is_empty() {
+                return Err(
+                    "no transform requested (pass tp/pp/dp/layers/hidden+ffn/seq/microbatches)"
+                        .to_string(),
+                );
+            }
+            (req.artifact, req.deadline_ms, Query::Predict(transforms))
+        }
+        "search" => {
+            let req = decode::<SearchRequest>(fields)?;
+            let query = Query::Search(Box::new(req.query()?));
+            (req.artifact, req.deadline_ms, query)
+        }
+        "refine" => {
+            let req = decode::<RefineRequest>(fields)?;
+            let query = Query::Refine(Box::new(req.query()?));
+            (req.artifact, req.deadline_ms, query)
+        }
+        "stats" | "reload" | "shutdown" => {
+            if let Some((key, _)) = fields.iter().next() {
+                return Err(format!("unknown field `{key}`"));
+            }
+            return Ok(match kind.as_str() {
+                "stats" => Request::Stats,
+                "reload" => Request::Reload,
+                _ => Request::Shutdown,
+            });
+        }
+        other => {
+            return Err(format!(
+                "unknown request kind `{other}` (expected predict, search, refine, stats, \
+                 reload, or shutdown)"
+            ))
+        }
+    };
+    Ok(Request::Compute {
+        artifact,
+        deadline_ms,
+        query,
     })
 }
 
-fn parse_refine(obj: &serde_json::Map) -> Result<RefineRequest, String> {
-    check_keys(
-        obj,
-        &[
-            "artifact",
-            "tp",
-            "pp",
-            "dp",
-            "microbatches",
-            "interleave",
-            "schedule",
-            "jitter_replicas",
-            "jitter_seed",
-            "deadline_ms",
-        ],
-    )?;
-    Ok(RefineRequest {
-        artifact: field_str(obj, "artifact")?,
-        tp: field_u32_opt(obj, "tp")?,
-        pp: field_u32_opt(obj, "pp")?,
-        dp: field_u32_opt(obj, "dp")?,
-        microbatches: field_u32_opt(obj, "microbatches")?,
-        interleave: field_u32_opt(obj, "interleave")?,
-        schedule: match obj.get("schedule") {
-            None => None,
-            Some(_) => Some(field_str(obj, "schedule")?),
-        },
-        jitter_replicas: field_u32_opt(obj, "jitter_replicas")?.unwrap_or(0),
-        jitter_seed: field_u64_opt(obj, "jitter_seed")?,
-        deadline_ms: field_u64_opt(obj, "deadline_ms")?,
-    })
+fn decode<T: Deserialize>(fields: serde_json::Map) -> Result<T, String> {
+    T::deserialize_value(&Value::Object(fields)).map_err(|e| e.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `bad_request` detail of one request line.
+    fn refused(line: &str) -> String {
+        parse_request(line).expect_err(line)
+    }
+
+    #[test]
+    fn parse_request_names_the_key_of_every_refusal() {
+        let cases: &[(&str, &str)] = &[
+            // predict
+            (
+                r#"{"kind":"predict","artifact":"0x1","dp":2,"bogus":1}"#,
+                "unknown field `bogus` for PredictRequest",
+            ),
+            (
+                r#"{"kind":"predict","artifact":"0x1","dp":"2"}"#,
+                "`dp`: expected u32, found string",
+            ),
+            (
+                r#"{"kind":"predict","artifact":"0x1","dp":4294967296}"#,
+                "`dp`: integer 4294967296 out of range for u32",
+            ),
+            (
+                r#"{"kind":"predict","artifact":"0x1","seq":-1}"#,
+                "`seq`: expected u64, found number",
+            ),
+            (
+                r#"{"kind":"predict","dp":2}"#,
+                "missing field `artifact` for PredictRequest",
+            ),
+            (
+                r#"{"kind":"predict","artifact":"0x1","hidden":512}"#,
+                "`hidden` and `ffn` must be given together",
+            ),
+            (
+                r#"{"kind":"predict","artifact":"0x1","ffn":512,"dp":2}"#,
+                "`hidden` and `ffn` must be given together",
+            ),
+            (
+                r#"{"kind":"predict","artifact":"0x1"}"#,
+                "no transform requested (pass tp/pp/dp/layers/hidden+ffn/seq/microbatches)",
+            ),
+            // search
+            (
+                r#"{"kind":"search","artifact":"0x1","extra":1}"#,
+                "unknown field `extra` for SearchRequest",
+            ),
+            (
+                r#"{"kind":"search","artifact":"0x1","tp":2}"#,
+                "`tp`: expected array, found number",
+            ),
+            (
+                r#"{"kind":"search","artifact":"0x1","dp":[1,"2"]}"#,
+                "`dp`: expected u32, found string",
+            ),
+            (
+                r#"{"kind":"search","artifact":"0x1","max_gpus":4294967296}"#,
+                "`max_gpus`: integer 4294967296 out of range for u32",
+            ),
+            (
+                r#"{"kind":"search","artifact":"0x1","refine_sim":1}"#,
+                "`refine_sim`: expected bool, found number",
+            ),
+            (
+                r#"{"kind":"search","top":3}"#,
+                "missing field `artifact` for SearchRequest",
+            ),
+            (
+                r#"{"kind":"search","artifact":"0x1","top":0}"#,
+                "`top` must be at least 1 (a zero-length report retains nothing)",
+            ),
+            (
+                r#"{"kind":"search","artifact":"0x1","memory_gib":0}"#,
+                "gpu memory capacity must be positive (`memory_gib`)",
+            ),
+            (
+                r#"{"kind":"search","artifact":"0x1","objective":"speed"}"#,
+                "unknown objective `speed` (expected makespan, throughput, or mfu)",
+            ),
+            (
+                r#"{"kind":"search","artifact":"0x1","jitter_seed":3}"#,
+                "`jitter_seed` only applies with `refine_sim` / `jitter_replicas`",
+            ),
+            // A fault spec turns refinement on only after the jitter
+            // seed is checked.
+            (
+                r#"{"kind":"search","artifact":"0x1","faults_toml":"version = 1\n","jitter_seed":3}"#,
+                "`jitter_seed` only applies with `refine_sim` / `jitter_replicas`",
+            ),
+            (
+                r#"{"kind":"search","artifact":"0x1","faults_toml":"[[straggler]]\nslowdown = 0.5\n"}"#,
+                "`faults_toml`: line 2: [[straggler]] #1: key `slowdown`: 0.5 must be a finite \
+                 multiplier ≥ 1",
+            ),
+            (
+                r#"{"kind":"search","artifact":"0x1","fault_replicas":3}"#,
+                "`fault_replicas` only applies with `faults_toml`",
+            ),
+            (
+                r#"{"kind":"search","artifact":"0x1","fault_seed":3}"#,
+                "`fault_seed` only applies with `faults_toml`",
+            ),
+            (
+                r#"{"kind":"search","artifact":"0x1","budget":3}"#,
+                "`budget` only applies with `adaptive`",
+            ),
+            (
+                r#"{"kind":"search","artifact":"0x1","seed":3}"#,
+                "`seed` only applies with `adaptive`",
+            ),
+            (
+                r#"{"kind":"search","artifact":"0x1","schedules":["dualpipe"]}"#,
+                "`schedules`: unknown schedule `dualpipe` (known: 1f1b, gpipe, zb-h1)",
+            ),
+            // refine
+            (
+                r#"{"kind":"refine","artifact":"0x1","top":1}"#,
+                "unknown field `top` for RefineRequest",
+            ),
+            (
+                r#"{"kind":"refine","artifact":"0x1","tp":"1"}"#,
+                "`tp`: expected u32, found string",
+            ),
+            (
+                r#"{"kind":"refine","artifact":"0x1","jitter_replicas":4294967296}"#,
+                "`jitter_replicas`: integer 4294967296 out of range for u32",
+            ),
+            (
+                r#"{"kind":"refine","microbatches":4}"#,
+                "missing field `artifact` for RefineRequest",
+            ),
+            (
+                r#"{"kind":"refine","artifact":"0x1","schedule":"dualpipe"}"#,
+                "`schedule`: unknown schedule `dualpipe` (known: 1f1b, gpipe, zb-h1)",
+            ),
+            // the line and its kind
+            ("[]", "request must be a JSON object, got array"),
+            (r#"{"dp":2}"#, "missing `kind` field"),
+            (r#"{"kind":3}"#, "`kind` must be a string"),
+            (r#"{"kind":"stats","bogus":1}"#, "unknown field `bogus`"),
+            (
+                r#"{"kind":"train"}"#,
+                "unknown request kind `train` (expected predict, search, refine, stats, reload, \
+                 or shutdown)",
+            ),
+        ];
+        for (line, detail) in cases {
+            assert_eq!(refused(line), *detail, "{line}");
+        }
+        assert!(refused("not json").starts_with("malformed JSON: "));
+    }
+
+    #[test]
+    fn parse_request_checks_and_builds_the_query() {
+        let Ok(Request::Compute {
+            artifact,
+            deadline_ms,
+            query: Query::Predict(transforms),
+        }) = parse_request(
+            r#"{"kind":"predict","artifact":"0x1","microbatches":8,"ffn":2048,"hidden":512,"tp":2,"deadline_ms":5}"#,
+        )
+        else {
+            panic!("not a predict");
+        };
+        assert_eq!((artifact.as_str(), deadline_ms), ("0x1", Some(5)));
+        // `lumos predict`'s order, whatever the key order on the line.
+        assert_eq!(
+            transforms,
+            vec![
+                Transform::TensorParallel { tp: 2 },
+                Transform::HiddenSize {
+                    hidden: 512,
+                    ffn: 2048
+                },
+                Transform::Microbatches { num: 8 },
+            ]
+        );
+
+        // Jitter replicas and a fault spec each turn refinement on; an
+        // explicit `null` reads as absent.
+        let search = |line: &str| match parse_request(line) {
+            Ok(Request::Compute {
+                query: Query::Search(q),
+                ..
+            }) => q,
+            other => panic!("{line}: {other:?}"),
+        };
+        let q = search(r#"{"kind":"search","artifact":"0x1","jitter_replicas":2,"jitter_seed":9}"#);
+        assert!(q.options.refine_sim);
+        assert_eq!((q.options.jitter_replicas, q.options.jitter_seed), (2, 9));
+        assert_eq!(q.top, 10);
+        let q = search(
+            r#"{"kind":"search","artifact":"0x1","faults_toml":"version = 1\n","fault_seed":4,"top":3,"gpus":null}"#,
+        );
+        assert!(q.options.refine_sim && q.options.fault_spec.is_some());
+        assert_eq!(
+            (q.options.fault_seed, q.top, q.space.gpus.clone()),
+            (4, 3, None)
+        );
+        let q = search(r#"{"kind":"search","artifact":"0x1","adaptive":true,"budget":7,"seed":3}"#);
+        assert_eq!((q.options.budget, q.options.seed), (Some(7), 3));
+
+        // A refinement is a one-candidate search that always refines;
+        // absent axes stay empty (= the base value).
+        let Ok(Request::Compute {
+            query: Query::Refine(q),
+            ..
+        }) = parse_request(
+            r#"{"kind":"refine","artifact":"0x1","dp":2,"schedule":"gpipe","jitter_seed":3}"#,
+        )
+        else {
+            panic!("not a refine");
+        };
+        assert_eq!((q.space.dp.clone(), q.space.tp.clone()), (vec![2], vec![]));
+        assert_eq!(q.space.schedules, vec![ScheduleKind::GPipe]);
+        assert!(q.options.refine_sim);
+        assert_eq!((q.options.jitter_seed, q.top), (3, 1));
+
+        for (line, expected) in [
+            (r#"{"kind":"stats"}"#, "Stats"),
+            (r#"{"kind":"reload"}"#, "Reload"),
+            (r#"{"kind":"shutdown"}"#, "Shutdown"),
+        ] {
+            assert_eq!(format!("{:?}", parse_request(line).unwrap()), expected);
+        }
+    }
 }

@@ -3,8 +3,9 @@
 //! The daemon answers requests against [`CalibrationArtifact`]s loaded
 //! from a registry directory. Each loaded artifact is wrapped in an
 //! `Arc<LoadedArtifact>` bundling everything a request needs — the
-//! verified artifact, its prebuilt [`SearchCalibration`], and the
-//! cross-request [`SharedStageMemo`] that keeps repeat searches warm.
+//! prebuilt [`SearchCalibration`] (the artifact's base setup, tables
+//! and block library, held once) and the cross-request
+//! [`SharedStageMemo`] that keeps repeat searches warm.
 //! Requests resolve a digest to an `Arc` **once** and hold that clone
 //! for their whole lifetime, so a concurrent [`Registry::reload`] can
 //! atomically swap the digest table without disturbing in-flight work:
@@ -33,11 +34,8 @@ use crate::ServeError;
 pub struct LoadedArtifact {
     /// Registry key: the artifact's content digest as `0x`-hex.
     pub digest: String,
-    /// Where it was loaded from.
-    pub path: PathBuf,
-    /// The verified artifact (setup, fingerprint, tables, library).
-    pub artifact: CalibrationArtifact,
-    /// Prebuilt search calibration (shared lookup model + library).
+    /// The verified artifact's base setup, recorded makespan, shared
+    /// lookup model and block library.
     pub calibration: SearchCalibration<AnalyticalCostModel>,
     /// Cross-request stage-work memo, scoped to this artifact — one
     /// memo per calibration is what keeps the sharing sound.
@@ -46,13 +44,13 @@ pub struct LoadedArtifact {
 
 impl LoadedArtifact {
     /// Bundles a verified artifact: resolves its hardware preset and
-    /// prebuilds the calibration.
+    /// prebuilds the calibration, then drops the artifact.
     ///
     /// # Errors
     ///
     /// Returns the artifact's hardware-preset name when this build
     /// does not know it.
-    fn build(artifact: CalibrationArtifact, path: PathBuf) -> Result<Self, String> {
+    fn build(artifact: CalibrationArtifact) -> Result<Self, String> {
         let fallback = AnalyticalCostModel::from_preset(&artifact.hardware).ok_or_else(|| {
             format!(
                 "unknown hardware preset `{}` (this build knows h100 and a100)",
@@ -62,8 +60,6 @@ impl LoadedArtifact {
         let calibration = SearchCalibration::from_artifact(&artifact, fallback);
         Ok(LoadedArtifact {
             digest: digest_hex(artifact.digest),
-            path,
-            artifact,
             calibration,
             shared_memo: Arc::new(SharedStageMemo::new()),
         })
@@ -106,11 +102,6 @@ impl Registry {
         };
         let outcome = registry.reload()?;
         Ok((registry, outcome))
-    }
-
-    /// The directory this registry scans.
-    pub fn dir(&self) -> &PathBuf {
-        &self.dir
     }
 
     /// Resolves a digest to its pinned artifact. The returned `Arc`
@@ -171,7 +162,7 @@ impl Registry {
                 next.insert(digest, existing.clone());
                 continue;
             }
-            match LoadedArtifact::build(scanned.artifact, scanned.path.clone()) {
+            match LoadedArtifact::build(scanned.artifact) {
                 Ok(loaded) => {
                     if !next.contains_key(&digest) {
                         outcome.loaded.push(digest.clone());

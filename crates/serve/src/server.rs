@@ -8,9 +8,9 @@
 //! connection thread itself — they must stay responsive when the pool
 //! is saturated, which is exactly when an operator needs them.
 
-use crate::pool::{ComputeRequest, Job, Pool};
+use crate::pool::{Job, Pool};
 use crate::protocol::{
-    self, ArtifactStatsBody, ErrorResponse, KindStatsBody, ReloadRejectBody, ReloadResponse,
+    self, ArtifactStatsBody, ErrorResponse, KindStatsBody, Query, ReloadRejectBody, ReloadResponse,
     Request, ShutdownResponse, StatsResponse,
 };
 use crate::registry::{Registry, ReloadOutcome};
@@ -145,7 +145,9 @@ impl Connection {
     }
 
     /// Answers one request line; the bool asks the caller to shut the
-    /// daemon down after writing the response.
+    /// daemon down after writing the response. A line that fails to
+    /// parse or breaks a knob rule is answered `bad_request` here and
+    /// never takes a queue slot.
     fn answer(&self, line: &str) -> (String, bool) {
         let request = match protocol::parse_request(line) {
             Ok(request) => request,
@@ -165,43 +167,18 @@ impl Connection {
                 }),
                 true,
             ),
-            Request::Predict(req) => {
-                let deadline = deadline_from(req.deadline_ms);
-                let digest = req.artifact.clone();
-                (
-                    self.dispatch(&digest, ComputeRequest::Predict(req), 0, deadline),
-                    false,
-                )
-            }
-            Request::Search(req) => {
-                let deadline = deadline_from(req.deadline_ms);
-                let digest = req.artifact.clone();
-                (
-                    self.dispatch(&digest, ComputeRequest::Search(req), 1, deadline),
-                    false,
-                )
-            }
-            Request::Refine(req) => {
-                let deadline = deadline_from(req.deadline_ms);
-                let digest = req.artifact.clone();
-                (
-                    self.dispatch(&digest, ComputeRequest::Refine(req), 2, deadline),
-                    false,
-                )
-            }
+            Request::Compute {
+                artifact,
+                deadline_ms,
+                query,
+            } => (self.dispatch(&artifact, deadline_ms, query), false),
         }
     }
 
     /// Pins the artifact, enqueues the job, and waits for its reply —
     /// shedding typed errors when the digest is unknown or the queue
     /// is full.
-    fn dispatch(
-        &self,
-        digest: &str,
-        request: ComputeRequest,
-        kind_slot: usize,
-        deadline: Option<Instant>,
-    ) -> String {
+    fn dispatch(&self, digest: &str, deadline_ms: Option<u64>, query: Query) -> String {
         let Some(artifact) = self.registry.get(digest) else {
             return protocol::response_line(&ErrorResponse::new(
                 "unknown_artifact",
@@ -209,12 +186,12 @@ impl Connection {
             ));
         };
         let (reply_tx, reply_rx) = mpsc::channel();
+        let enqueued = Instant::now();
         let job = Job {
             artifact,
-            request,
-            kind_slot,
-            enqueued: Instant::now(),
-            deadline,
+            query,
+            enqueued,
+            deadline: deadline_ms.map(|ms| enqueued + Duration::from_millis(ms)),
             reply: reply_tx,
         };
         self.stats.enqueue();
@@ -300,8 +277,4 @@ impl Connection {
             Err(err) => protocol::response_line(&ErrorResponse::new("internal", err.to_string())),
         }
     }
-}
-
-fn deadline_from(deadline_ms: Option<u64>) -> Option<Instant> {
-    deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms))
 }

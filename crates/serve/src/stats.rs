@@ -103,11 +103,6 @@ impl ServerStats {
         }
     }
 
-    /// Slot of a compute-request kind name (`None` for admin kinds).
-    pub fn kind_slot(kind: &str) -> Option<usize> {
-        KIND_NAMES.iter().position(|&k| k == kind)
-    }
-
     /// Seconds since the daemon started.
     pub fn uptime_secs(&self) -> u64 {
         self.started.elapsed().as_secs()
