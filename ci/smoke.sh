@@ -247,6 +247,26 @@ step "calibrate: calibrate once"
 grep -q "compute shapes" "$T/calibrate.out"
 grep -q "digest" "$T/calibrate.out"
 
+step "calibrate: info reports artifact format version 2"
+./target/release/lumos info "$T/calib-smoke.calib.json" | tee "$T/calib-info.out"
+grep -qx "version:   2" "$T/calib-info.out"
+
+step "calibrate: a version-1 copy is refused naming its version (exit 1)"
+sed 's/^{"version":2,/{"version":1,/' "$T/calib-smoke.calib.json" > "$T/calib-v1.json"
+if ./target/release/lumos predict --calib "$T/calib-v1.json" --dp 2 2>"$T/calib-v1.err"; then
+  echo "a version-1 artifact was not refused" >&2; exit 1
+fi
+cat "$T/calib-v1.err"
+grep -q "calibration artifact version 1 is not supported" "$T/calib-v1.err"
+
+step "calibrate: a copy with a space inside setup fails the digest check (exit 1)"
+sed 's/"setup":{/"setup":{ /' "$T/calib-smoke.calib.json" > "$T/calib-spaced.json"
+if ./target/release/lumos predict --calib "$T/calib-spaced.json" --dp 2 2>"$T/calib-spaced.err"; then
+  echo "an artifact with a space inside setup was not refused" >&2; exit 1
+fi
+cat "$T/calib-spaced.err"
+grep -q "calibration artifact is corrupt: content digest" "$T/calib-spaced.err"
+
 step "calibrate: predict — --calib output is byte-identical to fit-on-the-fly"
 ./target/release/lumos predict "$T/calib-smoke.json" \
   --dp 2 --microbatches 8 > "$T/predict-fresh.out"

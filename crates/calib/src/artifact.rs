@@ -2,15 +2,22 @@
 
 use crate::error::CalibError;
 use crate::fingerprint::TraceFingerprint;
-use lumos_core::manipulate::{value_digest, BlockLibrary};
+use lumos_core::manipulate::BlockLibrary;
 use lumos_cost::{CostModel, LookupCostModel, LookupTables};
 use lumos_model::TrainingSetup;
 use lumos_trace::ClusterTrace;
 use serde::{Deserialize, Serialize};
+use serde_json::Reader;
 use std::path::Path;
 
-/// The content fields covered by [`CalibrationArtifact::digest`], in
-/// hashing order (everything but the digest itself).
+/// The artifact format version this build reads and writes. Bump on
+/// any incompatible change to the serialized shape of the artifact or
+/// its bundled components; loading rejects every other version
+/// (artifacts are cheap to regenerate — there is no migration).
+pub const ARTIFACT_VERSION: u32 = 2;
+
+/// The fields the digest covers, in document order: every field but
+/// `digest` itself.
 const CONTENT_FIELDS: [&str; 6] = [
     "version",
     "setup",
@@ -20,18 +27,34 @@ const CONTENT_FIELDS: [&str; 6] = [
     "library",
 ];
 
-/// Folds per-field digests into one (the digest of the array of
-/// digests), so neither writer nor loader ever has to materialize one
-/// combined value tree.
-fn combine_digests(parts: &[u64]) -> u64 {
-    value_digest(&parts.serialize_value())
+/// Skims an artifact document, checking its syntax, for the text of
+/// each content field. A repeated key keeps its last value, as in the
+/// decode.
+fn content_spans(text: &str) -> Result<[Option<&str>; 6], serde_json::Error> {
+    let mut spans = [None; CONTENT_FIELDS.len()];
+    let mut r = Reader::new(text);
+    if r.peek()? == serde_json::Kind::Object {
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            match CONTENT_FIELDS.iter().position(|field| *field == key) {
+                Some(i) => spans[i] = Some(r.raw()?),
+                None => r.skip()?,
+            }
+        }
+    } else {
+        r.skip()?;
+    }
+    r.end()?;
+    Ok(spans)
 }
 
-/// The artifact format version this build reads and writes. Bump on
-/// any incompatible change to the serialized shape of the artifact or
-/// its bundled components; loading rejects every other version
-/// (artifacts are cheap to regenerate — there is no migration).
-pub const ARTIFACT_VERSION: u32 = 1;
+/// FNV-1a over the content fields' text, in [`CONTENT_FIELDS`] order.
+fn content_digest(spans: &[Option<&str>]) -> u64 {
+    let bytes = spans.iter().flatten().flat_map(|text| text.bytes());
+    bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
 
 /// Everything a consumer needs to answer what-if queries for one
 /// profiled trace, without the trace: the fitted lookup tables, the
@@ -58,9 +81,10 @@ pub struct CalibrationArtifact {
     /// Identity of the source trace, checked whenever the artifact is
     /// used against a trace ([`CalibrationArtifact::verify_trace`]).
     pub fingerprint: TraceFingerprint,
-    /// FNV-1a digest over the artifact's entire serialized content
-    /// (every field except this one), re-checked on load — corruption
-    /// or hand-editing of any part is rejected.
+    /// FNV-1a digest over the compact JSON text of every other field,
+    /// in document order, exactly as [`CalibrationArtifact::to_json`]
+    /// writes it; re-checked on load, so corruption or hand-editing of
+    /// any part — a space inside a field included — is rejected.
     pub digest: u64,
     /// The fitted compute/collective observation tables.
     pub tables: LookupTables,
@@ -101,22 +125,10 @@ impl CalibrationArtifact {
             tables,
             library,
         };
-        artifact.digest = artifact.content_digest();
+        let json = artifact.to_json();
+        let spans = content_spans(&json).expect("artifacts serialize to JSON");
+        artifact.digest = content_digest(&spans);
         Ok(artifact)
-    }
-
-    /// The digest of everything the artifact carries except the
-    /// `digest` field itself: the combined [`value_digest`] of each
-    /// content field's serialized tree, in declaration order.
-    fn content_digest(&self) -> u64 {
-        combine_digests(&[
-            value_digest(&self.version.serialize_value()),
-            value_digest(&self.setup.serialize_value()),
-            value_digest(&self.hardware.serialize_value()),
-            value_digest(&self.fingerprint.serialize_value()),
-            value_digest(&self.tables.serialize_value()),
-            value_digest(&self.library.serialize_value()),
-        ])
     }
 
     /// Pairs the fitted tables with a fallback cost model — the model
@@ -151,7 +163,8 @@ impl CalibrationArtifact {
     }
 
     /// Parses and validates an artifact document: format version
-    /// first, then the whole-content digest.
+    /// first, then the presence of every content field, their shapes,
+    /// and last the digest.
     ///
     /// # Errors
     ///
@@ -161,60 +174,39 @@ impl CalibrationArtifact {
         Self::parse(text, None)
     }
 
+    /// One skim of the text finds its version and the span of each
+    /// content field; one decode then builds the artifact straight
+    /// from the text.
     fn parse(text: &str, path: Option<&str>) -> Result<Self, CalibError> {
-        // Check the version before deserializing the full payload so
-        // future format changes fail with "wrong version", not with a
-        // confusing shape mismatch from deep inside the document.
-        let value: serde_json::Value =
-            serde_json::from_str(text).map_err(|e| CalibError::Parse {
-                path: path.map(str::to_string),
-                detail: e.to_string(),
-            })?;
-        let version = value
-            .get("version")
-            .and_then(|v| v.as_u64())
-            .ok_or_else(|| CalibError::Parse {
-                path: path.map(str::to_string),
-                detail: "missing `version` field".to_string(),
-            })?;
-        if version != ARTIFACT_VERSION as u64 {
+        let invalid = |detail: String| CalibError::Parse {
+            path: path.map(str::to_string),
+            detail,
+        };
+        let spans = content_spans(text).map_err(|e| invalid(e.to_string()))?;
+        // The version comes first, so a future format fails as a wrong
+        // version rather than as a shape mismatch deep inside it.
+        let version = spans[0]
+            .and_then(|text| serde_json::from_str::<u64>(text).ok())
+            .ok_or_else(|| invalid("missing `version` field".to_string()))?;
+        if version != u64::from(ARTIFACT_VERSION) {
             return Err(CalibError::VersionMismatch {
                 found: version as u32,
                 expected: ARTIFACT_VERSION,
             });
         }
-        // Hash the parsed content subtrees directly (integers and
-        // strings round-trip the JSON layer exactly, so this equals
-        // the digest computed when the artifact was written) — cheaper
-        // than deserializing and re-serializing the payload.
-        let mut parts = [0u64; CONTENT_FIELDS.len()];
-        for (slot, field) in parts.iter_mut().zip(CONTENT_FIELDS) {
-            *slot = value
-                .get(field)
-                .map(value_digest)
-                .ok_or_else(|| CalibError::Parse {
-                    path: path.map(str::to_string),
-                    detail: format!("missing `{field}` field"),
-                })?;
+        if let Some(i) = spans.iter().position(Option::is_none) {
+            return Err(invalid(format!("missing `{}` field", CONTENT_FIELDS[i])));
         }
-        let computed = combine_digests(&parts);
         let artifact: CalibrationArtifact =
-            serde_json::from_value(value).map_err(|e| CalibError::Parse {
-                path: path.map(str::to_string),
-                detail: e.to_string(),
-            })?;
+            serde_json::from_str(text).map_err(|e| invalid(e.to_string()))?;
+        let computed = content_digest(&spans);
         if computed != artifact.digest {
             return Err(CalibError::DigestMismatch {
                 stored: artifact.digest,
                 computed,
             });
         }
-        // Decoding allocated the artifact while its tree was live, so it
-        // sits above the tree's freed memory; a copy made now fills that
-        // hole instead. Without it, repeated loads beside other work
-        // fragment a one-arena heap: perfbench's `robust-refine`, which
-        // loads 20 times, peaked 15% higher.
-        Ok(artifact.clone())
+        Ok(artifact)
     }
 
     /// Writes the artifact to `path`.

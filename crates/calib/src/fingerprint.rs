@@ -1,8 +1,8 @@
 //! Source-trace identity: the fingerprint an artifact stores so a
 //! stale calibration can never silently answer for the wrong trace.
 
-use lumos_core::manipulate::value_digest;
 use lumos_trace::{ClusterTrace, Dur};
+use serde::value_digest;
 use serde::{Deserialize, Serialize};
 
 /// A compact identity of a profiled cluster trace: cheap structural

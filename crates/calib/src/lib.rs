@@ -19,11 +19,12 @@
 //!
 //! An artifact is a single JSON document with these fields:
 //!
-//! * `version` — the format version ([`ARTIFACT_VERSION`]). Loading
+//! * `version` — the format version ([`ARTIFACT_VERSION`], 2). Loading
 //!   rejects any other value: artifacts are cheap to regenerate from
 //!   their source trace, so there is no cross-version migration —
 //!   bump the constant whenever the serialized shape of any bundled
-//!   component changes incompatibly;
+//!   component, or the digest's definition, changes incompatibly
+//!   (version 1 hashed value trees);
 //! * `setup` — the [`lumos_model::TrainingSetup`] of the profiled
 //!   deployment (what `predict`/`search` treat as the base
 //!   configuration);
@@ -35,12 +36,17 @@
 //!   (event count, rank count, makespan, content hash), checked when
 //!   an artifact is used *against* a trace so a stale artifact can
 //!   never silently price the wrong workload;
-//! * `digest` — FNV-1a digest over every other field's serialized
-//!   content, re-computed and checked on load (bit-rot / hand-edit
-//!   detection for the whole payload);
+//! * `digest` — FNV-1a over the compact JSON text of every other
+//!   field, in document order, exactly as written; re-computed from
+//!   the loaded text and checked after the decode (bit-rot / hand-edit
+//!   detection for the whole payload, whitespace inside a field
+//!   included);
 //! * `tables` — the fitted [`lumos_cost::LookupTables`];
 //! * `library` — the extracted
 //!   [`BlockLibrary`](lumos_core::manipulate::BlockLibrary).
+//!
+//! Loading skims the text once (syntax, version, each content field's
+//! span), then decodes it once, straight into the artifact.
 //!
 //! Round-trips are bit-exact: a prediction priced from a reloaded
 //! artifact is identical — output bytes included — to one priced from

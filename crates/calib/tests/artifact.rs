@@ -93,6 +93,82 @@ fn version_mismatch_rejected_before_payload() {
 }
 
 #[test]
+fn version_one_documents_are_refused() {
+    // Format 1 hashed value trees; its artifacts must be recalibrated.
+    let (_, _, artifact) = shared();
+    let json = artifact.to_json().replacen(
+        &format!("\"version\":{ARTIFACT_VERSION}"),
+        "\"version\":1",
+        1,
+    );
+    match CalibrationArtifact::from_json(&json) {
+        Err(CalibError::VersionMismatch { found: 1, expected }) => {
+            assert_eq!(expected, ARTIFACT_VERSION)
+        }
+        other => panic!("expected VersionMismatch, got {other:?}"),
+    }
+}
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a<'a>(bytes: impl IntoIterator<Item = &'a u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn digest_is_fnv1a_over_the_written_field_texts() {
+    let (_, _, artifact) = shared();
+    let json = artifact.to_json();
+    let texts = [
+        serde_json::to_string(&artifact.version).unwrap(),
+        serde_json::to_string(&artifact.setup).unwrap(),
+        serde_json::to_string(&artifact.hardware).unwrap(),
+        serde_json::to_string(&artifact.fingerprint).unwrap(),
+        serde_json::to_string(&artifact.tables).unwrap(),
+        serde_json::to_string(&artifact.library).unwrap(),
+    ];
+    for (key, text) in [
+        "version",
+        "setup",
+        "hardware",
+        "fingerprint",
+        "tables",
+        "library",
+    ]
+    .iter()
+    .zip(&texts)
+    {
+        assert!(json.contains(&format!("\"{key}\":{text}")), "{key}");
+    }
+    assert_eq!(
+        artifact.digest,
+        fnv1a(texts.iter().flat_map(|t| t.as_bytes()))
+    );
+}
+
+#[test]
+fn whitespace_inside_any_content_field_fails_digest() {
+    let (_, _, artifact) = shared();
+    let json = artifact.to_json();
+    // Whitespace between fields is not content...
+    let spaced = json.replacen(",\"library\":", ", \"library\" : ", 1);
+    assert_eq!(CalibrationArtifact::from_json(&spaced).unwrap(), *artifact);
+    // ...but inside one it is. (`version` is a bare number: it has no
+    // inside.)
+    for key in ["setup", "hardware", "fingerprint", "tables", "library"] {
+        let value = json.find(&format!("\"{key}\":")).unwrap() + key.len() + 3;
+        let mut tampered = json.clone();
+        tampered.insert(value + 1, ' ');
+        let err = CalibrationArtifact::from_json(&tampered).unwrap_err();
+        assert!(
+            matches!(err, CalibError::DigestMismatch { .. }),
+            "{key}: {err}"
+        );
+    }
+}
+
+#[test]
 fn tampered_library_fails_digest() {
     let (_, _, artifact) = shared();
     let mut tampered = artifact.clone();

@@ -428,7 +428,8 @@ mod tests {
         let mut doc = std::fs::read_to_string(art).unwrap();
         doc = doc.replace("\"hardware\":\"h100\"", "\"hardware\":\"h999\"");
         let tampered = dir.join("tampered.json");
-        std::fs::write(&tampered, doc.replace("\"version\":1", "\"version\":99")).unwrap();
+        let version = format!("\"version\":{}", lumos_calib::ARTIFACT_VERSION);
+        std::fs::write(&tampered, doc.replace(&version, "\"version\":99")).unwrap();
         let err = run_to_string(&[
             "predict",
             "--calib",

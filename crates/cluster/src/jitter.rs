@@ -13,13 +13,13 @@
 use rand::distributions::Distribution;
 use rand::SeedableRng;
 use rand_distr::LogNormal;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Coefficient-of-variation-parameterized log-normal noise.
 ///
 /// Multipliers have mean 1.0, so jitter perturbs without biasing
 /// means.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct JitterModel {
     /// Coefficient of variation of compute-kernel durations.
     pub kernel_cv: f64,

@@ -4,11 +4,11 @@
 use crate::error::CoreError;
 use crate::task::{DepKind, ProcIdx, Processor, Task, TaskId};
 use lumos_trace::{Dur, RankId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// An edge with its dependency class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Edge {
     /// Destination task.
     pub to: TaskId,
@@ -17,7 +17,7 @@ pub struct Edge {
 }
 
 /// Per-class edge counts, reported by [`ExecutionGraph::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct GraphStats {
     /// Total tasks.
     pub tasks: usize,
@@ -53,7 +53,7 @@ impl GraphStats {
 /// *runtime* dependencies during simulation (Algorithm 1). Collective
 /// kernel instances are registered by `(group, seq)` so the simulator
 /// can rendezvous them across ranks.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct ExecutionGraph {
     tasks: Vec<Task>,
     processors: Vec<Processor>,

@@ -137,8 +137,8 @@ impl Default for HostProfile {
 /// Serializable so a calibration artifact can persist the extraction
 /// result and later consumers can reassemble what-if configurations
 /// without re-walking the source trace. Serialization is deterministic
-/// (map entries are emitted in sorted key order), so
-/// [`BlockLibrary::digest`] is stable across save/load cycles.
+/// (map entries are emitted in sorted key order), so the same library
+/// always writes the same text.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BlockLibrary {
     blocks: HashMap<BlockKey, Block>,
@@ -192,17 +192,6 @@ impl BlockLibrary {
         self.blocks.is_empty()
     }
 
-    /// A stable 64-bit FNV-1a digest of the library's serialized
-    /// content. Deterministic across processes and save/load cycles
-    /// (serialization emits map entries in sorted key order), so a
-    /// calibration artifact can store the digest and verify integrity
-    /// on reload. Equals [`value_digest`] of the library's serialized
-    /// value tree — validators holding a freshly parsed tree can hash
-    /// it directly instead of re-serializing.
-    pub fn digest(&self) -> u64 {
-        value_digest(&self.serialize_value())
-    }
-
     /// The distinct source micro-batch indices available for layer
     /// blocks.
     pub fn microbatches(&self) -> Vec<u32> {
@@ -217,15 +206,6 @@ impl BlockLibrary {
         v
     }
 }
-
-/// A stable 64-bit FNV-1a digest of any serialized value tree — the
-/// hash behind [`BlockLibrary::digest`], re-exported from the serde
-/// value layer (where the deterministic map ordering it relies on is
-/// implemented). Artifact loaders can verify a parsed document
-/// without re-serializing it: integers and strings round-trip the
-/// JSON layer exactly, so hashing the parsed tree equals hashing the
-/// written one.
-pub use serde::value_digest;
 
 #[derive(Default)]
 struct ProfileAcc {
@@ -445,20 +425,14 @@ mod tests {
     }
 
     #[test]
-    fn library_round_trips_and_digest_is_stable() {
+    fn library_round_trips_byte_for_byte() {
         let lib =
             BlockLibrary::extract(&annotated_trace(), Parallelism::new(1, 1, 1).unwrap()).unwrap();
         let json = serde_json::to_string(&lib).expect("library serializes");
         let back: BlockLibrary = serde_json::from_str(&json).expect("library parses");
         assert_eq!(back, lib);
-        assert_eq!(back.digest(), lib.digest());
         // Deterministic encoding: re-serializing reproduces the bytes.
         assert_eq!(serde_json::to_string(&back).expect("reserialize"), json);
-
-        // The digest reacts to content changes.
-        let mut other = back.clone();
-        other.host.launch = Dur::from_us(999);
-        assert_ne!(other.digest(), lib.digest());
     }
 
     #[test]

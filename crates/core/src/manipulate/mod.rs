@@ -34,7 +34,7 @@ mod blocks;
 mod reassemble;
 pub mod whatif;
 
-pub use blocks::{value_digest, Block, BlockKey, BlockKind, BlockLibrary, HostProfile};
+pub use blocks::{Block, BlockKey, BlockKind, BlockLibrary, HostProfile};
 pub use reassemble::{
     kernel_class_of_op, reassemble, reassemble_with_library, regenerated_block_ops, ReassembleSpec,
 };

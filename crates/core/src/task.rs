@@ -21,7 +21,7 @@ pub type ProcIdx = u32;
 
 /// An execution resource: a host thread or a CUDA stream on a
 /// specific rank (Algorithm 1's "task processors").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Processor {
     /// A host thread.
     Thread {
@@ -64,7 +64,7 @@ impl fmt::Display for Processor {
 
 /// What a task is (mirrors the trace event kinds, minus annotations,
 /// which become tags rather than tasks).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum TaskKind {
     /// A framework operator on a thread.
     CpuOp,
@@ -111,7 +111,7 @@ pub enum Phase {
 }
 
 /// Logical position of a task within the training iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
 pub struct SegmentTag {
     /// Micro-batch index, when inside a micro-batch scope.
     pub mb: Option<u32>,
@@ -137,7 +137,7 @@ impl SegmentTag {
 }
 
 /// One node of the execution graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Task {
     /// Display name from the trace.
     pub name: Arc<str>,
@@ -176,7 +176,7 @@ impl Task {
 
 /// The dependency classes of §3.3.2, used for graph statistics,
 /// validation, and ablation (dPRO drops `InterStreamEvent`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum DepKind {
     /// CPU→CPU within one thread (program order).
     IntraThread,

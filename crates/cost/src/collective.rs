@@ -17,10 +17,10 @@
 
 use crate::hardware::ClusterSpec;
 use lumos_trace::{CollectiveKind, Dur};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which collective algorithm family to price.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
 pub enum CollectiveAlgorithm {
     /// Ring for everything (bandwidth-optimal; the repository default,
     /// matching the calibrated ground-truth substrate).
@@ -34,7 +34,7 @@ pub enum CollectiveAlgorithm {
 }
 
 /// Collective communication timing on a cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CollectiveModel {
     cluster: ClusterSpec,
     /// Fraction of nominal link bandwidth achieved by NCCL (protocol

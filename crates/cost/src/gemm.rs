@@ -14,10 +14,10 @@
 
 use crate::hardware::GpuSpec;
 use lumos_trace::Dur;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Analytical GEMM timing for one GPU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GemmModel {
     gpu: GpuSpec,
     /// CUTLASS-style output tile edge (128×128 tiles).

@@ -4,10 +4,10 @@
 //! SXM GPUs, 8 per server behind NVSwitch, servers interconnected by
 //! 8× 400 Gbps RoCE per host (§4.1).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A GPU's performance envelope.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GpuSpec {
     /// Marketing name.
     pub name: String,
@@ -73,7 +73,7 @@ impl GpuSpec {
 }
 
 /// One server: several GPUs behind an all-to-all NVSwitch fabric.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct NodeSpec {
     /// The GPU model installed.
     pub gpu: GpuSpec,
@@ -100,7 +100,7 @@ impl NodeSpec {
 }
 
 /// A multi-node training cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClusterSpec {
     /// Server configuration.
     pub node: NodeSpec,

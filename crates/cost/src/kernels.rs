@@ -8,10 +8,10 @@ use crate::gemm::GemmModel;
 use crate::hardware::{ClusterSpec, GpuSpec};
 use crate::CostModel;
 use lumos_trace::{CollectiveKind, Dur, KernelClass};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// First-principles cost model for every [`KernelClass`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AnalyticalCostModel {
     gpu: GpuSpec,
     gemm: GemmModel,

@@ -22,7 +22,7 @@
 
 use crate::CostModel;
 use lumos_trace::{CollectiveKind, Dur, KernelClass};
-use serde::{de, Deserialize, Serialize, Value};
+use serde::{de, Deserialize, Reader, Serialize, Value};
 use std::collections::HashMap;
 
 /// Accumulated duration observations for one table key. The exact
@@ -63,8 +63,8 @@ impl Serialize for Acc {
 }
 
 impl Deserialize for Acc {
-    fn deserialize_value(v: &Value) -> Result<Self, de::Error> {
-        let (hi, lo, count) = <(u64, u64, u64)>::deserialize_value(v)?;
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, de::Error> {
+        let (hi, lo, count) = <(u64, u64, u64)>::deserialize(r)?;
         Ok(Acc {
             total_ns: ((hi as u128) << 64) | lo as u128,
             count,
@@ -460,7 +460,8 @@ mod tests {
             total_ns: (u64::MAX as u128) * 5 + 17,
             count: 3,
         };
-        let back = Acc::deserialize_value(&acc.serialize_value()).expect("acc parses");
+        let json = serde_json::to_string(&acc).expect("acc serializes");
+        let back: Acc = serde_json::from_str(&json).expect("acc parses");
         assert_eq!(back, acc);
     }
 

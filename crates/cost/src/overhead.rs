@@ -7,10 +7,10 @@
 //! idle).
 
 use lumos_trace::Dur;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Host-side cost constants.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct HostOverheads {
     /// Framework dispatch time of a CPU operator (excluding runtime
     /// calls made inside it).

@@ -17,11 +17,11 @@
 
 use crate::memory::Recompute;
 use crate::setup::TrainingSetup;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// FLOPs of one training iteration, summed over every rank (global).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct IterationFlops {
     /// Forward-pass FLOPs (transformer layers + LM head).
     pub forward: u64,
@@ -75,7 +75,7 @@ pub fn iteration_flops(setup: &TrainingSetup, recompute: Recompute) -> Iteration
 }
 
 /// Utilization of a replayed or measured iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Utilization {
     /// Model-FLOPS utilization in `[0, 1]`.
     pub mfu: f64,

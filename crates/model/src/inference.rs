@@ -17,10 +17,10 @@ use crate::error::ModelError;
 use crate::gpt3::ModelConfig;
 use crate::ops::{self, CollOp, OpBody, OpDesc, ACT_BYTES};
 use crate::parallel::{CommScope, Parallelism};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A complete inference-job description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct InferenceSetup {
     /// The transformer architecture.
     pub model: ModelConfig,

@@ -29,7 +29,7 @@ use crate::gpt3::ModelConfig;
 use crate::ops::local_params;
 use crate::schedule::ScheduleKind;
 use crate::setup::TrainingSetup;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Bytes per bf16 weight/activation element.
@@ -38,7 +38,7 @@ const BF16: u64 = 2;
 const FP32: u64 = 4;
 
 /// Activation-recomputation (checkpointing) policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
 pub enum Recompute {
     /// No recomputation and *no* flash attention: the full quadratic
     /// attention map is materialized and saved for backward.
@@ -65,7 +65,7 @@ impl fmt::Display for Recompute {
 }
 
 /// Optimizer-state placement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
 pub enum OptimizerPlacement {
     /// Every data-parallel replica keeps full fp32 master weights and
     /// Adam moments (Megatron default).
@@ -78,7 +78,7 @@ pub enum OptimizerPlacement {
 
 /// A per-rank memory estimate, broken into the components reported by
 /// `torch.cuda.memory_summary`-style tooling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct MemoryEstimate {
     /// bf16 parameter shard.
     pub weights: u64,
@@ -136,7 +136,7 @@ impl fmt::Display for MemoryEstimate {
 }
 
 /// Tunable constants of the memory model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct MemoryModel {
     /// Recomputation policy.
     pub recompute: Recompute,

@@ -18,7 +18,7 @@
 use crate::batch::BatchConfig;
 use crate::gpt3::ModelConfig;
 use crate::parallel::CommScope;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Bytes per activation / activation-gradient element (bf16).
 pub const ACT_BYTES: u64 = 2;
@@ -28,7 +28,7 @@ pub const GRAD_BYTES: u64 = 4;
 
 /// Collective algorithms at the IR level (converted to
 /// `lumos_trace::CollectiveKind` during lowering).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum CollOp {
     /// Sum all-reduce.
     AllReduce,
@@ -43,7 +43,7 @@ pub enum CollOp {
 }
 
 /// The computational body of a logical operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum OpBody {
     /// Dense matmul `C[m,n] += A[m,k] B[k,n]`.
     Gemm {
@@ -152,7 +152,7 @@ impl OpBody {
 }
 
 /// A named logical operator.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct OpDesc {
     /// PyTorch-style operator name (what the profiler would show).
     pub name: &'static str,

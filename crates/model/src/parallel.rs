@@ -33,7 +33,7 @@ pub struct Parallelism {
 }
 
 /// A rank's position in the 3D grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct RankCoords {
     /// Tensor-parallel rank within the TP group.
     pub tp: u32,
@@ -46,7 +46,7 @@ pub struct RankCoords {
 /// Which axis a communicator spans — used to derive group ids and to
 /// pick cost-model topology (TP groups are intra-node, DP/PP usually
 /// cross nodes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum CommScope {
     /// Tensor-parallel group: ranks sharing (pp, dp).
     Tp,
@@ -242,7 +242,7 @@ const SCOPE_EMB: u64 = 4 << 40;
 /// consumers that only need "is this a DP group?" — e.g. targeted
 /// network-degradation injection — can classify without knowing the
 /// deployment shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ScopeClass {
     /// Tensor-parallel group.
     Tp,

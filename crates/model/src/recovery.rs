@@ -20,11 +20,11 @@
 //!   degraded configuration and additionally pays `reshard_cost_s`
 //!   once (redistribute optimizer state + rebuild communicators).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Cost parameters of the checkpoint-restart / elastic-resharding
 /// recovery model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RecoveryCosts {
     /// Iterations between checkpoints; a failure loses at most this
     /// much work. Must be ≥ 1.

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One slot in a stage's execution order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ScheduleItem {
     /// Forward pass of micro-batch `mb`.
     Forward {
@@ -308,16 +308,15 @@ impl Serialize for ScheduleKind {
 }
 
 impl Deserialize for ScheduleKind {
-    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::de::Error> {
-        match v {
-            serde::Value::String(s) => ScheduleKind::from_name(s).map_err(|_| {
-                serde::de::Error::new(format!(
-                    "unknown schedule `{s}` for ScheduleKind (known: {})",
-                    known_names()
-                ))
-            }),
-            other => Err(serde::de::Error::expected("string for ScheduleKind", other)),
-        }
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::de::Error> {
+        serde::de::expect(r, serde::Kind::String, "string for ScheduleKind")?;
+        let name = r.string()?;
+        ScheduleKind::from_name(&name).map_err(|_| {
+            serde::de::Error::new(format!(
+                "unknown schedule `{name}` for ScheduleKind (known: {})",
+                known_names()
+            ))
+        })
     }
 }
 
@@ -396,7 +395,7 @@ fn interleaved_comm_amplification(p: u32, v: u32) -> f64 {
 
 /// A complete pipeline schedule: for each stage, the order in which it
 /// executes micro-batch forward and backward passes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct PipelineSchedule {
     kind: ScheduleKind,
     num_stages: u32,
@@ -755,21 +754,25 @@ mod tests {
 
     #[test]
     fn kind_round_trips_through_serde() {
+        let decode = |text: &str| ScheduleKind::deserialize(&mut serde::Reader::new(text));
         for kind in ScheduleKind::ALL {
-            let v = kind.serialize_value();
-            assert_eq!(ScheduleKind::deserialize_value(&v).unwrap(), kind);
+            let serde::Value::String(wire) = kind.serialize_value() else {
+                panic!("{kind} serializes as a string");
+            };
+            assert_eq!(decode(&format!("{wire:?}")).unwrap(), kind);
         }
         // Legacy artifacts hold the old derived enum encoding.
         for (wire, kind) in [
             ("OneFOneB", ScheduleKind::OneFOneB),
             ("GPipe", ScheduleKind::GPipe),
         ] {
-            let v = serde::Value::String(wire.to_string());
-            assert_eq!(ScheduleKind::deserialize_value(&v).unwrap(), kind);
-            assert_eq!(kind.serialize_value(), v);
+            assert_eq!(decode(&format!("{wire:?}")).unwrap(), kind);
+            assert_eq!(
+                kind.serialize_value(),
+                serde::Value::String(wire.to_string())
+            );
         }
-        let bogus = serde::Value::String("pipedream".to_string());
-        let err = ScheduleKind::deserialize_value(&bogus).unwrap_err();
+        let err = decode(r#""pipedream""#).unwrap_err();
         assert!(err.to_string().contains("1f1b"), "{err}");
     }
 

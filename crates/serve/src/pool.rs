@@ -9,9 +9,10 @@
 //!   hands the job back and the connection answers with a typed
 //!   `overloaded` error instead of queueing unboundedly;
 //! * **deadlines are end-to-end**: a request's deadline covers queue
-//!   wait *and* service. A job that expires while queued is answered
-//!   `deadline_exceeded` without running; a search that expires
-//!   mid-run is cancelled cooperatively via
+//!   wait *and* service. A job still queued at its deadline is answered
+//!   `deadline_exceeded` by its connection, which stops waiting then,
+//!   and the worker that later dequeues it skips it; a search that
+//!   expires mid-run is cancelled cooperatively via
 //!   [`lumos_search::SearchOptions::deadline`], checked between
 //!   candidates, finalists and replicas;
 //! * **artifacts are pinned at enqueue**: a job carries its
@@ -24,6 +25,7 @@ use crate::stats::ServerStats;
 use lumos_core::manipulate::Transform;
 use lumos_core::Lumos;
 use lumos_search::{search_calibrated, SearchError, SearchOptions, SearchReport};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -40,6 +42,12 @@ pub(crate) struct Job {
     pub deadline: Option<Instant>,
     /// Where the finished response line goes.
     pub reply: mpsc::Sender<String>,
+    /// Set by whichever side takes the job first: the worker that
+    /// dequeues it, or its connection when the deadline passes while
+    /// it is queued (the connection then answers it, and the worker
+    /// skips it). Both sides `swap` it, so exactly one sees `false`;
+    /// it guards no other data.
+    pub taken: Arc<AtomicBool>,
 }
 
 /// The bounded worker pool.
@@ -120,6 +128,9 @@ fn worker_loop(rx: &Arc<Mutex<Receiver<Job>>>, stats: &ServerStats, search_threa
             Err(_) => break, // queue closed: daemon shutting down
         };
         stats.dequeue();
+        if job.taken.swap(true, Ordering::AcqRel) {
+            continue; // expired in the queue: its connection answered
+        }
         let line = run_job(&job, stats, search_threads);
         // A vanished connection is not a worker problem.
         let _ = job.reply.send(line);

@@ -37,7 +37,8 @@ use lumos_cost::GpuSpec;
 use lumos_model::ScheduleKind;
 use lumos_search::{RefinedResult, SearchOptions, SearchReport, SpaceSpec};
 use serde::{Deserialize, Serialize};
-use serde_json::Value;
+use serde_json::{Kind, Reader};
+use std::borrow::Cow;
 
 /// A parsed and checked request line.
 #[derive(Debug)]
@@ -205,14 +206,14 @@ pub struct RefineRequest {
 /// Typed failure sent instead of a success payload. Success payloads
 /// never carry a top-level `error` key, so clients dispatch on its
 /// presence alone.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Serialize, PartialEq)]
 pub struct ErrorResponse {
     /// The failure.
     pub error: ErrorBody,
 }
 
 /// The inside of an [`ErrorResponse`].
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Serialize, PartialEq)]
 pub struct ErrorBody {
     /// Stable machine-readable kind: `bad_request`,
     /// `unknown_artifact`, `overloaded`, `deadline_exceeded`,
@@ -235,7 +236,7 @@ impl ErrorResponse {
 }
 
 /// Predicted-breakdown component of a [`PredictResponse`].
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Serialize, PartialEq)]
 pub struct BreakdownBody {
     /// Compute time not overlapped by communication.
     pub exposed_compute_ns: u64,
@@ -249,7 +250,7 @@ pub struct BreakdownBody {
 
 /// Successful `predict` payload — also what `lumos predict --json`
 /// prints.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Serialize, PartialEq)]
 pub struct PredictResponse {
     /// Always `"predict"`.
     pub kind: String,
@@ -268,7 +269,7 @@ pub struct PredictResponse {
 }
 
 /// One ranked candidate in a [`SearchResponse`].
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Serialize, PartialEq)]
 pub struct SearchResultBody {
     /// 1-based rank under the requested objective.
     pub rank: usize,
@@ -301,7 +302,7 @@ pub struct SearchResultBody {
 }
 
 /// Jitter-robustness statistics of a refined finalist.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Serialize, PartialEq)]
 pub struct JitterBody {
     /// Deterministic variance replicas executed.
     pub replicas: u32,
@@ -317,7 +318,7 @@ pub struct JitterBody {
 
 /// Fault-robustness statistics of a refined finalist (the
 /// `faults_toml` pass).
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Serialize, PartialEq)]
 pub struct FaultBody {
     /// Deterministic fault replicas executed.
     pub replicas: u32,
@@ -333,7 +334,7 @@ pub struct FaultBody {
 
 /// One engine-refined finalist in a [`SearchResponse`] (and the body
 /// of a [`RefineResponse`]).
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Serialize, PartialEq)]
 pub struct RefinedBody {
     /// 1-based refined rank.
     pub rank: usize,
@@ -355,7 +356,7 @@ pub struct RefinedBody {
 
 /// Successful `search` payload — also what `lumos search --json`
 /// prints. Carries only run-to-run deterministic numbers.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Serialize, PartialEq)]
 pub struct SearchResponse {
     /// Always `"search"`.
     pub kind: String,
@@ -382,7 +383,7 @@ pub struct SearchResponse {
 }
 
 /// Successful `refine` payload.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Serialize, PartialEq)]
 pub struct RefineResponse {
     /// Always `"refine"`.
     pub kind: String,
@@ -393,7 +394,7 @@ pub struct RefineResponse {
 }
 
 /// Per-artifact entry in a [`StatsResponse`].
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Serialize, PartialEq)]
 pub struct ArtifactStatsBody {
     /// Registry key (`0x`-hex content digest).
     pub digest: String,
@@ -408,7 +409,7 @@ pub struct ArtifactStatsBody {
 }
 
 /// Per-request-kind latency/volume entry in a [`StatsResponse`].
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Serialize, PartialEq)]
 pub struct KindStatsBody {
     /// Request kind (`predict` / `search` / `refine`).
     pub kind: String,
@@ -423,7 +424,7 @@ pub struct KindStatsBody {
 }
 
 /// Successful `stats` payload.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Serialize, PartialEq)]
 pub struct StatsResponse {
     /// Always `"stats"`.
     pub kind: String,
@@ -462,7 +463,7 @@ pub struct StatsResponse {
 }
 
 /// Successful `reload` payload.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Serialize, PartialEq)]
 pub struct ReloadResponse {
     /// Always `"reload"`.
     pub kind: String,
@@ -479,7 +480,7 @@ pub struct ReloadResponse {
 }
 
 /// One rejected file in a [`ReloadResponse`].
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Serialize, PartialEq)]
 pub struct ReloadRejectBody {
     /// The offending file.
     pub path: String,
@@ -488,7 +489,7 @@ pub struct ReloadRejectBody {
 }
 
 /// Successful `shutdown` acknowledgement.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Serialize, PartialEq)]
 pub struct ShutdownResponse {
     /// Always `"shutdown"`.
     pub kind: String,
@@ -849,21 +850,23 @@ fn schedules(key: &str, names: &[String]) -> Result<Vec<ScheduleKind>, String> {
 /// Returns a message naming the malformed, unknown or missing field,
 /// or the broken knob rule.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let value: Value = serde_json::from_str(line).map_err(|e| format!("malformed JSON: {e}"))?;
-    let Value::Object(mut fields) = value else {
+    let (found, members) = read_members(line).map_err(|e| format!("malformed JSON: {e}"))?;
+    if found != Kind::Object {
         return Err(format!(
             "request must be a JSON object, got {}",
-            value.kind()
+            found.name()
         ));
-    };
-    let kind = match fields.remove("kind") {
-        Some(Value::String(kind)) => kind,
-        Some(_) => return Err("`kind` must be a string".to_string()),
+    }
+    // A repeated key keeps its last value, `kind` included.
+    let kind = match members.iter().rev().find(|(key, _)| key == "kind") {
+        Some((_, text)) => serde_json::from_str::<String>(text)
+            .map_err(|_| "`kind` must be a string".to_string())?,
         None => return Err("missing `kind` field".to_string()),
     };
+    let fields: Vec<_> = members.iter().filter(|(key, _)| key != "kind").collect();
     let (artifact, deadline_ms, query) = match kind.as_str() {
         "predict" => {
-            let req = decode::<PredictRequest>(fields)?;
+            let req = decode::<PredictRequest>(&fields)?;
             let transforms = req.transforms().map_err(|e| e.message(wire))?;
             if transforms.is_empty() {
                 return Err(
@@ -874,17 +877,17 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             (req.artifact, req.deadline_ms, Query::Predict(transforms))
         }
         "search" => {
-            let req = decode::<SearchRequest>(fields)?;
+            let req = decode::<SearchRequest>(&fields)?;
             let query = Query::Search(Box::new(req.query()?));
             (req.artifact, req.deadline_ms, query)
         }
         "refine" => {
-            let req = decode::<RefineRequest>(fields)?;
+            let req = decode::<RefineRequest>(&fields)?;
             let query = Query::Refine(Box::new(req.query()?));
             (req.artifact, req.deadline_ms, query)
         }
         "stats" | "reload" | "shutdown" => {
-            if let Some((key, _)) = fields.iter().next() {
+            if let Some((key, _)) = fields.first() {
                 return Err(format!("unknown field `{key}`"));
             }
             return Ok(match kind.as_str() {
@@ -907,8 +910,40 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     })
 }
 
-fn decode<T: Deserialize>(fields: serde_json::Map) -> Result<T, String> {
-    T::deserialize_value(&Value::Object(fields)).map_err(|e| e.to_string())
+/// A request line member: its key and its value's JSON text.
+type Member<'a> = (Cow<'a, str>, &'a str);
+
+/// The kind of a line's value and, for an object, its members, read
+/// in one pass, so a syntax error anywhere wins over every shape
+/// error.
+fn read_members(line: &str) -> Result<(Kind, Vec<Member<'_>>), serde_json::Error> {
+    let mut r = Reader::new(line);
+    let found = r.peek()?;
+    let mut members = Vec::new();
+    if found == Kind::Object {
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            members.push((key, r.raw()?));
+        }
+    } else {
+        r.skip()?;
+    }
+    r.end()?;
+    Ok((found, members))
+}
+
+/// Decodes members as a `T`, with its derived decoder.
+fn decode<T: Deserialize>(members: &[&Member<'_>]) -> Result<T, String> {
+    let text: Vec<String> = members
+        .iter()
+        .map(|(key, value)| {
+            format!(
+                "{}:{value}",
+                serde_json::to_string(&**key).expect("strings serialize")
+            )
+        })
+        .collect();
+    serde_json::from_str(&format!("{{{}}}", text.join(","))).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]

@@ -19,7 +19,8 @@ use crate::{ServeConfig, ServeError};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The running daemon: a bound listener, the artifact registry, the
@@ -177,7 +178,8 @@ impl Connection {
 
     /// Pins the artifact, enqueues the job, and waits for its reply —
     /// shedding typed errors when the digest is unknown or the queue
-    /// is full.
+    /// is full, and answering `deadline_exceeded` itself when the
+    /// deadline passes while the job is still queued.
     fn dispatch(&self, digest: &str, deadline_ms: Option<u64>, query: Query) -> String {
         let Some(artifact) = self.registry.get(digest) else {
             return protocol::response_line(&ErrorResponse::new(
@@ -187,12 +189,15 @@ impl Connection {
         };
         let (reply_tx, reply_rx) = mpsc::channel();
         let enqueued = Instant::now();
+        let deadline = deadline_ms.map(|ms| enqueued + Duration::from_millis(ms));
+        let taken = Arc::new(AtomicBool::new(false));
         let job = Job {
             artifact,
             query,
             enqueued,
-            deadline: deadline_ms.map(|ms| enqueued + Duration::from_millis(ms)),
+            deadline,
             reply: reply_tx,
+            taken: Arc::clone(&taken),
         };
         self.stats.enqueue();
         if self.pool.submit(job).is_err() {
@@ -203,13 +208,30 @@ impl Connection {
                 "request queue is full; retry later",
             ));
         }
-        match reply_rx.recv() {
-            Ok(line) => line,
-            Err(_) => protocol::response_line(&ErrorResponse::new(
+        let reply = match deadline {
+            Some(deadline) => {
+                match reply_rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                    // Still queued: the job is this connection's to answer.
+                    Err(RecvTimeoutError::Timeout) if !taken.swap(true, Ordering::AcqRel) => {
+                        self.stats.record_deadline_exceeded();
+                        return protocol::response_line(&ErrorResponse::new(
+                            "deadline_exceeded",
+                            "request expired while queued",
+                        ));
+                    }
+                    // Running: the search stops at its own deadline.
+                    Err(RecvTimeoutError::Timeout) => reply_rx.recv().ok(),
+                    reply => reply.ok(),
+                }
+            }
+            None => reply_rx.recv().ok(),
+        };
+        reply.unwrap_or_else(|| {
+            protocol::response_line(&ErrorResponse::new(
                 "internal",
                 "worker dropped the request",
-            )),
-        }
+            ))
+        })
     }
 
     fn stats_response(&self) -> StatsResponse {

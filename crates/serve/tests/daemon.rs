@@ -26,6 +26,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 /// The same small research model the search suites use: two stages,
 /// fast to profile, divisible every way the tests need.
@@ -357,7 +358,9 @@ fn reload_rejects_bad_files_without_disturbing_live_entries() {
     // Corrupt JSON and a version-mismatched artifact appear alongside
     // the live one.
     std::fs::write(dir.join("corrupt.json"), "{ not json").unwrap();
-    let mismatched = a.to_json().replace("\"version\":1", "\"version\":99");
+    let version = format!("\"version\":{}", lumos_calib::ARTIFACT_VERSION);
+    let mismatched = a.to_json().replace(&version, "\"version\":99");
+    assert_ne!(mismatched, a.to_json(), "the version must be replaced");
     std::fs::write(dir.join("wrong-version.json"), mismatched).unwrap();
 
     let reload = ask(addr, r#"{"kind":"reload"}"#);
@@ -443,6 +446,48 @@ fn full_queue_sheds_load_with_typed_overloaded_response() {
         );
     }
     ask(addr, r#"{"kind":"shutdown"}"#);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn queued_request_is_answered_at_its_deadline_behind_a_long_job() {
+    let (a, _) = artifacts();
+    let dir = fresh_dir("queued-deadline");
+    a.save(dir.join("a.json")).unwrap();
+    let digest = lumos_calib::digest_hex(a.digest);
+    let addr = start(&dir, 1, 4);
+
+    // The one worker takes a refine that only its 4 s deadline stops.
+    let long = format!(
+        r#"{{"kind":"refine","artifact":"{digest}","jitter_replicas":4294967295,"deadline_ms":4000}}"#
+    );
+    let refine = std::thread::spawn(move || ask(addr, &long));
+    std::thread::sleep(Duration::from_millis(500));
+
+    // A predict queued behind it is answered at its own deadline, not
+    // when the refine ends.
+    let sent = Instant::now();
+    let predict = ask(
+        addr,
+        &format!(r#"{{"kind":"predict","artifact":"{digest}","dp":2,"deadline_ms":300}}"#),
+    );
+    let waited = sent.elapsed();
+    assert_eq!(error_kind(&predict), "deadline_exceeded", "{predict:?}");
+    assert!(
+        waited < Duration::from_millis(1500),
+        "answered after {waited:?}"
+    );
+
+    let refine = refine.join().unwrap();
+    assert_eq!(error_kind(&refine), "deadline_exceeded", "{refine:?}");
+    // Each expiry counts once; the worker skips the expired predict.
+    let stats = ask(addr, r#"{"kind":"stats"}"#);
+    assert_eq!(
+        stats.get("deadline_exceeded").and_then(Value::as_u64),
+        Some(2),
+        "{stats:?}"
+    );
+    assert_eq!(kind(&ask(addr, r#"{"kind":"shutdown"}"#)), "shutdown");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -15,11 +15,11 @@ use crate::event::TraceEvent;
 use crate::interval::IntervalSet;
 use crate::time::{Dur, TimeSpan};
 use crate::trace::{ClusterTrace, RankTrace};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The four-component execution-time breakdown of one iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct Breakdown {
     /// Compute-only time.
     pub exposed_compute: Dur,

@@ -14,7 +14,8 @@
 //! each complete event straight into its rank's event vector. Names
 //! are interned per trace, so each distinct name is allocated once;
 //! of `args` only `correlation`, `stream` and the `lumos` extension
-//! are read, and only `lumos` becomes a (small) value. Events of every
+//! are read, and `lumos` is kept as a span of the text, decoded once
+//! `cat` says what it encodes. Events of every
 //! other phase — Kineto's `"M"` metadata, `"s"`/`"f"` flows, `"i"`
 //! instants — are checked to be valid JSON and skipped, and keep their
 //! place in the event numbering that errors report.
@@ -130,7 +131,7 @@ fn id32(value: u64, field: &'static str, index: usize) -> Result<u32, TraceError
 
 /// A document shape error, reported as [`TraceError::Json`].
 fn shape_error(message: String) -> TraceError {
-    TraceError::Json(serde::de::Error::new(message).into())
+    TraceError::Json(serde_json::Error::new(message))
 }
 
 /// Reads a string member, or skips a member of another type (`None`).
@@ -153,16 +154,17 @@ fn number_member(r: &mut Reader<'_>) -> Result<Option<Number>, serde_json::Error
 
 /// The members of `args` the reader uses, as they would read from a
 /// parsed `args` value: a number that is no `u64` reads as absent,
-/// and an `args` that is no object has none of them.
+/// and an `args` that is no object has none of them. `lumos` is the
+/// extension's JSON text.
 #[derive(Default)]
-struct Args {
+struct Args<'a> {
     correlation: Option<u64>,
     stream: Option<u64>,
-    lumos: Option<Value>,
+    lumos: Option<&'a str>,
 }
 
-impl Args {
-    fn read(r: &mut Reader<'_>) -> Result<Self, serde_json::Error> {
+impl<'a> Args<'a> {
+    fn read(r: &mut Reader<'a>) -> Result<Self, serde_json::Error> {
         let mut args = Args::default();
         if r.peek()? != Kind::Object {
             r.skip()?;
@@ -173,7 +175,7 @@ impl Args {
             match &*key {
                 "correlation" => args.correlation = number_member(r)?.and_then(|n| n.as_u64()),
                 "stream" => args.stream = number_member(r)?.and_then(|n| n.as_u64()),
-                "lumos" => args.lumos = Some(r.value()?),
+                "lumos" => args.lumos = Some(r.raw()?),
                 _ => r.skip()?,
             }
         }
@@ -193,7 +195,7 @@ struct Members<'a> {
     dur: Option<Number>,
     pid: Option<Number>,
     tid: Option<Number>,
-    args: Args,
+    args: Args<'a>,
 }
 
 impl<'a> Members<'a> {
@@ -240,7 +242,7 @@ struct Complete<'a> {
     dur: f64,
     pid: u64,
     tid: u64,
-    args: Args,
+    args: Args<'a>,
 }
 
 impl Complete<'_> {
@@ -266,10 +268,8 @@ impl Complete<'_> {
                 tid: ThreadId(id32(self.tid, "tid", index)?),
             },
             CAT_RUNTIME => {
-                let kind = match &self.args.lumos {
-                    Some(v) => {
-                        CudaRuntimeKind::deserialize_value(v).map_err(serde_json::Error::from)?
-                    }
+                let kind = match self.args.lumos {
+                    Some(text) => CudaRuntimeKind::deserialize(&mut Reader::new(text))?,
                     None => runtime_kind_from_name(&self.name),
                 };
                 EventKind::CudaRuntime {
@@ -279,10 +279,8 @@ impl Complete<'_> {
                 }
             }
             CAT_KERNEL => {
-                let class = match &self.args.lumos {
-                    Some(v) => {
-                        KernelClass::deserialize_value(v).map_err(serde_json::Error::from)?
-                    }
+                let class = match self.args.lumos {
+                    Some(text) => KernelClass::deserialize(&mut Reader::new(text))?,
                     None => KernelClass::Other,
                 };
                 EventKind::Kernel {
@@ -450,25 +448,6 @@ impl Events {
     }
 }
 
-/// Reads an optional string member (`null` reads as absent); the
-/// inner error is a shape error for a member of another type.
-fn optional_string(
-    r: &mut Reader<'_>,
-    key: &str,
-) -> Result<Result<Option<String>, TraceError>, serde_json::Error> {
-    Ok(match r.peek()? {
-        Kind::String => Ok(Some(r.string()?.into_owned())),
-        Kind::Null => {
-            r.skip()?;
-            Ok(None)
-        }
-        _ => {
-            r.skip()?;
-            Err(shape_error(format!("`{key}` is not a string")))
-        }
-    })
-}
-
 /// Best-effort mapping from a Kineto runtime event name to a
 /// structured kind, for traces produced by real Kineto (no `lumos`
 /// extension args).
@@ -563,8 +542,9 @@ pub fn from_chrome_json(json_text: &str) -> Result<ClusterTrace, TraceError> {
     // errors are recorded while the whole text is read. A repeated
     // key keeps its last value, as in a parsed tree.
     let mut events = Err("missing field `traceEvents`");
-    let mut time_unit = Ok(None);
-    let mut label = Ok(None);
+    // `null` reads as absent; a member of another type is a shape error.
+    let mut time_unit: Option<Result<Option<String>, _>> = None;
+    let mut label: Option<Result<Option<String>, _>> = None;
     let is_object = r.peek()? == Kind::Object;
     if is_object {
         r.begin_object()?;
@@ -575,8 +555,8 @@ pub fn from_chrome_json(json_text: &str) -> Result<ClusterTrace, TraceError> {
                     r.skip()?;
                     events = Err("`traceEvents` is not an array");
                 }
-                "displayTimeUnit" => time_unit = optional_string(&mut r, "displayTimeUnit")?,
-                "lumos_label" => label = optional_string(&mut r, "lumos_label")?,
+                "displayTimeUnit" => serde::de::member(&mut r, &mut time_unit)?,
+                "lumos_label" => serde::de::member(&mut r, &mut label)?,
                 _ => r.skip()?,
             }
         }
@@ -591,8 +571,9 @@ pub fn from_chrome_json(json_text: &str) -> Result<ClusterTrace, TraceError> {
     if let Some(e) = events.shape.take() {
         return Err(e);
     }
-    time_unit?;
-    events.finish(label?.unwrap_or_default())
+    serde::de::field(time_unit, "displayTimeUnit", || Ok(None))?;
+    let label = serde::de::field(label, "lumos_label", || Ok(None))?;
+    events.finish(label.unwrap_or_default())
 }
 
 #[cfg(test)]

@@ -90,7 +90,7 @@ impl fmt::Display for CollectiveKind {
 /// of communicator `group` issues the collectives of that group in the
 /// same order, so the `seq`-th issue on each member belongs to the same
 /// instance (NCCL semantics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct CommMeta {
     /// Which collective algorithm.
     pub kind: CollectiveKind,
@@ -507,7 +507,8 @@ impl TraceEvent {
 // artifact's digest/fingerprint checks rely on.
 // ---------------------------------------------------------------- //
 
-use serde::{de, Value};
+use serde::de::{self, Error};
+use serde::{Kind, Reader, Value};
 
 fn tagged(tag: u64, mut fields: Vec<Value>) -> Value {
     let mut items = vec![tag.serialize_value()];
@@ -515,24 +516,43 @@ fn tagged(tag: u64, mut fields: Vec<Value>) -> Value {
     Value::Array(items)
 }
 
-/// Splits a tagged array into its tag and field slice.
-fn untag<'v>(v: &'v Value, what: &'static str) -> Result<(u64, &'v [Value]), de::Error> {
-    match v {
-        Value::Array(items) if !items.is_empty() => {
-            let tag = items[0]
-                .as_u64()
-                .ok_or_else(|| de::Error::expected(what, v))?;
-            Ok((tag, &items[1..]))
-        }
-        other => Err(de::Error::expected(what, other)),
+/// The next element of a tagged array, if it is a `u64`.
+fn u64_element(r: &mut Reader<'_>) -> Result<Option<u64>, Error> {
+    Ok(if r.next_element()? && r.peek()? == Kind::Number {
+        r.number()?.as_u64()
+    } else {
+        None
+    })
+}
+
+/// Opens a tagged array and reads its tag.
+fn untag(r: &mut Reader<'_>, what: &'static str) -> Result<u64, Error> {
+    de::expect(r, Kind::Array, what)?;
+    r.begin_array()?;
+    u64_element(r)?.ok_or_else(|| Error::expected(what, Kind::Array))
+}
+
+/// Reads field `idx` of a tagged array: one that is no `u64` is
+/// missing.
+fn field(r: &mut Reader<'_>, idx: usize, what: &'static str) -> Result<u64, Error> {
+    u64_element(r)?.ok_or_else(|| Error::new(format!("{what}: missing field {idx}")))
+}
+
+/// Reads the nested value that is a tagged array's next field.
+fn nested<T: Deserialize>(r: &mut Reader<'_>, missing: &'static str) -> Result<T, Error> {
+    if r.next_element()? {
+        T::deserialize(r)
+    } else {
+        Err(Error::new(missing))
     }
 }
 
-fn field(fields: &[Value], idx: usize, what: &'static str) -> Result<u64, de::Error> {
-    fields
-        .get(idx)
-        .and_then(|v| v.as_u64())
-        .ok_or_else(|| de::Error::new(format!("{what}: missing field {idx}")))
+/// Skips a tagged array's fields past the ones read, and closes it.
+fn close<T>(r: &mut Reader<'_>, value: T) -> Result<T, Error> {
+    while r.next_element()? {
+        r.skip()?;
+    }
+    Ok(value)
 }
 
 impl Serialize for CollectiveKind {
@@ -550,15 +570,21 @@ impl Serialize for CollectiveKind {
 }
 
 impl Deserialize for CollectiveKind {
-    fn deserialize_value(v: &Value) -> Result<Self, de::Error> {
-        Ok(match v.as_u64() {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let found = r.peek()?;
+        let tag = if found == Kind::Number {
+            r.number()?.as_u64()
+        } else {
+            None
+        };
+        Ok(match tag {
             Some(0) => CollectiveKind::AllReduce,
             Some(1) => CollectiveKind::AllGather,
             Some(2) => CollectiveKind::ReduceScatter,
             Some(3) => CollectiveKind::Broadcast,
             Some(4) => CollectiveKind::SendRecv,
             Some(5) => CollectiveKind::Barrier,
-            _ => return Err(de::Error::expected("collective kind tag", v)),
+            _ => return Err(Error::expected("collective kind tag", found)),
         })
     }
 }
@@ -605,50 +631,48 @@ impl Serialize for KernelClass {
 }
 
 impl Deserialize for KernelClass {
-    fn deserialize_value(v: &Value) -> Result<Self, de::Error> {
-        let (tag, f) = untag(v, "kernel class")?;
-        let g = |i| field(f, i, "kernel class");
-        Ok(match tag {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        const WHAT: &str = "kernel class";
+        let g = |r: &mut Reader<'_>, i| field(r, i, WHAT);
+        let class = match untag(r, WHAT)? {
             0 => KernelClass::Gemm {
-                m: g(0)?,
-                n: g(1)?,
-                k: g(2)?,
+                m: g(r, 0)?,
+                n: g(r, 1)?,
+                k: g(r, 2)?,
             },
             1 => KernelClass::AttentionFwd {
-                batch_heads: g(0)?,
-                seq: g(1)?,
-                head_dim: g(2)?,
+                batch_heads: g(r, 0)?,
+                seq: g(r, 1)?,
+                head_dim: g(r, 2)?,
             },
             2 => KernelClass::AttentionBwd {
-                batch_heads: g(0)?,
-                seq: g(1)?,
-                head_dim: g(2)?,
+                batch_heads: g(r, 0)?,
+                seq: g(r, 1)?,
+                head_dim: g(r, 2)?,
             },
             3 => KernelClass::AttentionDecode {
-                batch_heads: g(0)?,
-                kv_len: g(1)?,
-                head_dim: g(2)?,
+                batch_heads: g(r, 0)?,
+                kv_len: g(r, 1)?,
+                head_dim: g(r, 2)?,
             },
-            4 => KernelClass::Elementwise { elems: g(0)? },
-            5 => KernelClass::Norm { elems: g(0)? },
-            6 => KernelClass::Softmax { elems: g(0)? },
-            7 => KernelClass::Embedding { elems: g(0)? },
-            8 => KernelClass::Optimizer { params: g(0)? },
-            9 => KernelClass::Memcpy { bytes: g(0)? },
-            10 => KernelClass::Memset { bytes: g(0)? },
+            4 => KernelClass::Elementwise { elems: g(r, 0)? },
+            5 => KernelClass::Norm { elems: g(r, 0)? },
+            6 => KernelClass::Softmax { elems: g(r, 0)? },
+            7 => KernelClass::Embedding { elems: g(r, 0)? },
+            8 => KernelClass::Optimizer { params: g(r, 0)? },
+            9 => KernelClass::Memcpy { bytes: g(r, 0)? },
+            10 => KernelClass::Memset { bytes: g(r, 0)? },
             11 => KernelClass::Collective(CommMeta {
-                kind: CollectiveKind::deserialize_value(
-                    f.first()
-                        .ok_or_else(|| de::Error::new("collective: missing kind"))?,
-                )?,
-                group: g(1)?,
-                seq: u32::try_from(g(2)?)
-                    .map_err(|_| de::Error::new("collective seq out of range"))?,
-                bytes: g(3)?,
+                kind: nested(r, "collective: missing kind")?,
+                group: g(r, 1)?,
+                seq: u32::try_from(g(r, 2)?)
+                    .map_err(|_| Error::new("collective seq out of range"))?,
+                bytes: g(r, 3)?,
             }),
             12 => KernelClass::Other,
-            other => return Err(de::Error::new(format!("unknown kernel class tag {other}"))),
-        })
+            other => return Err(Error::new(format!("unknown kernel class tag {other}"))),
+        };
+        close(r, class)
     }
 }
 
@@ -674,38 +698,35 @@ impl Serialize for CudaRuntimeKind {
 }
 
 impl Deserialize for CudaRuntimeKind {
-    fn deserialize_value(v: &Value) -> Result<Self, de::Error> {
-        let (tag, f) = untag(v, "cuda runtime kind")?;
-        let g = |i| field(f, i, "cuda runtime kind");
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        const WHAT: &str = "cuda runtime kind";
+        let g = |r: &mut Reader<'_>, i| field(r, i, WHAT);
         let sid = |x: u64| {
             u32::try_from(x)
                 .map(StreamId)
-                .map_err(|_| de::Error::new("stream id out of range"))
+                .map_err(|_| Error::new("stream id out of range"))
         };
-        Ok(match tag {
+        let kind = match untag(r, WHAT)? {
             0 => CudaRuntimeKind::LaunchKernel,
             1 => CudaRuntimeKind::MemcpyAsync,
             2 => CudaRuntimeKind::MemsetAsync,
             3 => CudaRuntimeKind::EventRecord {
-                event: g(0)?,
-                stream: sid(g(1)?)?,
+                event: g(r, 0)?,
+                stream: sid(g(r, 1)?)?,
             },
             4 => CudaRuntimeKind::StreamWaitEvent {
-                stream: sid(g(0)?)?,
-                event: g(1)?,
+                stream: sid(g(r, 0)?)?,
+                event: g(r, 1)?,
             },
-            5 => CudaRuntimeKind::EventSynchronize { event: g(0)? },
+            5 => CudaRuntimeKind::EventSynchronize { event: g(r, 0)? },
             6 => CudaRuntimeKind::StreamSynchronize {
-                stream: sid(g(0)?)?,
+                stream: sid(g(r, 0)?)?,
             },
             7 => CudaRuntimeKind::DeviceSynchronize,
             8 => CudaRuntimeKind::Other,
-            other => {
-                return Err(de::Error::new(format!(
-                    "unknown cuda runtime kind tag {other}"
-                )))
-            }
-        })
+            other => return Err(Error::new(format!("unknown cuda runtime kind tag {other}"))),
+        };
+        close(r, kind)
     }
 }
 
@@ -740,37 +761,36 @@ impl Serialize for EventKind {
 }
 
 impl Deserialize for EventKind {
-    fn deserialize_value(v: &Value) -> Result<Self, de::Error> {
-        let (tag, f) = untag(v, "event kind")?;
-        let g = |i| field(f, i, "event kind");
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        const WHAT: &str = "event kind";
+        let g = |r: &mut Reader<'_>, i| field(r, i, WHAT);
         let tid = |x: u64| {
             u32::try_from(x)
                 .map(ThreadId)
-                .map_err(|_| de::Error::new("thread id out of range"))
+                .map_err(|_| Error::new("thread id out of range"))
         };
-        Ok(match tag {
-            0 => EventKind::CpuOp { tid: tid(g(0)?)? },
+        let kind = match untag(r, WHAT)? {
+            0 => EventKind::CpuOp {
+                tid: tid(g(r, 0)?)?,
+            },
             1 => EventKind::CudaRuntime {
-                tid: tid(g(0)?)?,
-                correlation: g(1)?,
-                kind: CudaRuntimeKind::deserialize_value(
-                    f.get(2)
-                        .ok_or_else(|| de::Error::new("cuda runtime: missing kind"))?,
-                )?,
+                tid: tid(g(r, 0)?)?,
+                correlation: g(r, 1)?,
+                kind: nested(r, "cuda runtime: missing kind")?,
             },
             2 => EventKind::Kernel {
-                stream: u32::try_from(g(0)?)
+                stream: u32::try_from(g(r, 0)?)
                     .map(StreamId)
-                    .map_err(|_| de::Error::new("stream id out of range"))?,
-                correlation: g(1)?,
-                class: KernelClass::deserialize_value(
-                    f.get(2)
-                        .ok_or_else(|| de::Error::new("kernel: missing class"))?,
-                )?,
+                    .map_err(|_| Error::new("stream id out of range"))?,
+                correlation: g(r, 1)?,
+                class: nested(r, "kernel: missing class")?,
             },
-            3 => EventKind::UserAnnotation { tid: tid(g(0)?)? },
-            other => return Err(de::Error::new(format!("unknown event kind tag {other}"))),
-        })
+            3 => EventKind::UserAnnotation {
+                tid: tid(g(r, 0)?)?,
+            },
+            other => return Err(Error::new(format!("unknown event kind tag {other}"))),
+        };
+        close(r, kind)
     }
 }
 
@@ -786,19 +806,19 @@ impl Serialize for TraceEvent {
 }
 
 impl Deserialize for TraceEvent {
-    fn deserialize_value(v: &Value) -> Result<Self, de::Error> {
-        match v {
-            Value::Array(items) if items.len() == 4 => Ok(TraceEvent {
-                name: match &items[0] {
-                    Value::String(s) => Arc::from(s.as_str()),
-                    other => return Err(de::Error::expected("event name", other)),
-                },
-                ts: Ts::deserialize_value(&items[1])?,
-                dur: Dur::deserialize_value(&items[2])?,
-                kind: EventKind::deserialize_value(&items[3])?,
-            }),
-            other => Err(de::Error::expected("event array", other)),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        const WHAT: &str = "event array";
+        de::sized(r, WHAT, |r| {
+            Ok(TraceEvent {
+                name: de::element(r, WHAT, |r| match r.peek()? {
+                    Kind::String => Ok(Arc::from(&*r.string()?)),
+                    found => Err(Error::expected("event name", found)),
+                })?,
+                ts: de::element(r, WHAT, Ts::deserialize)?,
+                dur: de::element(r, WHAT, Dur::deserialize)?,
+                kind: de::element(r, WHAT, EventKind::deserialize)?,
+            })
+        })
     }
 }
 

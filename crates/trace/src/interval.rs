@@ -8,11 +8,11 @@
 //! normalized (sorted, disjoint, non-empty) list of [`TimeSpan`]s.
 
 use crate::time::{Dur, TimeSpan, Ts};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A normalized set of half-open time intervals: sorted by start,
 /// pairwise disjoint, and free of empty intervals.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
 pub struct IntervalSet {
     spans: Vec<TimeSpan>,
 }

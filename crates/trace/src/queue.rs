@@ -17,11 +17,11 @@ use crate::event::EventKind;
 use crate::interval::IntervalSet;
 use crate::time::{Dur, Ts};
 use crate::trace::RankTrace;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// Order statistics of launch→start delays on one rank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct QueueDelayStats {
     /// Number of launch/kernel pairs measured.
     pub count: u64,
@@ -87,7 +87,7 @@ pub fn queue_delays(trace: &RankTrace) -> Option<QueueDelayStats> {
 }
 
 /// Busy fraction of one stream over the rank's active window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StreamOccupancy {
     /// Stream id.
     pub stream: u32,

@@ -9,10 +9,10 @@ use crate::event::TraceEvent;
 use crate::interval::IntervalSet;
 use crate::time::{Dur, TimeSpan, Ts};
 use crate::trace::RankTrace;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A binned SM-utilization timeline for one rank.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SmUtilization {
     /// Bin width.
     pub bin: Dur,

@@ -4,12 +4,12 @@
 use crate::event::EventKind;
 use crate::time::Dur;
 use crate::trace::RankTrace;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Aggregate statistics for one kernel name.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
 pub struct KernelStats {
     /// Invocation count.
     pub count: u64,
@@ -37,7 +37,7 @@ impl KernelStats {
 }
 
 /// Event-population statistics for one rank trace.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct TraceStats {
     /// Number of CPU operator events.
     pub cpu_ops: usize,

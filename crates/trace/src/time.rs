@@ -292,7 +292,7 @@ impl fmt::Display for Dur {
 }
 
 /// A half-open time interval `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct TimeSpan {
     /// Inclusive start.
     pub start: Ts,

@@ -8,9 +8,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 /// A GPU rank (one worker process / one GPU) in the training job.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 #[serde(transparent)]
 pub struct RankId(pub u32);
 
@@ -48,7 +46,7 @@ impl fmt::Display for StreamId {
 
 /// The profiled timeline of a single rank: CPU ops, CUDA runtime
 /// calls, GPU kernels, and annotations.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct RankTrace {
     rank: RankId,
     events: Vec<TraceEvent>,
@@ -228,7 +226,7 @@ impl Extend<TraceEvent> for RankTrace {
 
 /// Traces from every rank of a distributed training job, for one
 /// profiled iteration.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct ClusterTrace {
     /// Free-form description of the run (model, parallelism, seed).
     pub label: String,

@@ -290,7 +290,8 @@ fn reference(text: &str) -> Outcome {
                 },
                 "cuda_runtime" => {
                     let kind = match arg("lumos") {
-                        Some(v) => serde_json::from_value(v.clone()).map_err(|_| Json)?,
+                        Some(v) => serde_json::from_str(&serde_json::to_string(v).unwrap())
+                            .map_err(|_| Json)?,
                         None => runtime_kind_from_name(name),
                     };
                     EventKind::CudaRuntime {
@@ -301,7 +302,8 @@ fn reference(text: &str) -> Outcome {
                 }
                 "kernel" => {
                     let class = match arg("lumos") {
-                        Some(v) => serde_json::from_value(v.clone()).map_err(|_| Json)?,
+                        Some(v) => serde_json::from_str(&serde_json::to_string(v).unwrap())
+                            .map_err(|_| Json)?,
                         None => KernelClass::Other,
                     };
                     let stream = arg("stream").and_then(Value::as_u64).unwrap_or(tid);
