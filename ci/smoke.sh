@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke checks of the release `lumos` binary: the search,
 # lint, adaptive, schedule, serve, calibrate and fault CLI paths, plus
-# the release-only adaptive-search test on a ~3×10⁷-point space and a
-# `cargo check` of the perfbench workspace. Run
+# the release-only tests (adaptive search on a ~3×10⁷-point space; the
+# simulator against its reference on the benchmark's predictions) and
+# a `cargo check` of the perfbench workspace. Run
 # from anywhere after `cargo build --release --workspace`:
 #
 #   bash ci/smoke.sh
@@ -127,6 +128,9 @@ grep -q "only applies with --adaptive" "$T/budget.err"
 
 step "adaptive: synthetic space (≤10% visited, pinned numbers)"
 cargo test --release -p lumos-search --test adaptive_synthetic
+
+step "simulate: the benchmark's eight predictions equal the reference simulator bit for bit"
+cargo test --release --test sim_oracle_15b
 
 # perfbench is its own Cargo workspace with path dependencies on the
 # crates, so nothing else builds it: check that it still compiles

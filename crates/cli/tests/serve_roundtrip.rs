@@ -187,14 +187,20 @@ fn cli_and_daemon_refuse_each_shared_rule_alike() {
         (
             vec!["search", "--jitter-seed", "3"],
             r#""kind":"search","jitter_seed":3"#.into(),
-            "--jitter-seed only applies with --refine-sim / --jitter-replicas".into(),
-            "`jitter_seed` only applies with `refine_sim` / `jitter_replicas`".into(),
+            "--jitter-seed only applies with --jitter-replicas".into(),
+            "`jitter_seed` only applies with `jitter_replicas`".into(),
+        ),
+        (
+            vec!["search", "--refine-sim", "--jitter-seed", "9"],
+            r#""kind":"search","refine_sim":true,"jitter_seed":9"#.into(),
+            "--jitter-seed only applies with --jitter-replicas".into(),
+            "`jitter_seed` only applies with `jitter_replicas`".into(),
         ),
         (
             vec!["search", "--faults", &empty, "--jitter-seed", "3"],
             r#""kind":"search","faults_toml":"version = 1\n","jitter_seed":3"#.into(),
-            "--jitter-seed only applies with --refine-sim / --jitter-replicas".into(),
-            "`jitter_seed` only applies with `refine_sim` / `jitter_replicas`".into(),
+            "--jitter-seed only applies with --jitter-replicas".into(),
+            "`jitter_seed` only applies with `jitter_replicas`".into(),
         ),
         (
             vec!["search", "--faults", &bad],

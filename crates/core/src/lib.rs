@@ -51,6 +51,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+// The reference simulator shared with the root tests names this crate.
+#[cfg(test)]
+extern crate self as lumos_core;
+
 pub mod analysis;
 mod build;
 mod error;
@@ -66,5 +70,7 @@ pub use error::CoreError;
 pub use graph::{Edge, ExecutionGraph, GraphStats};
 pub use replay::{Dpro, Lumos, Replayed};
 pub use segment::{merge, parse_annotation, tag_host_events};
+#[doc(hidden)]
+pub use sim::quotient_classes;
 pub use sim::{simulate, RendezvousMode, SimOptions, SimResult};
 pub use task::{DepKind, Phase, ProcIdx, Processor, SegmentTag, Task, TaskId, TaskKind};

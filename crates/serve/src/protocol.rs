@@ -153,7 +153,7 @@ pub struct SearchRequest {
     /// Jitter replicas per finalist (> 0 implies `refine_sim`).
     #[serde(default)]
     pub jitter_replicas: u32,
-    /// Jitter-model seed.
+    /// Jitter-model seed (only with `jitter_replicas`).
     pub jitter_seed: Option<u64>,
     /// Fault-scenario spec **text** (the contents of a `--faults`
     /// TOML file, not a path — the daemon never reads client
@@ -197,7 +197,7 @@ pub struct RefineRequest {
     /// Jitter replicas (0 = zero-jitter refinement only).
     #[serde(default)]
     pub jitter_replicas: u32,
-    /// Jitter-model seed.
+    /// Jitter-model seed (only with `jitter_replicas`).
     pub jitter_seed: Option<u64>,
     /// Per-request deadline in milliseconds (queue wait included).
     pub deadline_ms: Option<u64>,
@@ -705,7 +705,7 @@ impl PredictRequest {
 impl SearchRequest {
     /// Checks the ranking and refinement knobs, in this order, and
     /// turns them into search options: `objective` parses,
-    /// `memory_gib` > 0, `top` ≥ 1, `jitter_seed` needs refinement,
+    /// `memory_gib` > 0, `top` ≥ 1, `jitter_seed` needs `jitter_replicas`,
     /// `faults_toml` parses, `fault_replicas` and `fault_seed` need a
     /// fault spec, `budget` and `seed` need `adaptive`. Jitter
     /// replicas or a fault spec turn refinement on. Returns the
@@ -730,11 +730,11 @@ impl SearchRequest {
             return Err(KnobError::TopZero);
         }
         let refine = self.refine_sim || self.jitter_replicas > 0;
-        let jitter_needs = &["refine_sim", "jitter_replicas"];
+        // Only the jitter replicas draw from the seed.
         gate(
-            self.jitter_seed.is_some() && !refine,
+            self.jitter_seed.is_some() && self.jitter_replicas == 0,
             "jitter_seed",
-            jitter_needs,
+            &["jitter_replicas"],
         )?;
         let fault_spec = match &self.faults_toml {
             Some(text) => Some(
@@ -1030,13 +1030,16 @@ mod tests {
             ),
             (
                 r#"{"kind":"search","artifact":"0x1","jitter_seed":3}"#,
-                "`jitter_seed` only applies with `refine_sim` / `jitter_replicas`",
+                "`jitter_seed` only applies with `jitter_replicas`",
             ),
-            // A fault spec turns refinement on only after the jitter
-            // seed is checked.
+            // Refinement alone, or beside a fault spec, draws no jitter.
+            (
+                r#"{"kind":"search","artifact":"0x1","refine_sim":true,"jitter_seed":3}"#,
+                "`jitter_seed` only applies with `jitter_replicas`",
+            ),
             (
                 r#"{"kind":"search","artifact":"0x1","faults_toml":"version = 1\n","jitter_seed":3}"#,
-                "`jitter_seed` only applies with `refine_sim` / `jitter_replicas`",
+                "`jitter_seed` only applies with `jitter_replicas`",
             ),
             (
                 r#"{"kind":"search","artifact":"0x1","faults_toml":"[[straggler]]\nslowdown = 0.5\n"}"#,
@@ -1083,6 +1086,10 @@ mod tests {
             (
                 r#"{"kind":"refine","artifact":"0x1","schedule":"dualpipe"}"#,
                 "`schedule`: unknown schedule `dualpipe` (known: 1f1b, gpipe, zb-h1)",
+            ),
+            (
+                r#"{"kind":"refine","artifact":"0x1","jitter_seed":3}"#,
+                "`jitter_seed` only applies with `jitter_replicas`",
             ),
             // the line and its kind
             ("[]", "request must be a JSON object, got array"),
@@ -1157,7 +1164,7 @@ mod tests {
             query: Query::Refine(q),
             ..
         }) = parse_request(
-            r#"{"kind":"refine","artifact":"0x1","dp":2,"schedule":"gpipe","jitter_seed":3}"#,
+            r#"{"kind":"refine","artifact":"0x1","dp":2,"schedule":"gpipe","jitter_replicas":2,"jitter_seed":3}"#,
         )
         else {
             panic!("not a refine");
@@ -1165,7 +1172,10 @@ mod tests {
         assert_eq!((q.space.dp.clone(), q.space.tp.clone()), (vec![2], vec![]));
         assert_eq!(q.space.schedules, vec![ScheduleKind::GPipe]);
         assert!(q.options.refine_sim);
-        assert_eq!((q.options.jitter_seed, q.top), (3, 1));
+        assert_eq!(
+            (q.options.jitter_replicas, q.options.jitter_seed, q.top),
+            (2, 3, 1)
+        );
 
         for (line, expected) in [
             (r#"{"kind":"stats"}"#, "Stats"),
