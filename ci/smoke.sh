@@ -2,7 +2,8 @@
 # End-to-end smoke checks of the release `lumos` binary: the search,
 # lint, adaptive, schedule, serve, calibrate and fault CLI paths, plus
 # the release-only tests (adaptive search on a ~3×10⁷-point space; the
-# simulator against its reference on the benchmark's predictions) and
+# benchmark's predictions against the trace route's graph and the
+# reference simulator) and
 # a `cargo check` of the perfbench workspace. Run
 # from anywhere after `cargo build --release --workspace`:
 #
@@ -129,7 +130,7 @@ grep -q "only applies with --adaptive" "$T/budget.err"
 step "adaptive: synthetic space (≤10% visited, pinned numbers)"
 cargo test --release -p lumos-search --test adaptive_synthetic
 
-step "simulate: the benchmark's eight predictions equal the reference simulator bit for bit"
+step "predict: the benchmark's eight predictions equal the trace route's graph id for id and the reference simulator bit for bit"
 cargo test --release --test sim_oracle_15b
 
 # perfbench is its own Cargo workspace with path dependencies on the

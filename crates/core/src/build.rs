@@ -27,8 +27,8 @@ use crate::graph::ExecutionGraph;
 use crate::segment::{parse_annotation, sort_scopes, sweep_thread};
 use crate::task::{DepKind, ProcIdx, Processor, SegmentTag, Task, TaskId, TaskKind};
 use lumos_trace::{
-    ClusterTrace, CudaRuntimeKind, Dur, EventKind, KernelClass, RankId, RankTrace, StreamId,
-    ThreadId, Ts,
+    ClusterTrace, CommMeta, CudaRuntimeKind, Dur, EventKind, KernelClass, RankId, RankTrace,
+    StreamId, ThreadId, Ts,
 };
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
@@ -145,7 +145,7 @@ pub fn build_graph(trace: &ClusterTrace, opts: &BuildOptions) -> Result<Executio
 }
 
 /// A host call (CPU operator or CUDA runtime call) of a [`RankOps`].
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 struct HostOp {
     tid: ThreadId,
     kind: TaskKind,
@@ -156,7 +156,7 @@ struct HostOp {
 }
 
 /// A kernel of a [`RankOps`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct KernelOp {
     stream: StreamId,
     class: KernelClass,
@@ -174,7 +174,7 @@ struct KernelOp {
 /// the call that launched it. Built either from a trace
 /// ([`RankOps::of_trace`]) or op by op through its [`Sink`], as
 /// reassembly emits it, then [`RankOps::in_trace_order`].
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct RankOps {
     /// Host calls, ordered by start.
     host: Vec<HostOp>,
@@ -303,6 +303,26 @@ impl RankOps {
         self
     }
 
+    /// Whether `other` is this program op for op, with collective
+    /// communicator ids renamed one to one; if so, `rename` holds the
+    /// renaming as `(this program's id, other's id)` pairs. Compares
+    /// every field [`build_rank`] reads: host calls whole, kernels with
+    /// their communicators set aside, scopes whole. Equal programs in
+    /// emission order stay equal through [`RankOps::in_trace_order`],
+    /// so `build_rank` writes them as the same fragment up to ids.
+    pub(crate) fn same_program(&self, other: &RankOps, rename: &mut Vec<(u64, u64)>) -> bool {
+        rename.clear();
+        self.kernels.len() == other.kernels.len()
+            && self.host == other.host
+            && self.scopes == other.scopes
+            && self.kernels.iter().zip(&other.kernels).all(|(a, b)| {
+                (a.stream, a.start, a.dur, a.correlation)
+                    == (b.stream, b.start, b.dur, b.correlation)
+                    && a.name == b.name
+                    && same_class(a.class, b.class, rename)
+            })
+    }
+
     /// Links every kernel to the work-launching call sharing its
     /// correlation id (the latest by start, if several do).
     fn resolve_launches(&mut self) {
@@ -314,6 +334,32 @@ impl RankOps {
         }
         for k in &mut self.kernels {
             k.launch = launch_by_corr.get(&k.correlation).copied();
+        }
+    }
+}
+
+/// Whether kernel classes `a` and `b` are equal up to the
+/// communicator of a collective, extending the one-to-one renaming
+/// `rename` of `a`'s communicators to `b`'s.
+fn same_class(a: KernelClass, b: KernelClass, rename: &mut Vec<(u64, u64)>) -> bool {
+    let (KernelClass::Collective(x), KernelClass::Collective(y)) = (a, b) else {
+        return a == b;
+    };
+    let renamed = CommMeta {
+        group: x.group,
+        ..y
+    };
+    if renamed != x {
+        return false;
+    }
+    match rename
+        .iter()
+        .find(|&&(old, new)| old == x.group || new == y.group)
+    {
+        Some(&pair) => pair == (x.group, y.group),
+        None => {
+            rename.push((x.group, y.group));
+            true
         }
     }
 }

@@ -28,13 +28,53 @@
 //! [`reassemble`] / [`reassemble_with_library`] writes a valid
 //! [`ClusterTrace`] on a placeholder timeline (the simulator
 //! recomputes true times); [`crate::build_graph`] on it yields the
-//! same graph as the graph sink, which the differential tests check.
+//! same graph as the graph sink, id for id, which the differential
+//! tests check.
+//!
+//! # Each distinct rank program is built once
+//!
+//! Every rank with the same `(tp mod old_tp, dp mod old_dp, stage)`
+//! pastes the same blocks, so a scale-out holds far fewer distinct
+//! programs than ranks (2x4x16 from a 2x2x1 base: 128 ranks, 8
+//! programs). The graph sink compares each emitted rank's ops with the
+//! programs already built in its pipeline stage. On a match it
+//! *stamps* the built rank's graph fragment as the new rank's: tasks
+//! copied with their processor and communicator renamed; successor
+//! lists, launching tasks and stream kernel lists shifted by the
+//! task-id offset; predecessor counts and enqueue positions copied;
+//! processors interned and collectives registered in the built rank's
+//! order. A rank with no match is sorted into trace order and built.
+//! The graph is the one building every rank gives, id for id.
+//!
+//! Why a stamp is exact:
+//!
+//! * the per-rank builder reads only its ops, its rank id and the
+//!   fragment it writes: it interns the rank's processors as new
+//!   consecutive indices, and every task and launch it looks up is
+//!   its own;
+//! * sorting into trace order is a stable sort followed by a
+//!   deterministic launch link, so ops equal in emission order are
+//!   equal in trace order, and build into equal fragments up to the
+//!   task-id offset, the processor offset and the rank;
+//! * a match compares every field the builder reads (host calls:
+//!   thread, kind, name, start, duration, correlation; kernels:
+//!   stream, class, name, start, duration, correlation; scopes), with
+//!   communicator ids allowed to differ under a one-to-one renaming,
+//!   which the stamp applies. A rank that differs in any of these
+//!   fields, such as a collective priced differently because its
+//!   members span nodes differently, is built.
+//!
+//! Emission still runs for every rank: the emitter prices collectives
+//! by their member ranks, so equality is known only once a rank's ops
+//! exist. Programs are held only while their stage is emitted (ranks
+//! come stage by stage); a program dropped early would cost one more
+//! build, never exactness.
 
 use crate::build::{build_rank, BuildOptions, RankOps, Sink};
 use crate::error::CoreError;
 use crate::graph::ExecutionGraph;
 use crate::manipulate::blocks::{Block, BlockKey, BlockKind, BlockLibrary};
-use crate::task::{Phase, SegmentTag};
+use crate::task::{Phase, ProcIdx, SegmentTag, TaskId};
 use lumos_cost::CostModel;
 use lumos_model::ops::{self, OpBody, OpDesc};
 use lumos_model::{
@@ -46,6 +86,7 @@ use lumos_trace::{
 };
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -195,16 +236,47 @@ pub fn reassemble_with_library<C: CostModel>(
 
 /// Reassembles `spec` straight into an execution graph: the graph
 /// [`crate::build_graph`] derives from [`reassemble_with_library`]'s
-/// trace, without building that trace.
+/// trace, without building that trace. Each distinct program of a
+/// pipeline stage is built once; its copies are stamped (see the
+/// module doc).
 pub(crate) fn reassemble_graph<C: CostModel>(
     library: &BlockLibrary,
     spec: &ReassembleSpec,
     cost: &C,
     opts: &BuildOptions,
 ) -> Result<ExecutionGraph, CoreError> {
+    /// A program built in the current stage: its ops in emission
+    /// order, and the task ids and processors `build_rank` gave it.
+    struct Built {
+        ops: RankOps,
+        tasks: Range<TaskId>,
+        procs: Range<ProcIdx>,
+    }
     let mut graph = ExecutionGraph::new();
+    let mut built: Vec<Built> = Vec::new();
+    let mut stage = 0;
+    let mut rename = Vec::new();
     emit_ranks(library, spec, cost, |rank, ops: RankOps| {
-        build_rank(&mut graph, RankId(rank), &ops.in_trace_order(), opts);
+        // Ranks come stage by stage, and ranks of different stages
+        // paste different blocks, so a stage's programs are dropped
+        // once the next stage begins.
+        let rank_stage = spec.new.parallelism.coords(rank).pp;
+        if rank_stage != stage {
+            built.clear();
+            stage = rank_stage;
+        }
+        let rank = RankId(rank);
+        if let Some(b) = built.iter().find(|b| b.ops.same_program(&ops, &mut rename)) {
+            graph.stamp(b.tasks.clone(), b.procs.clone(), rank, &rename);
+            return;
+        }
+        let (tasks, procs) = (graph.len() as TaskId, graph.processors().len() as ProcIdx);
+        build_rank(&mut graph, rank, &ops.clone().in_trace_order(), opts);
+        built.push(Built {
+            ops,
+            tasks: tasks..graph.len() as TaskId,
+            procs: procs..graph.processors().len() as ProcIdx,
+        });
     })?;
     graph.validate()?;
     Ok(graph)

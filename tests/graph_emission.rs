@@ -1,15 +1,22 @@
 //! Differential test of the estimate path: reassembling a prediction
-//! straight into the execution graph (`Lumos::predict_spec`) must give
-//! the graph that `build_graph` derives from the reassembled trace, and
-//! the same makespan, breakdown and pipeline-communication time as the
-//! simulated trace — bit for bit.
+//! straight into the execution graph (`Lumos::predict_spec`), which
+//! builds each distinct rank program once and stamps its copies, must
+//! give the graph that `build_graph` derives from the reassembled
+//! trace id for id, and the same makespan, breakdown and
+//! pipeline-communication time as the simulated trace — bit for bit.
+//! Enough cases must repeat a rank's program that the stamp is
+//! exercised, and a cost model that prices each collective by its
+//! members must make otherwise-equal ranks be built, not stamped.
 
+mod graph_diff;
+
+use graph_diff::{first_difference, repeated_ranks};
 use lumos::core::manipulate::{apply_transforms, plan, reassemble_with_library, BlockLibrary};
-use lumos::core::{build_graph, simulate, ExecutionGraph, Replayed};
+use lumos::core::{build_graph, simulate, Replayed};
 use lumos::prelude::*;
 use lumos::trace::{CollectiveKind, EventKind, KernelClass};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use proptest::test_runner::TestRng;
 
 fn base_setup(tp: u32, pp: u32, dp: u32, microbatches: u32) -> TrainingSetup {
     TrainingSetup {
@@ -41,73 +48,6 @@ fn calibrate(
     (library, lookup)
 }
 
-/// Everything the simulator reads about a task except its id.
-fn task_keys(graph: &ExecutionGraph) -> Vec<String> {
-    graph
-        .tasks()
-        .iter()
-        .map(|t| {
-            format!(
-                "{} {:?} {} {} {} {} {:?}",
-                graph.processor(t.processor),
-                t.kind,
-                t.name,
-                t.duration.as_ns(),
-                t.orig_start.as_ns(),
-                t.correlation,
-                t.tag
-            )
-        })
-        .collect()
-}
-
-fn sorted<T: Ord>(mut v: Vec<T>) -> Vec<T> {
-    v.sort();
-    v
-}
-
-/// A graph as id-free multisets: tasks, edges with their kinds, and
-/// collective membership.
-#[derive(Debug, PartialEq)]
-struct Shape {
-    tasks: Vec<String>,
-    edges: Vec<(String, String, String)>,
-    collectives: BTreeMap<(u64, u32), Vec<String>>,
-    groups: BTreeMap<u64, Vec<u32>>,
-}
-
-fn shape(graph: &ExecutionGraph) -> Shape {
-    let keys = task_keys(graph);
-    let mut edges = Vec::new();
-    for (from, key) in keys.iter().enumerate() {
-        for e in graph.successors(from as u32) {
-            edges.push((
-                key.clone(),
-                keys[e.to as usize].clone(),
-                format!("{:?}", e.kind),
-            ));
-        }
-    }
-    let collectives = graph
-        .collectives()
-        .iter()
-        .map(|(&k, members)| {
-            let members = members.iter().map(|&m| keys[m as usize].clone()).collect();
-            (k, sorted(members))
-        })
-        .collect();
-    let groups = graph
-        .groups()
-        .map(|(g, ranks)| (g, sorted(ranks.iter().map(|r| r.0).collect())))
-        .collect();
-    Shape {
-        tasks: sorted(keys),
-        edges: sorted(edges),
-        collectives,
-        groups,
-    }
-}
-
 /// Mean per-rank SendRecv kernel time of a trace, walking its events.
 fn pipeline_comm_of_trace(trace: &ClusterTrace) -> f64 {
     let total_ns: u128 = trace
@@ -126,29 +66,32 @@ fn pipeline_comm_of_trace(trace: &ClusterTrace) -> f64 {
 }
 
 /// Checks the direct path against the trace round trip for one
-/// target; `Err` describes the first difference.
-fn check(
+/// target; `Err` describes the first difference. Returns how many
+/// ranks of the reassembled trace repeat an earlier rank's program.
+fn check<C: CostModel>(
     lumos: &Lumos,
     base: &TrainingSetup,
     library: &BlockLibrary,
-    lookup: &LookupCostModel<AnalyticalCostModel>,
+    cost: &C,
     transforms: &[Transform],
-) -> Result<(), TestCaseError> {
+) -> Result<usize, TestCaseError> {
     let Ok(target) = apply_transforms(base, transforms) else {
-        return Ok(());
+        return Ok(0);
     };
     let spec = plan(base, &target);
-    let direct = lumos.predict_spec(library, &spec, lookup);
+    let direct = lumos.predict_spec(library, &spec, cost);
     // The reference: trace sink, then the trace-reading builder with
     // input validation on.
     prop_assert!(lumos.build.validate_input);
-    let reference = reassemble_with_library(library, &spec, lookup)
-        .and_then(|trace| Ok((build_graph(&trace, &lumos.build)?, trace.label)));
-    let (direct, (graph, label)): (Replayed, _) = match (direct, reference) {
+    let reference = reassemble_with_library(library, &spec, cost).and_then(|trace| {
+        let graph = build_graph(&trace, &lumos.build)?;
+        Ok((graph, trace))
+    });
+    let (direct, (graph, trace)): (Replayed, _) = match (direct, reference) {
         (Ok(d), Ok(r)) => (d, r),
         (Err(a), Err(b)) => {
             prop_assert_eq!(a.to_string(), b.to_string());
-            return Ok(());
+            return Ok(0);
         }
         (a, b) => {
             return Err(TestCaseError::fail(format!(
@@ -158,15 +101,14 @@ fn check(
             )))
         }
     };
-    prop_assert_eq!(
-        shape(&direct.graph),
-        shape(&graph),
-        "graph of {:?}",
-        transforms
-    );
+    if let Some(difference) = first_difference(&direct.graph, &graph) {
+        return Err(TestCaseError::fail(format!(
+            "graph of {transforms:?}: {difference}"
+        )));
+    }
 
     let result = simulate(&graph, &lumos.sim).unwrap();
-    let simulated = result.to_trace(&graph, &label);
+    let simulated = result.to_trace(&graph, &trace.label);
     prop_assert_eq!(direct.makespan(), result.makespan());
     prop_assert_eq!(direct.makespan(), simulated.makespan());
     prop_assert_eq!(direct.breakdown(), simulated.breakdown());
@@ -175,23 +117,26 @@ fn check(
         direct.pipeline_comm_secs_per_rank().to_bits(),
         pipeline_comm_of_trace(&simulated).to_bits()
     );
-    prop_assert_eq!(&direct.label, &label);
-    Ok(())
+    prop_assert_eq!(&direct.label, &trace.label);
+    Ok(repeated_ranks(&trace))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+/// Cases of the random differential test.
+const CASES: u32 = 32;
 
-    #[test]
-    fn direct_graph_equals_graph_of_reassembled_trace(
-        (tp, pp, dp) in (1u32..3, 1u32..3, 1u32..3),
-        base_microbatches in 1u32..4,
-        seed in 0u64..1000,
-        (new_dp, new_pp, wider_tp) in (1u32..4, 1u32..3, prop::bool::ANY),
-        (layers, microbatches) in (prop_oneof![Just(2u32), Just(4)], 1u32..5),
-        (hidden, longer) in (prop::bool::ANY, prop::bool::ANY),
-        dpro in prop::bool::ANY,
-    ) {
+#[test]
+fn direct_graph_equals_graph_of_reassembled_trace() {
+    let mut rng = TestRng::deterministic("direct_graph_equals_graph_of_reassembled_trace");
+    let mut repeating = 0;
+    for case in 1..=CASES {
+        let (tp, pp, dp) = (1u32..3, 1u32..3, 1u32..3).sample(&mut rng);
+        let base_microbatches = (1u32..4).sample(&mut rng);
+        let seed = (0u64..1000).sample(&mut rng);
+        let (new_dp, new_pp, wider_tp) = (1u32..4, 1u32..3, prop::bool::ANY).sample(&mut rng);
+        let (layers, microbatches) = (prop_oneof![Just(2u32), Just(4)], 1u32..5).sample(&mut rng);
+        let (hidden, longer) = (prop::bool::ANY, prop::bool::ANY).sample(&mut rng);
+        let dpro = prop::bool::ANY.sample(&mut rng);
+
         let base = base_setup(tp, pp, dp, base_microbatches);
         let (library, lookup) = calibrate(&base, seed);
         let mut transforms = vec![
@@ -205,14 +150,28 @@ proptest! {
             transforms.push(Transform::TensorParallel { tp: 2 * tp });
         }
         if hidden {
-            transforms.push(Transform::HiddenSize { hidden: 512, ffn: 2048 });
+            transforms.push(Transform::HiddenSize {
+                hidden: 512,
+                ffn: 2048,
+            });
         }
         if longer {
             transforms.push(Transform::SeqLen { seq_len: 256 });
         }
-        let lumos = if dpro { Lumos::dpro_baseline() } else { Lumos::new() };
-        check(&lumos, &base, &library, &lookup, &transforms)?;
+        let lumos = if dpro {
+            Lumos::dpro_baseline()
+        } else {
+            Lumos::new()
+        };
+        let repeated = check(&lumos, &base, &library, &lookup, &transforms)
+            .unwrap_or_else(|e| panic!("case {case}/{CASES} ({}, seed {seed}): {e}", base.label()));
+        repeating += usize::from(repeated > 0);
     }
+    // 18 of the 32 cases repeat a rank program.
+    assert!(
+        repeating * 2 >= CASES as usize,
+        "only {repeating} of {CASES} cases repeat a rank program"
+    );
 }
 
 #[test]
@@ -223,7 +182,7 @@ fn dpro_baseline_direct_graph_equals_graph_of_reassembled_trace() {
         Transform::DataParallel { dp: 2 },
         Transform::Microbatches { num: 4 },
     ];
-    check(
+    let repeated = check(
         &Lumos::dpro_baseline(),
         &base,
         &library,
@@ -231,4 +190,37 @@ fn dpro_baseline_direct_graph_equals_graph_of_reassembled_trace() {
         &transforms,
     )
     .unwrap();
+    assert!(repeated > 0);
+}
+
+/// Prices each collective as `C` does, plus its first member's id in
+/// ns: ranks that paste the same blocks then differ in the durations
+/// of their pipeline transfers and embedding all-reduce.
+struct MemberPriced<C>(C);
+
+impl<C: CostModel> CostModel for MemberPriced<C> {
+    fn compute_cost(&self, class: &KernelClass) -> Dur {
+        self.0.compute_cost(class)
+    }
+
+    fn collective_cost(&self, kind: CollectiveKind, bytes: u64, members: &[u32]) -> Dur {
+        let first = members.first().copied().map_or(0, u64::from);
+        self.0.collective_cost(kind, bytes, members) + Dur(first)
+    }
+}
+
+#[test]
+fn ranks_that_differ_in_a_collective_duration_are_built_not_stamped() {
+    let base = base_setup(1, 2, 1, 2);
+    let (library, lookup) = calibrate(&base, 11);
+    let transforms = [Transform::DataParallel { dp: 2 }];
+    for lumos in [Lumos::new(), Lumos::dpro_baseline()] {
+        // Priced by the lookup alone, the two data-parallel replicas
+        // of each stage run one program.
+        let repeated = check(&lumos, &base, &library, &lookup, &transforms).unwrap();
+        assert_eq!(repeated, 2);
+        let priced = MemberPriced(&lookup);
+        let repeated = check(&lumos, &base, &library, &priced, &transforms).unwrap();
+        assert_eq!(repeated, 0);
+    }
 }
