@@ -48,10 +48,7 @@ fn main() {
             ),
         ] {
             let toolkit = Lumos {
-                build: BuildOptions {
-                    interstream: mode,
-                    ..BuildOptions::default()
-                },
+                build: BuildOptions { interstream: mode },
                 sim: SimOptions {
                     rendezvous: rdv,
                     ..SimOptions::default()

@@ -7,7 +7,7 @@ use crate::harness::{
 use crate::paper::{self, PaperError};
 use crate::table::{breakdown_cells, ms, pct, TextTable};
 use lumos_core::manipulate::Transform;
-use lumos_core::{BuildOptions, Dpro, InterStreamMode, Lumos, RendezvousMode, SimOptions};
+use lumos_core::{BuildOptions, InterStreamMode, Lumos, RendezvousMode, SimOptions};
 use lumos_model::ModelConfig;
 use lumos_trace::{sm_utilization, BreakdownExt, Dur, RankId};
 
@@ -174,7 +174,7 @@ pub fn fig6(opts: &RunOptions, progress: Progress) -> Result<(TextTable, String)
         .replay(&profiled.output.trace)
         .expect("replay")
         .trace();
-    let dpro = Dpro::new()
+    let dpro = Lumos::dpro_baseline()
         .replay(&profiled.output.trace)
         .expect("dpro")
         .trace();
@@ -309,10 +309,7 @@ pub fn ablation(
     ];
     for (interstream, rendezvous, note) in combos {
         let toolkit = Lumos {
-            build: BuildOptions {
-                interstream,
-                ..BuildOptions::default()
-            },
+            build: BuildOptions { interstream },
             sim: SimOptions {
                 rendezvous,
                 ..SimOptions::default()

@@ -11,7 +11,7 @@
 use lumos_calib::CalibrationArtifact;
 use lumos_cluster::{EngineOutput, GroundTruthCluster, JitterModel, SimConfig};
 use lumos_core::manipulate::Transform;
-use lumos_core::{Dpro, Lumos};
+use lumos_core::Lumos;
 use lumos_cost::AnalyticalCostModel;
 use lumos_trace::{Breakdown, BreakdownExt, ClusterTrace, Dur};
 use std::collections::HashMap;
@@ -204,7 +204,7 @@ pub fn replay_experiment(config: &SimConfig, opts: &RunOptions) -> ConfigResult 
     let lumos = Lumos::new()
         .replay(&profiled.output.trace)
         .expect("replay succeeds");
-    let dpro = Dpro::new()
+    let dpro = Lumos::dpro_baseline()
         .replay(&profiled.output.trace)
         .expect("dpro replay succeeds");
     ConfigResult {

@@ -10,7 +10,7 @@ use crate::common::{
 use crate::error::CliError;
 use lumos_cost::AnalyticalCostModel;
 use lumos_model::{Parallelism, TrainingSetup};
-use lumos_search::{search_calibrated, SearchCalibration};
+use lumos_search::{search_calibrated, SearchCalibration, SearchError};
 use lumos_serve::protocol::SearchRequest;
 use std::fs;
 use std::io::Write;
@@ -180,7 +180,8 @@ fn base_from(
         let setup = TrainingSetup::new(model, par);
         let seed = args.get_num("seed", 2025u64)?;
         writeln!(out, "profiling base {} (seed {seed}) ...", setup.label())?;
-        let trace = lumos_search::profile_base(&setup, seed)?;
+        let trace = lumos_cluster::profile(&setup, seed)
+            .map_err(|e| SearchError::BaseProfile(e.to_string()))?;
         Ok((trace, setup))
     } else {
         for flag in ["base-tp", "base-pp", "base-dp"] {

@@ -31,9 +31,9 @@
 //! # Execution modes
 //!
 //! The engine is generic over an event sink (see [`crate::sink`]).
-//! [`execute`] / [`PreparedJob::execute`] materialize full per-rank
-//! traces; [`execute_metrics`] / [`PreparedJob::execute_metrics`] run
-//! the identical simulation while accumulating only aggregates —
+//! [`PreparedJob::execute`] materializes full per-rank traces;
+//! [`PreparedJob::execute_metrics`] runs the identical simulation
+//! while accumulating only aggregates —
 //! the hot loop then performs no allocation per event. All runtime
 //! state (threads, streams, CUDA events, tokens, collective
 //! instances) is indexed by dense ids resolved once in
@@ -41,7 +41,6 @@
 
 use crate::exec::{ExecOp, PreparedJob};
 use crate::jitter::{JitterModel, RunJitter};
-use crate::lower::LoweredJob;
 use crate::program::NameId;
 use crate::scenario::RunScenario;
 use crate::sink::{EngineMetrics, EventSink, FullTraceSink, MetricsSink};
@@ -116,7 +115,7 @@ pub enum EngineError {
         cycle: bool,
     },
     /// A collective launch referenced a communicator group absent from
-    /// [`LoweredJob::groups`].
+    /// [`crate::LoweredJob::groups`].
     UnknownGroup {
         /// The unregistered communicator id.
         group: u64,
@@ -160,47 +159,6 @@ pub struct EngineOutput {
     pub trace: ClusterTrace,
     /// End-to-end iteration time.
     pub makespan: Dur,
-}
-
-/// Executes `job` with the given cost model, host overheads, and
-/// jitter for iteration index `iteration`, materializing a full
-/// trace. Prepares the job first; executing many iterations of one
-/// job is cheaper through [`PreparedJob`].
-///
-/// # Errors
-///
-/// Returns [`EngineError::Deadlock`] when the program graph cannot be
-/// completed, and [`EngineError::UnknownGroup`] /
-/// [`EngineError::MalformedProgram`] when the job itself is
-/// ill-formed (a hand-built [`LoweredJob`] rather than one from
-/// [`crate::lower`] — duplicate ranks, dangling name ids,
-/// unregistered communicators). None of these panic: a bad job
-/// yields a typed error.
-pub fn execute<C: CostModel>(
-    job: &LoweredJob,
-    cost: &C,
-    overheads: &HostOverheads,
-    jitter: &JitterModel,
-    iteration: u64,
-) -> Result<EngineOutput, EngineError> {
-    PreparedJob::new(job)?.execute(cost, overheads, jitter, iteration)
-}
-
-/// Executes `job` in metrics-only mode: the identical simulation,
-/// with no [`lumos_trace::TraceEvent`] constructed — only the
-/// aggregates in [`EngineMetrics`].
-///
-/// # Errors
-///
-/// Same failure modes as [`execute`].
-pub fn execute_metrics<C: CostModel>(
-    job: &LoweredJob,
-    cost: &C,
-    overheads: &HostOverheads,
-    jitter: &JitterModel,
-    iteration: u64,
-) -> Result<EngineMetrics, EngineError> {
-    PreparedJob::new(job)?.execute_metrics(cost, overheads, jitter, iteration)
 }
 
 impl<'a> PreparedJob<'a> {
@@ -1197,11 +1155,11 @@ impl<'p, C: CostModel, S: EventSink> Engine<'p, C, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lower::{lower, SimConfig};
-    use crate::program::{streams, HostOp, KernelSpec, Program};
+    use crate::lower::{lower, LoweredJob, SimConfig};
+    use crate::program::{HostOp, KernelSpec, Program};
     use lumos_cost::AnalyticalCostModel;
     use lumos_model::{BatchConfig, ModelConfig, Parallelism, ScheduleKind};
-    use lumos_trace::{EventKind, StreamId};
+    use lumos_trace::{streams, EventKind, StreamId};
     use std::collections::HashMap;
 
     fn run_tiny(tp: u32, pp: u32, dp: u32) -> EngineOutput {
@@ -1216,14 +1174,15 @@ mod tests {
             schedule: ScheduleKind::OneFOneB,
         };
         let job = lower(&config).unwrap();
-        execute(
-            &job,
-            &AnalyticalCostModel::h100(),
-            &HostOverheads::default(),
-            &JitterModel::none(),
-            0,
-        )
-        .unwrap()
+        PreparedJob::new(&job)
+            .unwrap()
+            .execute(
+                &AnalyticalCostModel::h100(),
+                &HostOverheads::default(),
+                &JitterModel::none(),
+                0,
+            )
+            .unwrap()
     }
 
     #[test]
@@ -1350,14 +1309,16 @@ mod tests {
             groups: HashMap::from([(99u64, vec![0u32, 1u32])]),
             config,
         };
-        let err = execute(
-            &job,
-            &AnalyticalCostModel::h100(),
-            &HostOverheads::default(),
-            &JitterModel::none(),
-            0,
-        )
-        .unwrap_err();
+        let err = PreparedJob::new(&job)
+            .and_then(|p| {
+                p.execute(
+                    &AnalyticalCostModel::h100(),
+                    &HostOverheads::default(),
+                    &JitterModel::none(),
+                    0,
+                )
+            })
+            .unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("deadlocked"), "{msg}");
         // The diagnostic names the rendezvous and who is missing.
@@ -1391,14 +1352,16 @@ mod tests {
             groups: HashMap::new(),
             config,
         };
-        let err = execute(
-            &job,
-            &AnalyticalCostModel::h100(),
-            &HostOverheads::default(),
-            &JitterModel::none(),
-            0,
-        )
-        .unwrap_err();
+        let err = PreparedJob::new(&job)
+            .and_then(|p| {
+                p.execute(
+                    &AnalyticalCostModel::h100(),
+                    &HostOverheads::default(),
+                    &JitterModel::none(),
+                    0,
+                )
+            })
+            .unwrap_err();
         assert!(
             matches!(err, EngineError::UnknownGroup { group: 7 }),
             "{err}"
@@ -1416,14 +1379,16 @@ mod tests {
             groups: HashMap::new(),
             config,
         };
-        let err = execute(
-            &job,
-            &AnalyticalCostModel::h100(),
-            &HostOverheads::default(),
-            &JitterModel::none(),
-            0,
-        )
-        .unwrap_err();
+        let err = PreparedJob::new(&job)
+            .and_then(|p| {
+                p.execute(
+                    &AnalyticalCostModel::h100(),
+                    &HostOverheads::default(),
+                    &JitterModel::none(),
+                    0,
+                )
+            })
+            .unwrap_err();
         assert!(matches!(err, EngineError::MalformedProgram { .. }), "{err}");
         assert!(err.to_string().contains("AnnotationEnd"));
     }
@@ -1438,14 +1403,16 @@ mod tests {
             groups: HashMap::new(),
             config,
         };
-        let err = execute(
-            &job,
-            &AnalyticalCostModel::h100(),
-            &HostOverheads::default(),
-            &JitterModel::none(),
-            0,
-        )
-        .unwrap_err();
+        let err = PreparedJob::new(&job)
+            .and_then(|p| {
+                p.execute(
+                    &AnalyticalCostModel::h100(),
+                    &HostOverheads::default(),
+                    &JitterModel::none(),
+                    0,
+                )
+            })
+            .unwrap_err();
         assert!(matches!(err, EngineError::MalformedProgram { .. }), "{err}");
         assert!(err.to_string().contains("unknown name id"), "{err}");
     }
@@ -1458,14 +1425,16 @@ mod tests {
             groups: HashMap::new(),
             config,
         };
-        let err = execute(
-            &job,
-            &AnalyticalCostModel::h100(),
-            &HostOverheads::default(),
-            &JitterModel::none(),
-            0,
-        )
-        .unwrap_err();
+        let err = PreparedJob::new(&job)
+            .and_then(|p| {
+                p.execute(
+                    &AnalyticalCostModel::h100(),
+                    &HostOverheads::default(),
+                    &JitterModel::none(),
+                    0,
+                )
+            })
+            .unwrap_err();
         assert!(matches!(err, EngineError::MalformedProgram { .. }), "{err}");
         assert!(err.to_string().contains("more than one program"), "{err}");
     }
@@ -1489,7 +1458,10 @@ mod tests {
         let jitter = JitterModel::realistic(11);
         for iteration in 0..3 {
             let full = prep.execute(&cost, &oh, &jitter, iteration).unwrap();
-            let fresh = execute(&job, &cost, &oh, &jitter, iteration).unwrap();
+            let fresh = PreparedJob::new(&job)
+                .unwrap()
+                .execute(&cost, &oh, &jitter, iteration)
+                .unwrap();
             assert_eq!(full.makespan, fresh.makespan, "iteration {iteration}");
             let metrics = prep
                 .execute_metrics(&cost, &oh, &jitter, iteration)
@@ -1513,14 +1485,15 @@ mod tests {
             schedule: ScheduleKind::OneFOneB,
         };
         let job = lower(&config).unwrap();
-        let metrics = execute_metrics(
-            &job,
-            &AnalyticalCostModel::h100(),
-            &HostOverheads::default(),
-            &JitterModel::none(),
-            0,
-        )
-        .unwrap();
+        let metrics = PreparedJob::new(&job)
+            .unwrap()
+            .execute_metrics(
+                &AnalyticalCostModel::h100(),
+                &HostOverheads::default(),
+                &JitterModel::none(),
+                0,
+            )
+            .unwrap();
         assert_eq!(metrics.makespan, out.makespan);
         assert_eq!(metrics.total_events, out.trace.total_events());
         // Per-rank spans agree with the trace.
@@ -1558,8 +1531,14 @@ mod tests {
         let job = lower(&config).unwrap();
         let cost = AnalyticalCostModel::h100();
         let oh = HostOverheads::default();
-        let base = execute(&job, &cost, &oh, &JitterModel::none(), 0).unwrap();
-        let jit = execute(&job, &cost, &oh, &JitterModel::realistic(1), 0).unwrap();
+        let base = PreparedJob::new(&job)
+            .unwrap()
+            .execute(&cost, &oh, &JitterModel::none(), 0)
+            .unwrap();
+        let jit = PreparedJob::new(&job)
+            .unwrap()
+            .execute(&cost, &oh, &JitterModel::realistic(1), 0)
+            .unwrap();
         assert_eq!(
             base.trace.total_events(),
             jit.trace.total_events(),
@@ -1567,7 +1546,10 @@ mod tests {
         );
         assert_ne!(base.makespan, jit.makespan);
         // Different iterations of the same jittered run differ.
-        let jit2 = execute(&job, &cost, &oh, &JitterModel::realistic(1), 1).unwrap();
+        let jit2 = PreparedJob::new(&job)
+            .unwrap()
+            .execute(&cost, &oh, &JitterModel::realistic(1), 1)
+            .unwrap();
         assert_ne!(jit.makespan, jit2.makespan);
         // Means stay close: within 10%.
         let rel = jit.makespan.relative_error(base.makespan);
@@ -1588,14 +1570,15 @@ mod tests {
             groups: HashMap::new(),
             config,
         };
-        let out = execute(
-            &job,
-            &AnalyticalCostModel::h100(),
-            &HostOverheads::default(),
-            &JitterModel::none(),
-            0,
-        )
-        .unwrap();
+        let out = PreparedJob::new(&job)
+            .unwrap()
+            .execute(
+                &AnalyticalCostModel::h100(),
+                &HostOverheads::default(),
+                &JitterModel::none(),
+                0,
+            )
+            .unwrap();
         assert_eq!(out.trace.total_events(), 1);
     }
 

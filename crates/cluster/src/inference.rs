@@ -11,11 +11,11 @@
 //! identically.
 
 use crate::lower::{kernel_of, LoweredJob, NameCache, SimConfig};
-use crate::program::{streams, HostOp, KernelSpec, NameId, Program};
+use crate::program::{HostOp, KernelSpec, NameId, Program};
 use lumos_model::inference::{layer_decode_ops, layer_prefill_ops, sampling_ops, InferenceSetup};
 use lumos_model::ops::{CollOp, OpBody, OpDesc};
 use lumos_model::{BatchConfig, CommScope, GroupRegistry, ModelError, ScheduleKind};
-use lumos_trace::{CollectiveKind, CommMeta, KernelClass};
+use lumos_trace::{streams, CollectiveKind, CommMeta, KernelClass};
 use std::collections::HashMap;
 
 /// Lowers an inference setup into per-rank programs (one rank per
@@ -238,7 +238,7 @@ impl InferenceLowerer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::execute;
+    use crate::exec::PreparedJob;
     use crate::jitter::JitterModel;
     use lumos_cost::{AnalyticalCostModel, HostOverheads};
     use lumos_model::ModelConfig;
@@ -325,26 +325,28 @@ mod tests {
     fn executes_end_to_end_through_engine() {
         let setup = tiny_setup(2);
         let job = lower_inference(&setup).unwrap();
-        let out = execute(
-            &job,
-            &AnalyticalCostModel::h100(),
-            &HostOverheads::default(),
-            &JitterModel::none(),
-            0,
-        )
-        .unwrap();
+        let out = PreparedJob::new(&job)
+            .unwrap()
+            .execute(
+                &AnalyticalCostModel::h100(),
+                &HostOverheads::default(),
+                &JitterModel::none(),
+                0,
+            )
+            .unwrap();
         assert!(out.makespan > lumos_trace::Dur::ZERO);
         out.trace.validate().unwrap();
         assert_eq!(out.trace.world_size(), 2);
         // Deterministic without jitter.
-        let out2 = execute(
-            &job,
-            &AnalyticalCostModel::h100(),
-            &HostOverheads::default(),
-            &JitterModel::none(),
-            0,
-        )
-        .unwrap();
+        let out2 = PreparedJob::new(&job)
+            .unwrap()
+            .execute(
+                &AnalyticalCostModel::h100(),
+                &HostOverheads::default(),
+                &JitterModel::none(),
+                0,
+            )
+            .unwrap();
         assert_eq!(out.makespan, out2.makespan);
     }
 

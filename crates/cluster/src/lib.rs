@@ -16,16 +16,16 @@
 //! [`JitterModel`] supplies run-to-run variance so replay error can be
 //! measured the way the paper measures it.
 //!
-//! The engine has two execution modes sharing one simulation:
-//! full-trace ([`execute`], [`PreparedJob::execute`]) materializes
-//! the Kineto-style trace, while metrics-only ([`execute_metrics`],
-//! [`PreparedJob::execute_metrics`]) accumulates just the aggregates
-//! ([`EngineMetrics`]: makespan, per-rank spans, per-stream busy
-//! time, collective waits) without constructing a single trace event
-//! — the mode the simulation-refined configuration search runs in.
-//! [`PreparedJob`] resolves a lowered job's tuple-keyed lookups into
-//! dense indices once, so repeated iterations (jitter replicas) share
-//! one prepared form.
+//! A lowered job runs through [`PreparedJob`], which resolves its
+//! tuple-keyed lookups into dense indices once, so repeated iterations
+//! (jitter replicas) share one prepared form. The engine has two
+//! execution modes sharing one simulation: full-trace
+//! ([`PreparedJob::execute`]) materializes the Kineto-style trace,
+//! while metrics-only ([`PreparedJob::execute_metrics`]) accumulates
+//! just the aggregates ([`EngineMetrics`]: makespan, per-rank spans,
+//! per-stream busy time, collective waits) without constructing a
+//! single trace event — the mode the simulation-refined configuration
+//! search runs in.
 //!
 //! # Example
 //!
@@ -56,14 +56,12 @@ pub mod scenario;
 mod sink;
 mod verify;
 
-pub use engine::{execute, execute_metrics, CycleStep, EngineError, EngineOutput};
+pub use engine::{CycleStep, EngineError, EngineOutput};
 pub use exec::PreparedJob;
 pub use inference::lower_inference;
 pub use jitter::JitterModel;
 pub use lower::{lower, LoweredJob, SimConfig};
-pub use program::{
-    streams, threads, HostOp, KernelSpec, NameId, NameTable, Program, ThreadProgram,
-};
+pub use program::{HostOp, KernelSpec, NameId, NameTable, Program, ThreadProgram};
 pub use run::{profile, profile_inference, ClusterError, GroundTruthCluster, MeasuredStats};
 pub use scenario::{FaultSpec, Realization, RunScenario};
 pub use sink::{EngineMetrics, RankMetrics, StreamBusy};

@@ -23,12 +23,12 @@
 //! autograd thread, coordinated by token signal/wait pairs, matching
 //! the PyTorch behavior Lumos's inter-thread gap detection targets.
 
-use crate::program::{streams, HostOp, KernelSpec, NameId, Program};
+use crate::program::{HostOp, KernelSpec, NameId, Program};
 use lumos_model::ops::{self, CollOp, OpBody, OpDesc};
 use lumos_model::{
     CommScope, GroupRegistry, ModelError, Parallelism, PipelineSchedule, RankCoords, ScheduleItem,
 };
-use lumos_trace::{CollectiveKind, CommMeta, KernelClass, StreamId};
+use lumos_trace::{streams, CollectiveKind, CommMeta, KernelClass, StreamId};
 use std::collections::HashMap;
 use std::sync::Arc;
 

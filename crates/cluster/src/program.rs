@@ -29,38 +29,9 @@
 //!   them — the engine validates every referenced id when a job is
 //!   prepared and rejects out-of-range ids as malformed programs.
 
-use lumos_trace::{KernelClass, StreamId, ThreadId};
+use lumos_trace::{threads, KernelClass, StreamId, ThreadId};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-/// Conventional stream assignment, mirroring typical Megatron/PyTorch
-/// traces: one compute stream plus dedicated communication streams.
-pub mod streams {
-    use lumos_trace::StreamId;
-
-    /// Default compute stream.
-    pub const COMPUTE: StreamId = StreamId(7);
-    /// Tensor-parallel collective stream.
-    pub const TP_COMM: StreamId = StreamId(13);
-    /// Data-parallel gradient collective stream.
-    pub const DP_COMM: StreamId = StreamId(17);
-    /// Pipeline forward-direction (activations) stream.
-    pub const PP_FWD: StreamId = StreamId(21);
-    /// Pipeline backward-direction (gradients) stream.
-    pub const PP_BWD: StreamId = StreamId(22);
-}
-
-/// Conventional thread assignment: PyTorch runs forward dispatch on
-/// the main thread and backward on the autograd engine thread (the
-/// inter-thread dependency the paper calls out in §3.3.2).
-pub mod threads {
-    use lumos_trace::ThreadId;
-
-    /// Main (forward / schedule) thread.
-    pub const MAIN: ThreadId = ThreadId(1);
-    /// Autograd (backward) thread.
-    pub const BACKWARD: ThreadId = ThreadId(2);
-}
 
 /// Index of an interned name in a program's [`NameTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -337,24 +308,12 @@ impl Program {
         }
         Ok(())
     }
-
-    /// Panicking wrapper over [`Program::well_formed`] for call sites
-    /// that treat a violation as an internal bug (lowering output,
-    /// hand-built test programs).
-    ///
-    /// # Panics
-    ///
-    /// Panics with the violation's display text.
-    pub fn assert_well_formed(&self) {
-        if let Err(err) = self.well_formed() {
-            panic!("{err}");
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::VerifyError;
 
     #[test]
     fn well_formed_program_passes() {
@@ -367,7 +326,7 @@ mod tests {
         p.main_mut().push(HostOp::SignalPeer { token: 1 });
         p.main_mut().push(HostOp::AnnotationEnd);
         p.backward_mut().push(HostOp::WaitPeer { token: 1 });
-        p.assert_well_formed();
+        p.well_formed().unwrap();
         assert_eq!(p.len(), 5);
     }
 
@@ -385,52 +344,44 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unclosed")]
     fn unbalanced_annotation_caught() {
         let mut p = Program::new(0);
         let x = p.intern("x");
         p.main_mut().push(HostOp::AnnotationBegin { name: x });
-        p.assert_well_formed();
+        assert!(matches!(
+            p.well_formed(),
+            Err(VerifyError::UnclosedAnnotations { open: 1, .. })
+        ));
     }
 
     #[test]
-    #[should_panic(expected = "unknown name id")]
     fn dangling_name_id_caught() {
         let mut p = Program::new(0);
         p.main_mut().push(HostOp::CpuOp { name: NameId(7) });
-        p.assert_well_formed();
+        assert!(matches!(
+            p.well_formed(),
+            Err(VerifyError::UnknownName { id: 7, .. })
+        ));
     }
 
     #[test]
-    #[should_panic(expected = "never signaled")]
     fn dangling_wait_caught() {
         let mut p = Program::new(0);
         p.backward_mut().push(HostOp::WaitPeer { token: 9 });
-        p.assert_well_formed();
+        assert!(matches!(
+            p.well_formed(),
+            Err(VerifyError::TokenNeverSignaled { token: 9, .. })
+        ));
     }
 
     #[test]
-    #[should_panic(expected = "signaled twice")]
     fn double_signal_caught() {
         let mut p = Program::new(0);
         p.main_mut().push(HostOp::SignalPeer { token: 1 });
         p.main_mut().push(HostOp::SignalPeer { token: 1 });
-        p.assert_well_formed();
-    }
-
-    #[test]
-    fn stream_constants_distinct() {
-        let all = [
-            streams::COMPUTE,
-            streams::TP_COMM,
-            streams::DP_COMM,
-            streams::PP_FWD,
-            streams::PP_BWD,
-        ];
-        for (i, a) in all.iter().enumerate() {
-            for b in all.iter().skip(i + 1) {
-                assert_ne!(a, b);
-            }
-        }
+        assert!(matches!(
+            p.well_formed(),
+            Err(VerifyError::TokenSignaledTwice { token: 1, .. })
+        ));
     }
 }

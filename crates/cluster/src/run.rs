@@ -1,6 +1,7 @@
-//! High-level ground-truth runs: profile an iteration, measure many.
+//! High-level ground-truth runs: profile an iteration, or run it
+//! metrics-only.
 
-use crate::engine::{execute, EngineError, EngineOutput};
+use crate::engine::{EngineError, EngineOutput};
 use crate::exec::PreparedJob;
 use crate::jitter::JitterModel;
 use crate::lower::{lower, LoweredJob, SimConfig};
@@ -85,25 +86,6 @@ impl MeasuredStats {
     pub fn p95(&self) -> Dur {
         self.percentile(0.95)
     }
-
-    /// Sample standard deviation (0 for fewer than 2 samples).
-    pub fn std_dev(&self) -> Dur {
-        let n = self.iterations.len();
-        if n < 2 {
-            return Dur::ZERO;
-        }
-        let mean = self.mean().as_ns() as f64;
-        let var = self
-            .iterations
-            .iter()
-            .map(|d| {
-                let x = d.as_ns() as f64 - mean;
-                x * x
-            })
-            .sum::<f64>()
-            / (n - 1) as f64;
-        Dur(var.sqrt().round() as u64)
-    }
 }
 
 /// A configured ground-truth cluster: the production-fleet substitute.
@@ -152,8 +134,8 @@ impl<C: CostModel> GroundTruthCluster<C> {
     ///
     /// Returns engine deadlock errors (lowering bugs).
     pub fn profile_iteration(&self, iteration: u64) -> Result<EngineOutput, ClusterError> {
-        Ok(execute(
-            &self.job,
+        let prep = PreparedJob::new(&self.job)?;
+        Ok(prep.execute(
             &self.cost,
             &HostOverheads::default(),
             &self.jitter,
@@ -176,32 +158,6 @@ impl<C: CostModel> GroundTruthCluster<C> {
             &self.jitter,
             iteration,
         )?)
-    }
-
-    /// Runs `n` iterations and collects only makespans — "measuring
-    /// real training time" without trace collection. Uses the
-    /// metrics-only engine mode: the job is prepared once and no
-    /// trace events are materialized, so measurement is bounded by
-    /// model math, not bookkeeping.
-    ///
-    /// # Errors
-    ///
-    /// Returns engine deadlock errors.
-    pub fn measure(&self, n: usize) -> Result<MeasuredStats, ClusterError> {
-        let prep = PreparedJob::new(&self.job)?;
-        let mut iterations = Vec::with_capacity(n);
-        for i in 0..n {
-            iterations.push(
-                prep.execute_metrics(
-                    &self.cost,
-                    &HostOverheads::default(),
-                    &self.jitter,
-                    i as u64,
-                )?
-                .makespan,
-            );
-        }
-        Ok(MeasuredStats { iterations })
     }
 }
 
@@ -229,8 +185,7 @@ pub fn profile_inference(
     seed: u64,
 ) -> Result<ClusterTrace, ClusterError> {
     let job = crate::inference::lower_inference(setup)?;
-    let out = execute(
-        &job,
+    let out = PreparedJob::new(&job)?.execute(
         &lumos_cost::AnalyticalCostModel::h100(),
         &HostOverheads::default(),
         &JitterModel::realistic(seed),
@@ -258,26 +213,41 @@ mod tests {
         }
     }
 
+    fn makespans(cluster: &GroundTruthCluster<AnalyticalCostModel>, n: u64) -> MeasuredStats {
+        let iterations = (0..n)
+            .map(|i| cluster.metrics_iteration(i).unwrap().makespan)
+            .collect();
+        MeasuredStats { iterations }
+    }
+
     #[test]
-    fn measure_reports_stats() {
+    fn realistic_jitter_varies_iterations_modestly() {
         let cluster = GroundTruthCluster::new(&tiny(), AnalyticalCostModel::h100())
             .unwrap()
             .with_jitter(JitterModel::realistic(3));
-        let stats = cluster.measure(5).unwrap();
+        let stats = makespans(&cluster, 5);
         assert_eq!(stats.iterations.len(), 5);
         assert!(stats.mean() > Dur::ZERO);
-        assert!(stats.std_dev() > Dur::ZERO);
+        // Sample standard deviation, rounded to whole nanoseconds.
+        let mean = stats.mean().as_ns() as f64;
+        let var = stats
+            .iterations
+            .iter()
+            .map(|d| (d.as_ns() as f64 - mean).powi(2))
+            .sum::<f64>()
+            / (stats.iterations.len() - 1) as f64;
+        let std_dev = Dur(var.sqrt().round() as u64);
+        assert!(std_dev > Dur::ZERO);
         // CV should be modest for realistic jitter.
-        let cv = stats.std_dev().as_secs_f64() / stats.mean().as_secs_f64();
+        let cv = std_dev.as_secs_f64() / stats.mean().as_secs_f64();
         assert!(cv < 0.15, "cv {cv}");
     }
 
     #[test]
     fn zero_jitter_measurements_identical() {
         let cluster = GroundTruthCluster::new(&tiny(), AnalyticalCostModel::h100()).unwrap();
-        let stats = cluster.measure(3).unwrap();
-        assert_eq!(stats.std_dev(), Dur::ZERO);
-        assert_eq!(stats.iterations[0], stats.iterations[2]);
+        let stats = makespans(&cluster, 3);
+        assert!(stats.iterations.iter().all(|&d| d == stats.iterations[0]));
     }
 
     #[test]
@@ -302,7 +272,6 @@ mod tests {
     fn empty_stats() {
         let s = MeasuredStats { iterations: vec![] };
         assert_eq!(s.mean(), Dur::ZERO);
-        assert_eq!(s.std_dev(), Dur::ZERO);
         assert_eq!(s.p95(), Dur::ZERO);
     }
 

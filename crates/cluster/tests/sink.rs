@@ -18,12 +18,12 @@
 //!   full-trace `execute` the refined search used to pay.
 
 use lumos_cluster::{
-    execute, execute_metrics, lower, streams, EngineMetrics, EngineOutput, GroundTruthCluster,
-    HostOp, JitterModel, KernelSpec, LoweredJob, PreparedJob, Program, SimConfig,
+    lower, EngineMetrics, EngineOutput, GroundTruthCluster, HostOp, JitterModel, KernelSpec,
+    LoweredJob, PreparedJob, Program, SimConfig,
 };
 use lumos_cost::{AnalyticalCostModel, HostOverheads, LookupCostModel};
 use lumos_model::{BatchConfig, ModelConfig, Parallelism, ScheduleKind};
-use lumos_trace::{CollectiveKind, Dur, EventKind, KernelClass, RankId};
+use lumos_trace::{streams, CollectiveKind, Dur, EventKind, KernelClass, RankId};
 use proptest::prelude::*;
 use std::hint::black_box;
 use std::time::Instant;
@@ -108,8 +108,14 @@ fn run_both(
 ) -> (EngineOutput, EngineMetrics) {
     let cost = AnalyticalCostModel::h100();
     let oh = HostOverheads::default();
-    let out = execute(job, &cost, &oh, jitter, iteration).unwrap();
-    let metrics = execute_metrics(job, &cost, &oh, jitter, iteration).unwrap();
+    let out = PreparedJob::new(job)
+        .unwrap()
+        .execute(&cost, &oh, jitter, iteration)
+        .unwrap();
+    let metrics = PreparedJob::new(job)
+        .unwrap()
+        .execute_metrics(&cost, &oh, jitter, iteration)
+        .unwrap();
     (out, metrics)
 }
 
@@ -142,7 +148,10 @@ fn equivalent_under_jitter_per_iteration() {
     let jitter = JitterModel::realistic(2025);
     let mut makespans = Vec::new();
     for iteration in 0..4 {
-        let out = execute(&job, &cost, &oh, &jitter, iteration).unwrap();
+        let out = PreparedJob::new(&job)
+            .unwrap()
+            .execute(&cost, &oh, &jitter, iteration)
+            .unwrap();
         let metrics = prep
             .execute_metrics(&cost, &oh, &jitter, iteration)
             .unwrap();
@@ -259,7 +268,12 @@ fn metrics_only_beats_per_run_full_trace_on_the_refine_fixture() {
     let (full, metrics) = median_pair_secs(
         9,
         || {
-            black_box(execute(&job, &lookup, &oh, &jitter, 0).unwrap());
+            black_box(
+                PreparedJob::new(&job)
+                    .unwrap()
+                    .execute(&lookup, &oh, &jitter, 0)
+                    .unwrap(),
+            );
         },
         || {
             black_box(prep.execute_metrics(&lookup, &oh, &jitter, 0).unwrap());

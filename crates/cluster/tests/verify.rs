@@ -13,12 +13,12 @@
 //! against its generator here so it cannot rot silently.
 
 use lumos_cluster::{
-    execute_metrics, lower, streams, verify, EngineError, HostOp, JitterModel, KernelSpec,
-    LoweredJob, NameId, PortableJob, Program, SimConfig, VerifyError,
+    lower, verify, EngineError, HostOp, JitterModel, KernelSpec, LoweredJob, NameId, PortableJob,
+    PreparedJob, Program, SimConfig, VerifyError,
 };
 use lumos_cost::{AnalyticalCostModel, HostOverheads};
 use lumos_model::{BatchConfig, ModelConfig, Parallelism, ScheduleKind};
-use lumos_trace::{CollectiveKind, CommMeta, KernelClass, StreamId};
+use lumos_trace::{streams, CollectiveKind, CommMeta, KernelClass, StreamId};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -58,13 +58,12 @@ fn collective_launch(p: &mut Program, kind: CollectiveKind, group: u64, seq: u32
 
 fn engine_deadlocks(job: &LoweredJob) -> bool {
     matches!(
-        execute_metrics(
-            job,
+        PreparedJob::new(job).and_then(|p| p.execute_metrics(
             &AnalyticalCostModel::h100(),
             &HostOverheads::default(),
             &JitterModel::none(),
             0,
-        ),
+        )),
         Err(lumos_cluster::EngineError::Deadlock { .. })
     )
 }
@@ -473,14 +472,16 @@ fn engine_deadlock_carries_the_verify_chain() {
         let VerifyError::Deadlock { ref chain, cycle } = verified else {
             panic!("{name}: expected a verify deadlock, got {verified:?}");
         };
-        let executed = execute_metrics(
-            &job,
-            &AnalyticalCostModel::h100(),
-            &HostOverheads::default(),
-            &JitterModel::none(),
-            0,
-        )
-        .unwrap_err();
+        let executed = PreparedJob::new(&job)
+            .and_then(|p| {
+                p.execute_metrics(
+                    &AnalyticalCostModel::h100(),
+                    &HostOverheads::default(),
+                    &JitterModel::none(),
+                    0,
+                )
+            })
+            .unwrap_err();
         let EngineError::Deadlock {
             chain: ref engine_chain,
             cycle: engine_cycle,
@@ -555,13 +556,14 @@ proptest! {
         let job = lower(&config).unwrap();
         let report = verify(&job).unwrap();
         prop_assert_eq!(report.programs as u32, tp * pp * dp);
-        let metrics = execute_metrics(
-            &job,
-            &AnalyticalCostModel::h100(),
-            &HostOverheads::default(),
-            &JitterModel::none(),
-            0,
-        );
+        let metrics = PreparedJob::new(&job).and_then(|p| {
+            p.execute_metrics(
+                &AnalyticalCostModel::h100(),
+                &HostOverheads::default(),
+                &JitterModel::none(),
+                0,
+            )
+        });
         prop_assert!(metrics.is_ok(), "verify-clean job must execute: {:?}", metrics.err());
     }
 }

@@ -87,50 +87,34 @@ impl InterStreamMode {
     }
 }
 
+/// Minimum idle gap on a thread that triggers cross-thread dependency
+/// detection.
+const INTERTHREAD_GAP: Dur = Dur::from_us(20);
+
 /// Options controlling graph construction.
 #[derive(Debug, Clone)]
 pub struct BuildOptions {
-    /// Minimum idle gap on a thread that triggers cross-thread
-    /// dependency detection.
-    pub interthread_gap: Dur,
     /// Event-based inter-stream dependency coverage.
     pub interstream: InterStreamMode,
-    /// Validate the input trace before building (correlation
-    /// integrity, per-stream FIFO).
-    pub validate_input: bool,
 }
 
 impl Default for BuildOptions {
     fn default() -> Self {
         BuildOptions {
-            interthread_gap: Dur::from_us(20),
             interstream: InterStreamMode::Full,
-            validate_input: true,
         }
     }
 }
 
-impl BuildOptions {
-    /// The dPRO baseline configuration: dataflow-recoverable consumer
-    /// edges only.
-    pub fn dpro_baseline() -> Self {
-        BuildOptions {
-            interstream: InterStreamMode::DataflowOnly,
-            ..BuildOptions::default()
-        }
-    }
-}
-
-/// Builds the execution graph of a cluster trace.
+/// Builds the execution graph of a cluster trace, after validating it
+/// (correlation integrity, per-stream FIFO).
 ///
 /// # Errors
 ///
 /// Returns trace-validation failures, cycle detection failures, and
 /// inconsistent collective instances.
 pub fn build_graph(trace: &ClusterTrace, opts: &BuildOptions) -> Result<ExecutionGraph, CoreError> {
-    if opts.validate_input {
-        trace.validate()?;
-    }
+    trace.validate()?;
     let mut graph = ExecutionGraph::new();
     for rank_trace in trace.ranks() {
         build_rank(
@@ -413,7 +397,7 @@ pub(crate) fn build_rank(
         host_ids.push(id);
         threads.entry(h.tid).or_default().push(id);
     }
-    link_threads(graph, &threads, opts.interthread_gap);
+    link_threads(graph, &threads);
 
     // --- Kernel tasks, launch edges, intra-stream chains. ---
     // Kernels per stream in enqueue (launch-timestamp) order.
@@ -465,9 +449,10 @@ pub(crate) fn build_rank(
 
 /// CPU→CPU edges: program order within each thread, plus the gap rule
 /// across threads — a host task that starts after an idle gap of at
-/// least `gap` on its own thread depends on the latest-finishing task
-/// of any other thread that ended inside the gap.
-fn link_threads(graph: &mut ExecutionGraph, threads: &BTreeMap<ThreadId, Vec<TaskId>>, gap: Dur) {
+/// least [`INTERTHREAD_GAP`] on its own thread depends on the
+/// latest-finishing task of any other thread that ended inside the
+/// gap.
+fn link_threads(graph: &mut ExecutionGraph, threads: &BTreeMap<ThreadId, Vec<TaskId>>) {
     for tasks in threads.values() {
         for w in tasks.windows(2) {
             graph.add_edge(w[0], w[1], DepKind::IntraThread);
@@ -496,7 +481,7 @@ fn link_threads(graph: &mut ExecutionGraph, threads: &BTreeMap<ThreadId, Vec<Tas
             // was waiting on someone.
             let gap_start = prev_end.unwrap_or(Ts::ZERO);
             prev_end = Some(end);
-            if start.saturating_since(gap_start) < gap {
+            if start.saturating_since(gap_start) < INTERTHREAD_GAP {
                 continue;
             }
             // Latest-finishing task on any *other* thread with
@@ -675,7 +660,6 @@ mod tests {
     fn interstream_none_drops_all_event_edges() {
         let opts = BuildOptions {
             interstream: InterStreamMode::None,
-            ..BuildOptions::default()
         };
         let g = build_graph(&sample_trace(), &opts).unwrap();
         assert_eq!(g.stats().inter_stream, 0);
@@ -719,7 +703,7 @@ mod tests {
         }
         let lumos = build_graph(&trace, &BuildOptions::default()).unwrap();
         assert_eq!(lumos.stats().inter_stream, 1);
-        let dpro = build_graph(&trace, &BuildOptions::dpro_baseline()).unwrap();
+        let dpro = crate::Lumos::dpro_baseline().build_graph(&trace).unwrap();
         assert_eq!(dpro.stats().inter_stream, 0);
         // Main-thread-launched collectives keep their producer fence
         // even in dPRO mode (visible in the op-level dataflow).
@@ -738,7 +722,9 @@ mod tests {
                 }
             }
         }
-        let dpro_main = build_graph(&main_launched, &BuildOptions::dpro_baseline()).unwrap();
+        let dpro_main = crate::Lumos::dpro_baseline()
+            .build_graph(&main_launched)
+            .unwrap();
         assert_eq!(dpro_main.stats().inter_stream, 1);
     }
 
@@ -763,11 +749,17 @@ mod tests {
 
     #[test]
     fn small_gaps_do_not_create_interthread_edges() {
-        let opts = BuildOptions {
-            interthread_gap: Dur::from_ms(10), // larger than any gap
-            ..BuildOptions::default()
-        };
-        let g = build_graph(&sample_trace(), &opts).unwrap();
+        // opB now starts 19 us into its thread, after t1 tasks ended
+        // inside that gap: under the 20 us threshold, so no handoff.
+        let mut trace = sample_trace();
+        for r in trace.ranks_mut() {
+            for e in r.events_mut() {
+                if &*e.name == "opB" {
+                    e.ts = Ts::from_us(19);
+                }
+            }
+        }
+        let g = build_graph(&trace, &BuildOptions::default()).unwrap();
         assert_eq!(g.stats().inter_thread, 0);
     }
 

@@ -21,11 +21,11 @@
 //! 4. **Analysis** ([`analysis`]) — critical paths, bottleneck
 //!    kernels, and overlap reports on replayed schedules.
 //!
-//! The [`Lumos`] façade ties these together; [`Dpro`] is the same
-//! pipeline configured as the paper's dPRO baseline. A [`Replayed`]
-//! holds the graph and its simulated schedule: makespan, breakdown and
-//! pipeline-communication time are read from those two, and the
-//! simulated trace is materialized only on request
+//! The [`Lumos`] façade ties these together; [`Lumos::dpro_baseline`]
+//! is the same pipeline configured as the paper's dPRO baseline. A
+//! [`Replayed`] holds the graph and its simulated schedule: makespan,
+//! breakdown and pipeline-communication time are read from those two,
+//! and the simulated trace is materialized only on request
 //! ([`Replayed::trace`]).
 //!
 //! # Example
@@ -68,7 +68,7 @@ mod task;
 pub use build::{build_graph, BuildOptions, InterStreamMode};
 pub use error::CoreError;
 pub use graph::{Edge, ExecutionGraph, GraphStats};
-pub use replay::{Dpro, Lumos, Replayed};
+pub use replay::{Lumos, Replayed};
 pub use segment::{merge, parse_annotation, tag_host_events};
 #[doc(hidden)]
 pub use sim::quotient_classes;

@@ -54,12 +54,6 @@ pub struct Block {
 }
 
 impl Block {
-    /// Number of kernel launches in the block (equals the number of
-    /// GPU kernels).
-    pub fn kernel_count(&self) -> usize {
-        self.events.iter().filter(|e| e.is_gpu()).count()
-    }
-
     /// The block's work-launching runtime calls in host order — the
     /// order reassembly pairs them with regenerated op lists. Shared
     /// (rather than re-derived) by every consumer that must stay in
@@ -400,7 +394,7 @@ mod tests {
         };
         let block = lib.get(&key).expect("layer block extracted");
         assert_eq!(block.events.len(), 3); // op + launch + kernel
-        assert_eq!(block.kernel_count(), 1);
+        assert_eq!(block.events.iter().filter(|e| e.is_gpu()).count(), 1);
         assert_eq!(block.host_span, Dur::from_us(100));
         // Block-local time: first host event at 2us (12 - 10).
         assert_eq!(block.events[0].ts, Ts::from_us(2));

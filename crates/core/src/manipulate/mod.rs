@@ -36,7 +36,7 @@ pub mod whatif;
 
 pub use blocks::{Block, BlockKey, BlockKind, BlockLibrary, HostProfile};
 pub use reassemble::{
-    kernel_class_of_op, reassemble, reassemble_with_library, regenerated_block_ops, ReassembleSpec,
+    kernel_class_of_op, reassemble_with_library, regenerated_block_ops, ReassembleSpec,
 };
 
 use crate::error::CoreError;
@@ -156,30 +156,20 @@ pub fn apply_transforms(
     Ok(new)
 }
 
-/// The proportional old → new layer map reassembly plans with: new
-/// layer `l` sources its blocks from old layer `(l·old)/new`. Public
-/// so cost consumers (e.g. the search engine's lower bound) map layers
-/// exactly the way [`plan`] does, without cloning setups.
-pub fn proportional_layer_map(old_layers: u32, new_layers: u32) -> Vec<u32> {
-    let (old, new) = (old_layers as u64, new_layers as u64);
-    (0..new).map(|l| ((l * old) / new) as u32).collect()
+/// The proportional old → new layer map reassembly uses: new layer
+/// `layer` of `new_layers` sources its blocks from old layer
+/// `(layer·old_layers)/new_layers`. Public so cost consumers (e.g. the
+/// search engine's lower bound) map layers exactly the way reassembly
+/// does.
+pub fn source_layer(old_layers: u32, new_layers: u32, layer: u32) -> u32 {
+    ((layer as u64 * old_layers as u64) / new_layers as u64) as u32
 }
 
 /// Builds the reassembly plan for an old → new setup pair.
 pub fn plan(old: &TrainingSetup, new: &TrainingSetup) -> ReassembleSpec {
-    let layer_map = proportional_layer_map(old.model.num_layers, new.model.num_layers);
-    let tp_rescale = new.parallelism.tp != old.parallelism.tp;
-    let recost_kernels = tp_rescale
-        || new.model.hidden_size != old.model.hidden_size
-        || new.model.ffn_size != old.model.ffn_size
-        || new.batch.seq_len != old.batch.seq_len
-        || new.batch.microbatch_size != old.batch.microbatch_size;
     ReassembleSpec {
         old: old.clone(),
         new: new.clone(),
-        layer_map,
-        recost_kernels,
-        allow_tp_rescale: tp_rescale,
     }
 }
 
@@ -224,8 +214,8 @@ impl Lumos {
         let spec = plan(setup, &new_setup);
         let gpus_per_node = 8;
         let lookup = LookupCostModel::fit_from_trace(trace, fallback, gpus_per_node);
-        // Validate before paying the extraction walk, as `reassemble`
-        // does, so invalid specs report spec errors first.
+        // Validate before paying the extraction walk, so invalid specs
+        // report spec errors first.
         spec.validate()?;
         let library = BlockLibrary::extract(trace, spec.old.parallelism)?;
         Ok(Prediction {
@@ -329,13 +319,14 @@ mod tests {
     }
 
     #[test]
-    fn plan_builds_proportional_layer_map() {
+    fn plan_maps_layers_proportionally() {
         let old = setup();
         let new = apply_transforms(&old, &[Transform::NumLayers { layers: 4 }]).unwrap();
         let spec = plan(&old, &new);
         // 2 source layers spread across 4 new layers.
-        assert_eq!(spec.layer_map, vec![0, 0, 1, 1]);
-        assert!(!spec.recost_kernels);
+        let map: Vec<u32> = (0..4).map(|l| source_layer(2, 4, l)).collect();
+        assert_eq!(map, vec![0, 0, 1, 1]);
+        assert!(!spec.recosts_kernels());
 
         let wider = apply_transforms(
             &old,
@@ -346,8 +337,9 @@ mod tests {
         )
         .unwrap();
         let spec = plan(&old, &wider);
-        assert!(spec.recost_kernels);
-        assert_eq!(spec.layer_map, vec![0, 1]);
+        assert!(spec.recosts_kernels());
+        let map: Vec<u32> = (0..2).map(|l| source_layer(2, 2, l)).collect();
+        assert_eq!(map, vec![0, 1]);
     }
 
     #[test]
@@ -372,24 +364,8 @@ mod tests {
         let new = apply_transforms(&old, &[Transform::TensorParallel { tp: 4 }]).unwrap();
         assert_eq!(new.parallelism.tp, 4);
         let spec = plan(&old, &new);
-        assert!(spec.recost_kernels);
-        assert!(spec.allow_tp_rescale);
+        assert!(spec.recosts_kernels());
         spec.validate().unwrap();
-    }
-
-    #[test]
-    fn tp_rescale_requires_allow_flag() {
-        // Paper-strict behavior: a hand-built spec with a TP change
-        // but no allow flag is rejected.
-        let mut old = setup();
-        old.parallelism = Parallelism::new(2, 2, 1).unwrap();
-        let new = apply_transforms(&old, &[Transform::TensorParallel { tp: 4 }]).unwrap();
-        let mut spec = plan(&old, &new);
-        spec.allow_tp_rescale = false;
-        assert!(matches!(
-            spec.validate(),
-            Err(CoreError::InvalidTransform { .. })
-        ));
     }
 
     #[test]
@@ -406,8 +382,7 @@ mod tests {
         let new = apply_transforms(&old, &[Transform::SeqLen { seq_len: 256 }]).unwrap();
         assert_eq!(new.batch.seq_len, 256);
         let spec = plan(&old, &new);
-        assert!(spec.recost_kernels);
-        assert!(!spec.allow_tp_rescale);
+        assert!(spec.recosts_kernels());
         spec.validate().unwrap();
         assert!(apply_transforms(&old, &[Transform::SeqLen { seq_len: 0 }]).is_err());
     }

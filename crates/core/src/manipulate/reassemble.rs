@@ -25,11 +25,10 @@
 //! (crate-private, behind [`crate::Lumos::predict_spec`]) hands the
 //! ops straight to the graph builder's per-rank step, so a prediction
 //! never materializes a trace. The trace sink behind
-//! [`reassemble`] / [`reassemble_with_library`] writes a valid
-//! [`ClusterTrace`] on a placeholder timeline (the simulator
-//! recomputes true times); [`crate::build_graph`] on it yields the
-//! same graph as the graph sink, id for id, which the differential
-//! tests check.
+//! [`reassemble_with_library`] writes a valid [`ClusterTrace`] on a
+//! placeholder timeline (the simulator recomputes true times);
+//! [`crate::build_graph`] on it yields the same graph as the graph
+//! sink, id for id, which the differential tests check.
 //!
 //! # Each distinct rank program is built once
 //!
@@ -74,15 +73,17 @@ use crate::build::{build_rank, BuildOptions, RankOps, Sink};
 use crate::error::CoreError;
 use crate::graph::ExecutionGraph;
 use crate::manipulate::blocks::{Block, BlockKey, BlockKind, BlockLibrary};
+use crate::manipulate::source_layer;
 use crate::task::{Phase, ProcIdx, SegmentTag, TaskId};
 use lumos_cost::CostModel;
 use lumos_model::ops::{self, OpBody, OpDesc};
 use lumos_model::{
     CommScope, GroupRegistry, PipelineSchedule, RankCoords, ScheduleItem, TrainingSetup,
 };
+use lumos_trace::threads::{BACKWARD, MAIN};
 use lumos_trace::{
-    ClusterTrace, CollectiveKind, CommMeta, CudaRuntimeKind, Dur, EventKind, KernelClass, RankId,
-    RankTrace, StreamId, ThreadId, TraceEvent, Ts,
+    streams, ClusterTrace, CollectiveKind, CommMeta, CudaRuntimeKind, Dur, EventKind, KernelClass,
+    RankId, RankTrace, StreamId, ThreadId, TraceEvent, Ts,
 };
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
@@ -90,131 +91,73 @@ use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Stream conventions shared with the trace producers.
-mod streams {
-    use lumos_trace::StreamId;
-    pub const COMPUTE: StreamId = StreamId(7);
-    pub const DP_COMM: StreamId = StreamId(17);
-    pub const PP_FWD: StreamId = StreamId(21);
-    pub const PP_BWD: StreamId = StreamId(22);
-}
-
-const MAIN: ThreadId = ThreadId(1);
-const BACKWARD: ThreadId = ThreadId(2);
 /// Launch-to-kernel-start gap used when placing kernels on the
 /// synthetic timeline (the simulator recomputes true times).
 const LAUNCH_GAP: Dur = Dur(2_000);
 /// Placeholder duration for blocking syncs (recomputed by replay).
 const SYNC_PLACEHOLDER: Dur = Dur(2_000);
 
-/// A fully-resolved reassembly request.
+/// A fully-resolved reassembly request, built by
+/// [`crate::manipulate::plan`]: everything else reassembly needs is
+/// derived from the two setups.
 #[derive(Debug, Clone)]
 pub struct ReassembleSpec {
     /// The deployment the trace was profiled on.
     pub old: TrainingSetup,
     /// The target deployment.
     pub new: TrainingSetup,
-    /// For each new layer index, the source layer whose blocks supply
-    /// its tasks.
-    pub layer_map: Vec<u32>,
-    /// Re-price every shape-sensitive kernel against the new model
-    /// (set by hidden-size and tensor-parallel transforms).
-    pub recost_kernels: bool,
-    /// Permit tensor-parallel rescaling. The paper rejects TP changes
-    /// ("we currently do not support modifications to tensor
-    /// parallelism … we leave the support for it as our future work");
-    /// this repository implements that future work for rescales that
-    /// preserve the collective structure (`tp > 1 → tp' > 1`), gated
-    /// behind this flag so the paper's strict behavior remains the
-    /// default for hand-built specs.
-    pub allow_tp_rescale: bool,
 }
 
 impl ReassembleSpec {
-    /// Validates internal consistency.
+    /// Whether every shape-sensitive kernel is re-priced against the
+    /// new model: the tensor-parallel degree, the model width or the
+    /// per-micro-batch token shape changed.
+    pub fn recosts_kernels(&self) -> bool {
+        let (old, new) = (&self.old, &self.new);
+        new.parallelism.tp != old.parallelism.tp
+            || new.model.hidden_size != old.model.hidden_size
+            || new.model.ffn_size != old.model.ffn_size
+            || new.batch.seq_len != old.batch.seq_len
+            || new.batch.microbatch_size != old.batch.microbatch_size
+    }
+
+    /// Validates the request.
+    ///
+    /// The paper rejects tensor-parallel changes ("we currently do not
+    /// support modifications to tensor parallelism … we leave the
+    /// support for it as our future work"); this repository implements
+    /// that future work for rescales that preserve the collective
+    /// structure (`tp > 1 → tp' > 1`).
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidTransform`] for unsupported or
-    /// inconsistent requests (disallowed tensor-parallel changes, bad
-    /// layer maps).
+    /// Returns [`CoreError::InvalidTransform`] for a tensor-parallel
+    /// change between `tp = 1` and `tp > 1`, and the target setup's
+    /// validity errors.
     pub fn validate(&self) -> Result<(), CoreError> {
         let (otp, ntp) = (self.old.parallelism.tp, self.new.parallelism.tp);
-        if ntp != otp {
-            if !self.allow_tp_rescale {
-                return Err(CoreError::InvalidTransform {
-                    reason: format!(
-                        "tensor parallelism changes are not enabled for this spec (old {otp}, new {ntp}); use Transform::TensorParallel or set allow_tp_rescale"
-                    ),
-                });
-            }
-            if (otp == 1) != (ntp == 1) {
-                return Err(CoreError::InvalidTransform {
-                    reason: format!(
-                        "tensor-parallel rescale {otp} → {ntp} changes the collective structure (TP all-reduces would have to be inserted or deleted inside recorded blocks); only tp>1 → tp'>1 rescales are supported"
-                    ),
-                });
-            }
-            if !self.recost_kernels {
-                return Err(CoreError::InvalidTransform {
-                    reason: "tensor-parallel rescale requires kernel re-costing".to_string(),
-                });
-            }
+        if (otp == 1) != (ntp == 1) {
+            return Err(CoreError::InvalidTransform {
+                reason: format!(
+                    "tensor-parallel rescale {otp} → {ntp} changes the collective structure (TP all-reduces would have to be inserted or deleted inside recorded blocks); only tp>1 → tp'>1 rescales are supported"
+                ),
+            });
         }
         self.new.validate()?;
-        if self.layer_map.len() != self.new.model.num_layers as usize {
-            return Err(CoreError::InvalidTransform {
-                reason: format!(
-                    "layer map covers {} layers, model has {}",
-                    self.layer_map.len(),
-                    self.new.model.num_layers
-                ),
-            });
-        }
-        if let Some(&bad) = self
-            .layer_map
-            .iter()
-            .find(|&&src| src >= self.old.model.num_layers)
-        {
-            return Err(CoreError::InvalidTransform {
-                reason: format!(
-                    "layer map references source layer {bad}, trace has {}",
-                    self.old.model.num_layers
-                ),
-            });
-        }
         Ok(())
     }
 }
 
 /// Rebuilds a cluster trace for the target deployment from the blocks
-/// of `trace`.
-///
-/// # Errors
-///
-/// Returns spec-validation failures and missing-block errors.
-pub fn reassemble<C: CostModel>(
-    trace: &ClusterTrace,
-    spec: &ReassembleSpec,
-    cost: &C,
-) -> Result<ClusterTrace, CoreError> {
-    // Validate before paying the O(trace-events) extraction walk, and
-    // so invalid specs keep reporting spec errors even on traces that
-    // would also fail extraction.
-    spec.validate()?;
-    let library = BlockLibrary::extract(trace, spec.old.parallelism)?;
-    reassemble_with_library(&library, spec, cost)
-}
-
-/// [`reassemble`] against a pre-extracted [`BlockLibrary`].
+/// of a profiled one.
 ///
 /// Extraction walks every event of the source trace; callers pricing
 /// many configurations from the *same* trace extract once and share
-/// the library across candidates instead of re-extracting per call.
-/// `library` must come from [`BlockLibrary::extract`] on the trace
-/// `spec.old` describes. Predictions do not need the trace this
-/// writes: [`crate::Lumos::predict_spec`] reassembles the same
-/// program straight into an execution graph.
+/// the library across candidates. `library` must come from
+/// [`BlockLibrary::extract`] on the trace `spec.old` describes.
+/// Predictions do not need the trace this writes:
+/// [`crate::Lumos::predict_spec`] reassembles the same program straight
+/// into an execution graph.
 ///
 /// # Errors
 ///
@@ -752,7 +695,7 @@ impl<'a, C: CostModel, S: Sink> RankEmitter<'a, C, S> {
     /// Regenerated op list for a block under the *new* model, used to
     /// re-price shape-changed kernels.
     fn recost_ops(&self, kind: BlockKind, phase: Phase) -> Option<Vec<OpDesc>> {
-        if !self.spec.recost_kernels {
+        if !self.spec.recosts_kernels() {
             return None;
         }
         regenerated_block_ops(&self.spec.new, kind, phase)
@@ -768,9 +711,11 @@ impl<'a, C: CostModel, S: Sink> RankEmitter<'a, C, S> {
     ) -> Result<(BlockKey, &'a Block), CoreError> {
         let old = &self.spec.old;
         let src_kind = match kind {
-            BlockKind::Layer(new_layer) => {
-                BlockKind::Layer(self.spec.layer_map[new_layer as usize])
-            }
+            BlockKind::Layer(new_layer) => BlockKind::Layer(source_layer(
+                old.model.num_layers,
+                self.spec.new.model.num_layers,
+                new_layer,
+            )),
             other => other,
         };
         let key = BlockKey {
@@ -1117,7 +1062,7 @@ pub fn kernel_class_of_op(body: &OpBody) -> Option<KernelClass> {
 }
 
 /// The op list reassembly regenerates for a block of `kind`/`phase`
-/// under `setup` when [`ReassembleSpec::recost_kernels`] is set
+/// under `setup` when [`ReassembleSpec::recosts_kernels`] holds
 /// (`None` for block kinds whose recorded durations are always kept).
 /// Public so cost consumers re-price blocks in lockstep with
 /// reassembly — a drifted copy of this mapping would silently desync

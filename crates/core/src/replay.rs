@@ -3,7 +3,7 @@
 //! the simulated trace is built only when asked for
 //! ([`Replayed::trace`]).
 
-use crate::build::{build_graph, BuildOptions};
+use crate::build::{build_graph, BuildOptions, InterStreamMode};
 use crate::error::CoreError;
 use crate::graph::ExecutionGraph;
 use crate::sim::{simulate, SimOptions, SimResult};
@@ -26,12 +26,34 @@ impl Lumos {
         Lumos::default()
     }
 
-    /// The dPRO baseline configuration: dataflow-recoverable fences
-    /// only, and no synchronized execution of all-reduce collectives
-    /// (see [`crate::sim::RendezvousMode::SendRecvOnly`]).
+    /// The dPRO baseline (Hu et al., MLSys 2022): dataflow-recoverable
+    /// fences only, and no synchronized execution of all-reduce
+    /// collectives (see [`crate::sim::RendezvousMode::SendRecvOnly`]).
+    ///
+    /// dPRO builds a global dataflow graph from profiled traces and
+    /// replays it — but, as the Lumos paper demonstrates (§4.2), it
+    /// does not model the **event-based inter-stream dependencies**
+    /// (`cudaEventRecord`/`cudaStreamWaitEvent` fences) that serialize
+    /// compute and communication streams in modern LLM training. The
+    /// consequence, quoting the paper:
+    ///
+    /// > "dPRO consistently overestimates overlapped execution and
+    /// > underestimates total iteration time, primarily due to its
+    /// > inability to accurately model inter-stream dependencies,
+    /// > leading to overly optimistic predictions of parallel
+    /// > execution."
+    ///
+    /// This reproduces that baseline *faithfully but charitably*: it
+    /// shares Lumos's graph builder, simulator, launch/sync modeling,
+    /// and cross-rank collective rendezvous, differing **only** in
+    /// these options. Any accuracy gap between this toolkit's replay
+    /// and [`Lumos::new`]'s is therefore attributable to exactly the
+    /// modeling difference the paper identifies.
     pub fn dpro_baseline() -> Self {
         Lumos {
-            build: BuildOptions::dpro_baseline(),
+            build: BuildOptions {
+                interstream: InterStreamMode::DataflowOnly,
+            },
             sim: SimOptions {
                 rendezvous: crate::sim::RendezvousMode::SendRecvOnly,
                 ..SimOptions::default()
@@ -72,78 +94,6 @@ impl Lumos {
             result,
             label: label.to_string(),
         })
-    }
-}
-
-/// The dPRO baseline replayer (Hu et al., MLSys 2022).
-///
-/// dPRO builds a global dataflow graph from profiled traces and
-/// replays it — but, as the Lumos paper demonstrates (§4.2), it does
-/// not model the **event-based inter-stream dependencies**
-/// (`cudaEventRecord`/`cudaStreamWaitEvent` fences) that serialize
-/// compute and communication streams in modern LLM training. The
-/// consequence, quoting the paper:
-///
-/// > "dPRO consistently overestimates overlapped execution and
-/// > underestimates total iteration time, primarily due to its
-/// > inability to accurately model inter-stream dependencies, leading
-/// > to overly optimistic predictions of parallel execution."
-///
-/// This reproduces that baseline *faithfully but charitably*: it
-/// shares Lumos's graph builder, simulator, launch/sync modeling, and
-/// cross-rank collective rendezvous, differing **only** in the
-/// [`Lumos::dpro_baseline`] options. Any accuracy gap between
-/// [`Dpro::replay`] and Lumos is therefore attributable to exactly the
-/// modeling difference the paper identifies.
-///
-/// # Example
-///
-/// ```
-/// use lumos_core::Dpro;
-/// use lumos_trace::{ClusterTrace, RankTrace, TraceEvent, Ts, Dur, ThreadId, StreamId, CudaRuntimeKind};
-///
-/// let mut rank0 = RankTrace::new(0);
-/// rank0.push(TraceEvent::cpu_op("aten::mm", Ts(0), Dur(5_000), ThreadId(1)));
-/// rank0.push(TraceEvent::cuda_runtime(CudaRuntimeKind::LaunchKernel, Ts(5_000), Dur(2_000), ThreadId(1)).with_correlation(1));
-/// rank0.push(TraceEvent::kernel("gemm", Ts(9_000), Dur(100_000), StreamId(7)).with_correlation(1));
-/// let mut trace = ClusterTrace::new("example");
-/// trace.push_rank(rank0);
-///
-/// let replayed = Dpro::new().replay(&trace)?;
-/// assert!(replayed.makespan() > Dur(100_000));
-/// # Ok::<(), lumos_core::CoreError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct Dpro {
-    inner: Lumos,
-}
-
-impl Dpro {
-    /// Creates the baseline with its published modeling behavior.
-    pub fn new() -> Self {
-        Dpro {
-            inner: Lumos::dpro_baseline(),
-        }
-    }
-
-    /// Replays a profiled trace with dPRO's dependency model.
-    ///
-    /// # Errors
-    ///
-    /// Returns graph-construction or simulation failures.
-    pub fn replay(&self, trace: &ClusterTrace) -> Result<Replayed, CoreError> {
-        self.inner.replay(trace)
-    }
-
-    /// The underlying toolkit configuration (for inspection).
-    pub fn toolkit(&self) -> &Lumos {
-        &self.inner
-    }
-}
-
-impl Default for Dpro {
-    fn default() -> Self {
-        Dpro::new()
     }
 }
 
@@ -230,11 +180,6 @@ impl Replayed {
         }
         acc.into_iter().flatten().collect()
     }
-
-    /// Relative replay error against a measured iteration time.
-    pub fn error_vs(&self, actual: Dur) -> f64 {
-        self.makespan().relative_error(actual)
-    }
 }
 
 #[cfg(test)]
@@ -266,15 +211,6 @@ mod tests {
         assert_eq!(replayed.makespan(), Dur(59_000));
         assert_eq!(replayed.trace().total_events(), 3);
         assert!(replayed.trace().label.contains("small"));
-    }
-
-    #[test]
-    fn error_vs_actual() {
-        let lumos = Lumos::new();
-        let replayed = lumos.replay(&small_trace()).unwrap();
-        let err = replayed.error_vs(Dur(59_000));
-        assert_eq!(err, 0.0);
-        assert!((replayed.error_vs(Dur(118_000)) - 0.5).abs() < 1e-12);
     }
 
     /// Launches `kernel` from thread 1 at `launch_ts` under `corr`.

@@ -3,7 +3,7 @@
 //! systematically optimistic about overlap (§4.2).
 
 use lumos_cluster::{GroundTruthCluster, SimConfig};
-use lumos_core::{Dpro, Lumos};
+use lumos_core::Lumos;
 use lumos_cost::AnalyticalCostModel;
 use lumos_model::{BatchConfig, ModelConfig, Parallelism, ScheduleKind};
 use lumos_trace::BreakdownExt;
@@ -30,7 +30,7 @@ fn baseline_drops_interstream_edges_only() {
         .profile_iteration(0)
         .unwrap();
     let lumos_graph = Lumos::new().build_graph(&truth.trace).unwrap();
-    let dpro_graph = Dpro::new().toolkit().build_graph(&truth.trace).unwrap();
+    let dpro_graph = Lumos::dpro_baseline().build_graph(&truth.trace).unwrap();
     let (ls, ds) = (lumos_graph.stats(), dpro_graph.stats());
     // dPRO loses the producer-side fences (roughly half the event
     // edges: each fenced collective has a producer and a consumer
@@ -53,7 +53,7 @@ fn dpro_is_systematically_optimistic() {
         .unwrap()
         .profile_iteration(0)
         .unwrap();
-    let dpro = Dpro::new().replay(&truth.trace).unwrap();
+    let dpro = Lumos::dpro_baseline().replay(&truth.trace).unwrap();
     let lumos = Lumos::new().replay(&truth.trace).unwrap();
     assert!(
         dpro.makespan() < truth.makespan,
@@ -74,7 +74,10 @@ fn dpro_overestimates_overlap() {
         .profile_iteration(0)
         .unwrap();
     let actual = truth.trace.breakdown();
-    let dpro = Dpro::new().replay(&truth.trace).unwrap().breakdown();
+    let dpro = Lumos::dpro_baseline()
+        .replay(&truth.trace)
+        .unwrap()
+        .breakdown();
     assert!(
         dpro.overlapped >= actual.overlapped,
         "dpro overlap {} !>= actual {}",

@@ -8,7 +8,7 @@
 //! §4.3 methodology (Figures 7 and 8).
 
 use lumos_cluster::{GroundTruthCluster, SimConfig};
-use lumos_core::manipulate::{plan, reassemble, Transform};
+use lumos_core::manipulate::{plan, reassemble_with_library, BlockLibrary, Transform};
 use lumos_core::Lumos;
 use lumos_cost::{AnalyticalCostModel, LookupCostModel};
 use lumos_model::{BatchConfig, ModelConfig, Parallelism, ScheduleKind};
@@ -149,7 +149,9 @@ fn predicted_trace_is_structurally_valid() {
         .unwrap();
     // The reassembled trace behind the prediction.
     let lookup = LookupCostModel::fit_from_trace(&trace, AnalyticalCostModel::h100(), 8);
-    let predicted = reassemble(&trace, &plan(&base, &prediction.setup), &lookup).unwrap();
+    let library = BlockLibrary::extract(&trace, base.parallelism).unwrap();
+    let predicted =
+        reassemble_with_library(&library, &plan(&base, &prediction.setup), &lookup).unwrap();
     predicted.validate().unwrap();
     assert_eq!(
         predicted.world_size(),

@@ -1,40 +1,19 @@
 //! Latency–bandwidth model for NCCL-style collectives on a
 //! hierarchical NVLink + RoCE fabric.
 //!
-//! Two algorithm families are modeled, mirroring NCCL's tuner:
-//!
-//! * **Ring** — an all-reduce of `S` bytes over `n` ranks moves
-//!   `2·S·(n−1)/n` bytes through the slowest link on the ring and pays
-//!   `2(n−1)` per-hop latencies; bandwidth-optimal, latency-heavy.
-//! * **Tree** — a double-binary-tree reduce+broadcast moves `2·S`
-//!   through each rank's link but pays only `2·⌈log₂ n⌉` latencies;
-//!   wins for small payloads on large communicators.
-//!
-//! [`CollectiveAlgorithm::Auto`] takes the cheaper of the two per
-//! query, the way NCCL's tuning tables do. When a communicator spans
-//! several nodes the bottleneck is the NIC bandwidth apportioned to
-//! each GPU; fully intra-node communicators ride NVLink/NVSwitch.
+//! Collectives are priced as NCCL's ring algorithms: an all-reduce of
+//! `S` bytes over `n` ranks moves `2·S·(n−1)/n` bytes through the
+//! slowest link on the ring and pays `2(n−1)` per-hop latencies
+//! (bandwidth-optimal, latency-heavy), matching the calibrated
+//! ground-truth substrate. When a communicator spans several nodes the
+//! bottleneck is the NIC bandwidth apportioned to each GPU; fully
+//! intra-node communicators ride NVLink/NVSwitch.
 
 use crate::hardware::ClusterSpec;
 use lumos_trace::{CollectiveKind, Dur};
-use serde::Serialize;
-
-/// Which collective algorithm family to price.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
-pub enum CollectiveAlgorithm {
-    /// Ring for everything (bandwidth-optimal; the repository default,
-    /// matching the calibrated ground-truth substrate).
-    #[default]
-    Ring,
-    /// Double binary tree where applicable (all-reduce, broadcast,
-    /// barrier); others fall back to ring.
-    Tree,
-    /// Per-query minimum of ring and tree (NCCL-tuner-like).
-    Auto,
-}
 
 /// Collective communication timing on a cluster.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CollectiveModel {
     cluster: ClusterSpec,
     /// Fraction of nominal link bandwidth achieved by NCCL (protocol
@@ -42,31 +21,16 @@ pub struct CollectiveModel {
     bus_efficiency: f64,
     /// Fixed kernel setup cost per collective.
     base_overhead: Dur,
-    /// Algorithm family used by [`CollectiveModel::duration`].
-    algorithm: CollectiveAlgorithm,
 }
 
 impl CollectiveModel {
-    /// Creates a model with NCCL-calibrated constants and ring
-    /// algorithms.
+    /// Creates a model with NCCL-calibrated constants.
     pub fn new(cluster: ClusterSpec) -> Self {
         CollectiveModel {
             cluster,
             bus_efficiency: 0.80,
             base_overhead: Dur::from_us(8),
-            algorithm: CollectiveAlgorithm::Ring,
         }
-    }
-
-    /// Sets the algorithm family (builder style).
-    pub fn with_algorithm(mut self, algorithm: CollectiveAlgorithm) -> Self {
-        self.algorithm = algorithm;
-        self
-    }
-
-    /// The algorithm family used for pricing.
-    pub fn algorithm(&self) -> CollectiveAlgorithm {
-        self.algorithm
     }
 
     /// The cluster description this model prices against.
@@ -95,41 +59,16 @@ impl CollectiveModel {
         Dur::from_secs_f64(us / 1e6)
     }
 
-    /// Predicted duration of one collective instance under the model's
-    /// configured algorithm. `bytes` is the payload contributed per
-    /// rank (the full tensor for all-reduce, the local shard for
-    /// all-gather / reduce-scatter, the message for send/recv).
+    /// Predicted duration of one collective instance. `bytes` is the
+    /// payload contributed per rank (the full tensor for all-reduce,
+    /// the local shard for all-gather / reduce-scatter, the message for
+    /// send/recv).
     pub fn duration(&self, kind: CollectiveKind, bytes: u64, members: &[u32]) -> Dur {
-        self.duration_with(self.algorithm, kind, bytes, members)
-    }
-
-    /// Predicted duration under an explicit algorithm family.
-    pub fn duration_with(
-        &self,
-        algorithm: CollectiveAlgorithm,
-        kind: CollectiveKind,
-        bytes: u64,
-        members: &[u32],
-    ) -> Dur {
         if members.len() <= 1 {
             // Single-member communicators are elided by NCCL.
             return Dur::from_us(2);
         }
-        let ring = self.finish(ring_terms(kind, bytes, members.len()), members);
-        match algorithm {
-            CollectiveAlgorithm::Ring => ring,
-            CollectiveAlgorithm::Tree => match tree_terms(kind, bytes, members.len()) {
-                Some(t) => self.finish(t, members),
-                None => ring,
-            },
-            CollectiveAlgorithm::Auto => match tree_terms(kind, bytes, members.len()) {
-                Some(t) => ring.min(self.finish(t, members)),
-                None => ring,
-            },
-        }
-    }
-
-    fn finish(&self, (volume, hops): (f64, f64), members: &[u32]) -> Dur {
+        let (volume, hops) = ring_terms(kind, bytes, members.len());
         let bw = self.bus_bandwidth(members);
         let lat = self.hop_latency(members);
         self.base_overhead + Dur::from_secs_f64(volume / bw) + lat.scale(hops)
@@ -152,23 +91,6 @@ fn ring_terms(kind: CollectiveKind, bytes: u64, members: usize) -> (f64, f64) {
         CollectiveKind::SendRecv => (bytes as f64, 1.0),
         // Barrier: latency only.
         CollectiveKind::Barrier => (0.0, 2.0 * (n - 1.0)),
-    }
-}
-
-/// Tree (volume, hops) terms; `None` where no tree algorithm exists
-/// (shard exchanges and point-to-point are inherently ring/pairwise).
-fn tree_terms(kind: CollectiveKind, bytes: u64, members: usize) -> Option<(f64, f64)> {
-    let depth = (members.max(1) as f64).log2().ceil();
-    match kind {
-        // Double binary tree: reduce up + broadcast down, each rank
-        // sends the full payload both ways.
-        CollectiveKind::AllReduce => Some((2.0 * bytes as f64, 2.0 * depth)),
-        // Binomial broadcast: payload once, log depth.
-        CollectiveKind::Broadcast => Some((bytes as f64, depth)),
-        CollectiveKind::Barrier => Some((0.0, 2.0 * depth)),
-        CollectiveKind::AllGather | CollectiveKind::ReduceScatter | CollectiveKind::SendRecv => {
-            None
-        }
     }
 }
 
@@ -275,139 +197,5 @@ mod tests {
             assert!(t >= prev);
             prev = t;
         }
-    }
-
-    #[test]
-    fn tree_beats_ring_for_small_payloads_on_many_ranks() {
-        // 64 inter-node ranks, 64 KiB: ring pays 126 hops, tree 12.
-        let m = model();
-        let members: Vec<u32> = (0..64).collect();
-        let ring = m.duration_with(
-            CollectiveAlgorithm::Ring,
-            CollectiveKind::AllReduce,
-            64 << 10,
-            &members,
-        );
-        let tree = m.duration_with(
-            CollectiveAlgorithm::Tree,
-            CollectiveKind::AllReduce,
-            64 << 10,
-            &members,
-        );
-        assert!(tree < ring, "tree {tree} !< ring {ring}");
-    }
-
-    #[test]
-    fn ring_beats_tree_for_large_payloads() {
-        // 1 GiB over 16 ranks: ring moves 2S·15/16, tree 2S.
-        let m = model();
-        let members: Vec<u32> = (0..16).collect();
-        let ring = m.duration_with(
-            CollectiveAlgorithm::Ring,
-            CollectiveKind::AllReduce,
-            1 << 30,
-            &members,
-        );
-        let tree = m.duration_with(
-            CollectiveAlgorithm::Tree,
-            CollectiveKind::AllReduce,
-            1 << 30,
-            &members,
-        );
-        assert!(ring < tree, "ring {ring} !< tree {tree}");
-    }
-
-    #[test]
-    fn auto_takes_the_minimum() {
-        let m = model();
-        let members: Vec<u32> = (0..64).collect();
-        for bytes in [1u64 << 10, 1 << 20, 1 << 30] {
-            let ring = m.duration_with(
-                CollectiveAlgorithm::Ring,
-                CollectiveKind::AllReduce,
-                bytes,
-                &members,
-            );
-            let tree = m.duration_with(
-                CollectiveAlgorithm::Tree,
-                CollectiveKind::AllReduce,
-                bytes,
-                &members,
-            );
-            let auto = m.duration_with(
-                CollectiveAlgorithm::Auto,
-                CollectiveKind::AllReduce,
-                bytes,
-                &members,
-            );
-            assert_eq!(auto, ring.min(tree));
-        }
-    }
-
-    #[test]
-    fn tree_falls_back_to_ring_where_undefined() {
-        let m = model();
-        let members: Vec<u32> = (0..8).collect();
-        for kind in [
-            CollectiveKind::AllGather,
-            CollectiveKind::ReduceScatter,
-            CollectiveKind::SendRecv,
-        ] {
-            assert_eq!(
-                m.duration_with(CollectiveAlgorithm::Tree, kind, MB, &members),
-                m.duration_with(CollectiveAlgorithm::Ring, kind, MB, &members),
-                "{kind:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn builder_sets_default_algorithm() {
-        let m = model().with_algorithm(CollectiveAlgorithm::Auto);
-        assert_eq!(m.algorithm(), CollectiveAlgorithm::Auto);
-        let members: Vec<u32> = (0..64).collect();
-        assert_eq!(
-            m.duration(CollectiveKind::AllReduce, 1 << 12, &members),
-            m.duration_with(
-                CollectiveAlgorithm::Auto,
-                CollectiveKind::AllReduce,
-                1 << 12,
-                &members
-            )
-        );
-    }
-
-    #[test]
-    fn crossover_exists_between_ring_and_tree() {
-        // Sweeping payload upward must flip the winner exactly once
-        // (tree first, ring later) on a large inter-node communicator.
-        let m = model();
-        let members: Vec<u32> = (0..64).collect();
-        let mut flips = 0;
-        let mut prev_tree_wins: Option<bool> = None;
-        for pow in 10..32 {
-            let bytes = 1u64 << pow;
-            let ring = m.duration_with(
-                CollectiveAlgorithm::Ring,
-                CollectiveKind::AllReduce,
-                bytes,
-                &members,
-            );
-            let tree = m.duration_with(
-                CollectiveAlgorithm::Tree,
-                CollectiveKind::AllReduce,
-                bytes,
-                &members,
-            );
-            let tree_wins = tree < ring;
-            if let Some(prev) = prev_tree_wins {
-                if prev != tree_wins {
-                    flips += 1;
-                    assert!(prev, "winner must flip from tree to ring, not back");
-                }
-            }
-            prev_tree_wins = Some(tree_wins);
-        }
-        assert_eq!(flips, 1);
     }
 }

@@ -14,10 +14,9 @@
 
 use crate::hardware::GpuSpec;
 use lumos_trace::Dur;
-use serde::Serialize;
 
 /// Analytical GEMM timing for one GPU.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GemmModel {
     gpu: GpuSpec,
     /// CUTLASS-style output tile edge (128×128 tiles).

@@ -4,10 +4,8 @@
 //! SXM GPUs, 8 per server behind NVSwitch, servers interconnected by
 //! 8× 400 Gbps RoCE per host (§4.1).
 
-use serde::Serialize;
-
 /// A GPU's performance envelope.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name.
     pub name: String,
@@ -73,7 +71,7 @@ impl GpuSpec {
 }
 
 /// One server: several GPUs behind an all-to-all NVSwitch fabric.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// The GPU model installed.
     pub gpu: GpuSpec,
@@ -100,7 +98,7 @@ impl NodeSpec {
 }
 
 /// A multi-node training cluster.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Server configuration.
     pub node: NodeSpec,

@@ -8,10 +8,9 @@ use crate::gemm::GemmModel;
 use crate::hardware::{ClusterSpec, GpuSpec};
 use crate::CostModel;
 use lumos_trace::{CollectiveKind, Dur, KernelClass};
-use serde::Serialize;
 
 /// First-principles cost model for every [`KernelClass`].
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnalyticalCostModel {
     gpu: GpuSpec,
     gemm: GemmModel,

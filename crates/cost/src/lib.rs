@@ -33,7 +33,7 @@ mod kernels;
 mod lookup;
 mod overhead;
 
-pub use collective::{CollectiveAlgorithm, CollectiveModel};
+pub use collective::CollectiveModel;
 pub use gemm::GemmModel;
 pub use hardware::{ClusterSpec, GpuSpec, NodeSpec};
 pub use kernels::AnalyticalCostModel;

@@ -273,11 +273,6 @@ impl<F: CostModel> LookupCostModel<F> {
         &self.tables
     }
 
-    /// Unwraps into the fitted tables, dropping the fallback.
-    pub fn into_tables(self) -> LookupTables {
-        self.tables
-    }
-
     /// Records one observation of a compute kernel.
     pub fn record_compute(&mut self, class: KernelClass, observed: Dur) {
         self.tables.record_compute(class, observed);
@@ -476,6 +471,6 @@ mod tests {
         m.record_compute(shape, Dur::from_us(42));
         let rebuilt = LookupCostModel::from_tables(m.tables().clone(), AnalyticalCostModel::h100());
         assert_eq!(rebuilt.compute_cost(&shape), m.compute_cost(&shape));
-        assert_eq!(rebuilt.into_tables(), m.into_tables());
+        assert_eq!(rebuilt.tables(), m.tables());
     }
 }

@@ -7,10 +7,9 @@
 //! idle).
 
 use lumos_trace::Dur;
-use serde::Serialize;
 
 /// Host-side cost constants.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostOverheads {
     /// Framework dispatch time of a CPU operator (excluding runtime
     /// calls made inside it).
@@ -27,9 +26,9 @@ pub struct HostOverheads {
     pub sync_call: Dur,
 }
 
-impl HostOverheads {
+impl Default for HostOverheads {
     /// PyTorch 2.x-calibrated defaults.
-    pub fn pytorch_defaults() -> Self {
+    fn default() -> Self {
         HostOverheads {
             cpu_op: Dur::from_us(6),
             launch_call: Dur::from_us(4),
@@ -37,24 +36,6 @@ impl HostOverheads {
             event_call: Dur::from_us(1),
             sync_call: Dur::from_us(2),
         }
-    }
-
-    /// A faster host (e.g. CUDA graphs / lean dispatch), for what-if
-    /// studies on CPU-bound launch behavior.
-    pub fn lean() -> Self {
-        HostOverheads {
-            cpu_op: Dur::from_us(2),
-            launch_call: Dur(1_500),
-            launch_gap: Dur(800),
-            event_call: Dur(500),
-            sync_call: Dur(800),
-        }
-    }
-}
-
-impl Default for HostOverheads {
-    fn default() -> Self {
-        HostOverheads::pytorch_defaults()
     }
 }
 
@@ -67,14 +48,5 @@ mod tests {
         let h = HostOverheads::default();
         assert!(h.cpu_op >= h.launch_call);
         assert!(h.launch_call > Dur::ZERO);
-        assert_eq!(h, HostOverheads::pytorch_defaults());
-    }
-
-    #[test]
-    fn lean_faster_than_default() {
-        let (lean, def) = (HostOverheads::lean(), HostOverheads::default());
-        assert!(lean.cpu_op < def.cpu_op);
-        assert!(lean.launch_call < def.launch_call);
-        assert!(lean.launch_gap < def.launch_gap);
     }
 }

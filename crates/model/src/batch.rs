@@ -24,12 +24,6 @@ impl BatchConfig {
         }
     }
 
-    /// The paper's Figure 4 convention: number of micro-batches equal
-    /// to `TP × PP`.
-    pub fn paper_fig4(tp: u32, pp: u32) -> Self {
-        BatchConfig::gpt3_default(tp * pp)
-    }
-
     /// Tokens processed per micro-batch per replica.
     pub fn tokens_per_microbatch(&self) -> u64 {
         self.seq_len * self.microbatch_size
@@ -70,12 +64,5 @@ mod tests {
         };
         assert_eq!(b.tokens_per_microbatch(), 4096);
         assert_eq!(b.global_batch(4), 64);
-    }
-
-    #[test]
-    fn fig4_convention() {
-        let b = BatchConfig::paper_fig4(2, 4);
-        assert_eq!(b.num_microbatches, 8);
-        assert_eq!(b.seq_len, 2048);
     }
 }

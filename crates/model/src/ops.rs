@@ -513,23 +513,6 @@ pub fn local_params(model: &ModelConfig, tp: u32, pp: u32, stage: u32) -> u64 {
     params
 }
 
-/// Splits a rank's gradients into data-parallel all-reduce buckets of
-/// at most `bucket_bytes` (Megatron DDP overlap buckets). Returns the
-/// per-bucket byte counts, in reduction order (last layers first).
-pub fn dp_grad_buckets(local_params: u64, bucket_bytes: u64) -> Vec<u64> {
-    assert!(bucket_bytes > 0, "bucket size must be positive");
-    let total = local_params * GRAD_BYTES;
-    if total == 0 {
-        return Vec::new();
-    }
-    let n = total.div_ceil(bucket_bytes);
-    let base = total / n;
-    let rem = total % n;
-    (0..n)
-        .map(|i| if i < rem { base + 1 } else { base })
-        .collect()
-}
-
 /// The fused-optimizer (Adam) update ops for a rank's local
 /// parameters, chunked to mirror Megatron's per-bucket application.
 pub fn optimizer_ops(local_params: u64) -> Vec<OpDesc> {
@@ -642,23 +625,6 @@ mod tests {
         let mid = local_params(&m, 1, 4, 1);
         let first = local_params(&m, 1, 4, 0);
         assert!(first > mid);
-    }
-
-    #[test]
-    fn grad_buckets_sum_to_total() {
-        let buckets = dp_grad_buckets(1_000_000, 25 * 1024 * 1024);
-        assert_eq!(buckets.iter().sum::<u64>(), 4_000_000);
-        // All buckets within one byte of each other.
-        let min = buckets.iter().min().unwrap();
-        let max = buckets.iter().max().unwrap();
-        assert!(max - min <= 1);
-        assert!(dp_grad_buckets(0, 1024).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_bucket_size_panics() {
-        let _ = dp_grad_buckets(100, 0);
     }
 
     #[test]

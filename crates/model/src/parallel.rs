@@ -156,27 +156,6 @@ impl Parallelism {
             .collect()
     }
 
-    /// The next pipeline stage's rank with the same (tp, dp), if any.
-    pub fn pp_next(&self, coords: RankCoords) -> Option<u32> {
-        (coords.pp + 1 < self.pp).then(|| {
-            self.rank_of(RankCoords {
-                pp: coords.pp + 1,
-                ..coords
-            })
-        })
-    }
-
-    /// The previous pipeline stage's rank with the same (tp, dp), if
-    /// any.
-    pub fn pp_prev(&self, coords: RankCoords) -> Option<u32> {
-        (coords.pp > 0).then(|| {
-            self.rank_of(RankCoords {
-                pp: coords.pp - 1,
-                ..coords
-            })
-        })
-    }
-
     /// Layers per pipeline stage (assuming even distribution).
     pub fn layers_per_stage(&self, num_layers: u32) -> u32 {
         num_layers / self.pp
@@ -378,10 +357,7 @@ mod tests {
         // DP group of rank 0: same tp=0, pp=0, dp varies -> stride tp.
         assert_eq!(p.dp_group_members(coords0), vec![0, 4]);
         // Next pipeline stage of rank 0 is offset by dp*tp.
-        assert_eq!(p.pp_next(coords0), Some(8));
-        assert_eq!(p.pp_prev(coords0), None);
-        let last = p.coords(p.world_size() - 1);
-        assert_eq!(p.pp_next(last), None);
+        assert_eq!(p.rank_of(RankCoords { pp: 1, ..coords0 }), 8);
     }
 
     #[test]

@@ -46,11 +46,6 @@ impl ScheduleItem {
             | ScheduleItem::WeightGrad { mb } => mb,
         }
     }
-
-    /// Returns `true` for forward items.
-    pub fn is_forward(&self) -> bool {
-        matches!(self, ScheduleItem::Forward { .. })
-    }
 }
 
 impl fmt::Display for ScheduleItem {
@@ -571,25 +566,18 @@ impl PipelineSchedule {
         let m = num_microbatches as f64;
         (p - 1.0) / (m + p - 1.0)
     }
-
-    /// Compact rendering of one stage's order (e.g.
-    /// `F0 F1 B0 F2 B1 B2`), used in diagnostics and docs.
-    pub fn stage_string(&self, stage: u32) -> String {
-        self.stage(stage)
-            .map(|items| {
-                items
-                    .iter()
-                    .map(ScheduleItem::to_string)
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            })
-            .unwrap_or_default()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Compact rendering of one stage's order (e.g. `F0 F1 B0 B1`).
+    fn stage_string(s: &PipelineSchedule, stage: u32) -> String {
+        let items = s.stage(stage).unwrap();
+        let items: Vec<String> = items.iter().map(ScheduleItem::to_string).collect();
+        items.join(" ")
+    }
 
     #[test]
     fn paper_figure4_orders() {
@@ -597,14 +585,14 @@ mod tests {
         // F1 F2 F3 F4 B1 F5 B2 F6 B3 F7 B4 F8 B5 B6 B7 B8 (1-based).
         let s = PipelineSchedule::generate(ScheduleKind::OneFOneB, 4, 8).unwrap();
         assert_eq!(
-            s.stage_string(0),
+            stage_string(&s, 0),
             "F0 F1 F2 F3 B0 F4 B1 F5 B2 F6 B3 F7 B4 B5 B6 B7"
         );
         // Figure 4 (2x PP): PP=2, M=4... the paper keeps M=8 for the
         // original but scales to the TPxPP convention for the 2x row:
         // F1 F2 B1 F3 B2 F4 B3 B4 (1-based) at PP=2, M=4.
         let s2 = PipelineSchedule::generate(ScheduleKind::OneFOneB, 2, 4).unwrap();
-        assert_eq!(s2.stage_string(0), "F0 F1 B0 F2 B1 F3 B2 B3");
+        assert_eq!(stage_string(&s2, 0), "F0 F1 B0 F2 B1 F3 B2 B3");
     }
 
     #[test]
@@ -614,9 +602,9 @@ mod tests {
         // Warm-up of 0: F0 B0 F1 B1 ...
         for (i, item) in last.iter().enumerate() {
             if i % 2 == 0 {
-                assert!(item.is_forward());
+                assert!(matches!(item, ScheduleItem::Forward { .. }));
             } else {
-                assert!(!item.is_forward());
+                assert!(matches!(item, ScheduleItem::Backward { .. }));
             }
             assert_eq!(item.mb(), (i / 2) as u32);
         }
@@ -626,14 +614,14 @@ mod tests {
     fn fewer_microbatches_than_stages() {
         // M < P: warm-up saturates at M.
         let s = PipelineSchedule::generate(ScheduleKind::OneFOneB, 8, 2).unwrap();
-        assert_eq!(s.stage_string(0), "F0 F1 B0 B1");
+        assert_eq!(stage_string(&s, 0), "F0 F1 B0 B1");
         s.validate().unwrap();
     }
 
     #[test]
     fn gpipe_all_f_then_all_b() {
         let s = PipelineSchedule::generate(ScheduleKind::GPipe, 4, 3).unwrap();
-        assert_eq!(s.stage_string(2), "F0 F1 F2 B0 B1 B2");
+        assert_eq!(stage_string(&s, 2), "F0 F1 F2 B0 B1 B2");
     }
 
     #[test]
@@ -642,12 +630,12 @@ mod tests {
         // Stage 0: 1F1B skeleton with W's after each cool-down B and
         // the rest draining at the end.
         assert_eq!(
-            s.stage_string(0),
+            stage_string(&s, 0),
             "F0 F1 F2 F3 B0 F4 B1 F5 B2 F6 B3 F7 B4 B5 W0 B6 W1 B7 W2 W3 W4 W5 W6 W7"
         );
         // Last stage: strict 1F1B alternation, then the W drain.
         assert_eq!(
-            s.stage_string(3),
+            stage_string(&s, 3),
             "F0 B0 F1 B1 F2 B2 F3 B3 F4 B4 F5 B5 F6 B6 F7 B7 \
              W0 W1 W2 W3 W4 W5 W6 W7"
         );

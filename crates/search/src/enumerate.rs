@@ -197,11 +197,6 @@ impl<'a> CandidateStream<'a> {
         }
     }
 
-    /// Number of grid points the full walk visits.
-    pub fn grid_size(&self) -> usize {
-        self.grid.total()
-    }
-
     /// Counters accumulated so far (complete after exhaustion).
     pub fn stats(&self) -> crate::prune::PruneStats {
         self.stats
@@ -508,6 +503,6 @@ mod tests {
             .map(|ec| ec.index)
             .collect();
         assert!(indices.windows(2).all(|w| w[0] < w[1]));
-        assert!(indices.iter().all(|&i| i < stream.grid_size()));
+        assert!(indices.iter().all(|&i| i < stream.grid.total()));
     }
 }

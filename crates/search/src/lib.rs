@@ -526,24 +526,3 @@ where
         adaptive,
     })
 }
-
-/// Profiles one `seed`-jittered iteration of `base` on the
-/// ground-truth cluster under the default H100 cost model — the base
-/// trace for trace-less searches (the CLI's `--model` mode calls
-/// this).
-///
-/// # Errors
-///
-/// Returns [`SearchError::BaseProfile`] on invalid configurations or
-/// engine failures.
-pub fn profile_base(base: &TrainingSetup, seed: u64) -> Result<ClusterTrace, SearchError> {
-    use lumos_cluster::{GroundTruthCluster, JitterModel};
-
-    let cluster = GroundTruthCluster::new(base, lumos_cost::AnalyticalCostModel::h100())
-        .map_err(|e| SearchError::BaseProfile(e.to_string()))?
-        .with_jitter(JitterModel::realistic(seed));
-    Ok(cluster
-        .profile_iteration(0)
-        .map_err(|e| SearchError::BaseProfile(e.to_string()))?
-        .trace)
-}

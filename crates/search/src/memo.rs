@@ -21,8 +21,8 @@
 use crate::candidate::Candidate;
 use crate::prune::MemoStats;
 use lumos_core::manipulate::{
-    kernel_class_of_op, plan, proportional_layer_map, regenerated_block_ops, Block, BlockKey,
-    BlockKind, BlockLibrary,
+    kernel_class_of_op, plan, regenerated_block_ops, source_layer, Block, BlockKey, BlockKind,
+    BlockLibrary,
 };
 use lumos_core::Phase;
 use lumos_cost::{CostModel, LookupCostModel};
@@ -233,13 +233,12 @@ impl<'a, C: CostModel> StageCostCache<'a, C> {
             return None;
         }
         // Candidate layers map onto source layers via the same helper
-        // reassembly's plan uses — not a re-derivation of its formula
-        // (and no setup clones on this per-candidate path).
-        let layer_map = proportional_layer_map(self.base.model.num_layers, setup.model.num_layers);
+        // reassembly uses — not a re-derivation of its formula (and no
+        // setup clones on this per-candidate path).
+        let (old_layers, new_layers) = (self.base.model.num_layers, setup.model.num_layers);
         let work = Arc::new(StageWork {
-            layer_secs: layer_map
-                .iter()
-                .map(|&src| costs.source_layer_secs[src as usize])
+            layer_secs: (0..new_layers)
+                .map(|l| costs.source_layer_secs[source_layer(old_layers, new_layers, l) as usize])
                 .collect(),
             embed_secs: costs.embed_secs,
             head_secs: costs.head_secs,
@@ -305,9 +304,10 @@ impl<'a, C: CostModel> StageCostCache<'a, C> {
 
     fn derive(&self, setup: &TrainingSetup) -> CachedCosts {
         let stream = self.stream.expect("checked by costs_for");
-        // Whether reassembly re-prices this candidate's kernels is the
-        // plan's decision, not a local mirror of its condition.
-        let recost = plan(self.base, setup).recost_kernels;
+        // Whether reassembly re-prices this candidate's kernels is
+        // `ReassembleSpec::recosts_kernels`, not a local mirror of its
+        // condition.
+        let recost = plan(self.base, setup).recosts_kernels();
         let ops_for = |kind: BlockKind, phase: Phase| -> Option<Vec<OpDesc>> {
             if !recost {
                 return None;
@@ -441,7 +441,8 @@ fn block_stream_secs<C: CostModel>(
 /// `true` when the library holds every block reassembly could request
 /// for any candidate reachable from `base`: both phases of every
 /// source layer plus embedding and head, for every (tp, dp) shard and
-/// recorded micro-batch. [`lumos_core::manipulate::reassemble`] looks
+/// recorded micro-batch. Reassembly
+/// ([`lumos_core::manipulate::reassemble_with_library`]) looks
 /// blocks up with coordinates reduced modulo the base degrees, so
 /// these key ranges are exhaustive — a complete library means
 /// candidate evaluation can never fail on a missing block, which is

@@ -9,7 +9,7 @@
 //! ground-truth methodology on each finalist*: lower the candidate's
 //! full configuration into per-rank host programs
 //! ([`lumos_cluster::lower`]), execute them through the discrete-event
-//! engine ([`lumos_cluster::execute`]) against the **same** shared
+//! engine ([`lumos_cluster::PreparedJob`]) against the **same** shared
 //! trace-fitted [`LookupCostModel`] the screen used, and re-rank by
 //! the *search objective re-evaluated at the simulated makespan* —
 //! the user's ranking criterion stays in charge, informed by the

@@ -11,7 +11,9 @@
 //! * a deadline stops the jitter and fault replica passes between
 //!   replicas, not only between finalists.
 
-use lumos_cluster::{execute, lower, FaultSpec, GroundTruthCluster, JitterModel, MeasuredStats};
+use lumos_cluster::{
+    lower, FaultSpec, GroundTruthCluster, JitterModel, MeasuredStats, PreparedJob,
+};
 use lumos_cost::{AnalyticalCostModel, HostOverheads, LookupCostModel};
 use lumos_model::{BatchConfig, ModelConfig, Parallelism, ScheduleKind, TrainingSetup};
 use lumos_search::{
@@ -337,7 +339,10 @@ fn metrics_only_refinement_matches_full_trace_engine_execution() {
         // makespan is the raw engine number (no adjustment applied).
         assert!(refd.candidate.interleave <= 1);
         let job = lower(&res.setup).unwrap();
-        let full = execute(&job, &lookup, &oh, &JitterModel::none(), 0).unwrap();
+        let full = PreparedJob::new(&job)
+            .unwrap()
+            .execute(&lookup, &oh, &JitterModel::none(), 0)
+            .unwrap();
         assert_eq!(
             refd.simulated_makespan, full.makespan,
             "{}: metrics-only refinement diverged from full-trace execution",
@@ -348,7 +353,9 @@ fn metrics_only_refinement_matches_full_trace_engine_execution() {
         let model = JitterModel::realistic(opts.jitter_seed);
         let iterations: Vec<_> = (0..opts.jitter_replicas)
             .map(|r| {
-                execute(&job, &lookup, &oh, &model, r as u64)
+                PreparedJob::new(&job)
+                    .unwrap()
+                    .execute(&lookup, &oh, &model, r as u64)
                     .unwrap()
                     .makespan
             })

@@ -120,7 +120,7 @@ fn exhaustive_walk_does_the_same_work_at_every_thread_count() {
     // the worker count, so every worker count must score, skip and
     // report exactly the same candidates.
     let base = TrainingSetup::new(ModelConfig::tiny(), Parallelism::new(2, 2, 1).unwrap());
-    let trace = lumos_search::profile_base(&base, 2025).unwrap();
+    let trace = lumos_cluster::profile(&base, 2025).unwrap();
     let path = format!(
         "{}/../../examples/spaces/sweep.toml",
         env!("CARGO_MANIFEST_DIR")

@@ -487,14 +487,6 @@ impl TraceEvent {
             EventKind::Kernel { class, .. } if class.is_comm()
         )
     }
-
-    /// Returns `true` for compute (non-communication) kernels.
-    pub fn is_compute_kernel(&self) -> bool {
-        matches!(
-            &self.kind,
-            EventKind::Kernel { class, .. } if !class.is_comm()
-        )
-    }
 }
 
 // ---------------------------------------------------------------- //
@@ -834,7 +826,7 @@ mod tests {
 
         let k = TraceEvent::kernel("gemm", Ts(5), Dur(50), StreamId(7)).with_correlation(3);
         assert!(k.is_gpu());
-        assert!(k.is_compute_kernel());
+        assert!(!k.is_comm_kernel());
         assert_eq!(k.kind.stream(), Some(StreamId(7)));
         assert_eq!(k.kind.correlation(), Some(3));
         assert_eq!(k.end(), Ts(55));
@@ -856,7 +848,6 @@ mod tests {
         )
         .with_class(KernelClass::Collective(meta));
         assert!(k.is_comm_kernel());
-        assert!(!k.is_compute_kernel());
         assert_eq!(
             k.kind,
             EventKind::Kernel {

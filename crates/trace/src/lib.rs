@@ -52,4 +52,4 @@ pub use queue::{queue_delays, stream_occupancy, QueueDelayStats, StreamOccupancy
 pub use sm_util::{sm_utilization, SmUtilization};
 pub use stats::{KernelStats, TraceStats};
 pub use time::{Dur, ScaleError, TimeSpan, Ts};
-pub use trace::{ClusterTrace, RankId, RankTrace, StreamId, ThreadId};
+pub use trace::{streams, threads, ClusterTrace, RankId, RankTrace, StreamId, ThreadId};

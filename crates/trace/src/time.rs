@@ -95,11 +95,6 @@ impl Dur {
         Dur((secs * 1e9).round() as u64)
     }
 
-    /// Creates a duration from fractional microseconds (Kineto's unit).
-    pub fn from_us_f64(us: f64) -> Self {
-        Dur::from_secs_f64(us / 1e6)
-    }
-
     /// Raw nanosecond value.
     pub const fn as_ns(self) -> u64 {
         self.0
@@ -382,7 +377,6 @@ mod tests {
     #[test]
     fn dur_conversions() {
         assert_eq!(Dur::from_ms(2).as_ns(), 2_000_000);
-        assert_eq!(Dur::from_us_f64(1.5).as_ns(), 1_500);
         assert!((Dur::from_secs_f64(0.25).as_secs_f64() - 0.25).abs() < 1e-12);
         assert_eq!(Dur::from_secs_f64(-1.0), Dur::ZERO);
     }

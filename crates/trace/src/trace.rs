@@ -2,7 +2,7 @@
 
 use crate::error::TraceError;
 use crate::event::{CorrelationId, EventKind, TraceEvent};
-use crate::time::{Dur, TimeSpan, Ts};
+use crate::time::{Dur, TimeSpan};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -25,6 +25,36 @@ pub struct ThreadId(pub u32);
 )]
 #[serde(transparent)]
 pub struct StreamId(pub u32);
+
+/// Conventional stream assignment, mirroring typical Megatron/PyTorch
+/// traces: one compute stream plus dedicated communication streams.
+/// The ground-truth lowering and reassembly both place kernels here.
+pub mod streams {
+    use super::StreamId;
+
+    /// Default compute stream.
+    pub const COMPUTE: StreamId = StreamId(7);
+    /// Tensor-parallel collective stream.
+    pub const TP_COMM: StreamId = StreamId(13);
+    /// Data-parallel gradient collective stream.
+    pub const DP_COMM: StreamId = StreamId(17);
+    /// Pipeline forward-direction (activations) stream.
+    pub const PP_FWD: StreamId = StreamId(21);
+    /// Pipeline backward-direction (gradients) stream.
+    pub const PP_BWD: StreamId = StreamId(22);
+}
+
+/// Conventional thread assignment: PyTorch runs forward dispatch on
+/// the main thread and backward on the autograd engine thread (the
+/// inter-thread dependency the paper calls out in §3.3.2).
+pub mod threads {
+    use super::ThreadId;
+
+    /// Main (forward / schedule) thread.
+    pub const MAIN: ThreadId = ThreadId(1);
+    /// Autograd (backward) thread.
+    pub const BACKWARD: ThreadId = ThreadId(2);
+}
 
 impl fmt::Display for RankId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -201,15 +231,6 @@ impl RankTrace {
         }
         Ok(())
     }
-
-    /// Shifts every event so the trace starts at `Ts::ZERO`.
-    pub fn normalize(&mut self) {
-        let Some(span) = self.span() else { return };
-        let offset = span.start;
-        for e in &mut self.events {
-            e.ts = Ts(e.ts.0 - offset.0);
-        }
-    }
 }
 
 impl From<u32> for RankId {
@@ -322,6 +343,7 @@ impl FromIterator<RankTrace> for ClusterTrace {
 mod tests {
     use super::*;
     use crate::event::CudaRuntimeKind;
+    use crate::time::Ts;
 
     fn launch_and_kernel(corr: u64, ts: u64) -> [TraceEvent; 2] {
         [
@@ -388,11 +410,19 @@ mod tests {
     }
 
     #[test]
-    fn normalize_shifts_origin() {
-        let mut t = RankTrace::new(3);
-        t.push(TraceEvent::cpu_op("a", Ts(100), Dur(5), ThreadId(1)));
-        t.normalize();
-        assert_eq!(t.events()[0].ts, Ts::ZERO);
+    fn stream_constants_distinct() {
+        let all = [
+            streams::COMPUTE,
+            streams::TP_COMM,
+            streams::DP_COMM,
+            streams::PP_FWD,
+            streams::PP_BWD,
+        ];
+        for (i, a) in all.iter().enumerate() {
+            for b in all.iter().skip(i + 1) {
+                assert_ne!(a, b);
+            }
+        }
     }
 
     #[test]

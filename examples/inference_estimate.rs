@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example inference_estimate`
 
 use lumos::prelude::*;
-use lumos_cluster::{execute, lower_inference};
+use lumos_cluster::{lower_inference, PreparedJob};
 use lumos_cost::HostOverheads;
 use lumos_model::InferenceSetup;
 use lumos_trace::KernelClass;
@@ -36,8 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Profile one request batch on the ground-truth engine.
     let job = lower_inference(&setup)?;
-    let out = execute(
-        &job,
+    let out = PreparedJob::new(&job)?.execute(
         &AnalyticalCostModel::h100(),
         &HostOverheads::default(),
         &JitterModel::realistic(23),
@@ -114,8 +113,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut s = setup.clone();
         s.decode_tokens = decode;
         let job = lower_inference(&s)?;
-        let out = execute(
-            &job,
+        let out = PreparedJob::new(&job)?.execute(
             &AnalyticalCostModel::h100(),
             &HostOverheads::default(),
             &JitterModel::none(),

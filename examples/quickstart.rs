@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("breakdown: {}", replayed.breakdown());
 
     // Compare with the dPRO baseline.
-    let dpro = Dpro::new().replay(&profiled.trace)?;
+    let dpro = Lumos::dpro_baseline().replay(&profiled.trace)?;
     println!(
         "dPRO replay: {:.2} ms (error {:.2}%) — optimistic, as the paper reports",
         dpro.makespan().as_ms_f64(),

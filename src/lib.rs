@@ -14,19 +14,19 @@
 //!   ZB-H1; interleaved 1F1B as an adjustment), memory estimation,
 //!   and MFU accounting;
 //! * [`cost`] — H100/A100 hardware specs and kernel/collective cost
-//!   models (ring and tree algorithm families);
+//!   models (NCCL ring collectives);
 //! * [`cluster`] — the ground-truth multi-rank execution engine
 //!   (production-cluster substitute) that emits traces, for training
 //!   iterations and inference request batches;
 //! * [`core`] — the paper's contribution: execution-graph
 //!   construction, Algorithm 1 replay, and graph manipulation
 //!   (DP/PP/TP/layers/width/sequence-length transforms and what-if
-//!   studies);
+//!   studies), and the dPRO baseline as the same pipeline with other
+//!   dependency options ([`core::Lumos::dpro_baseline`]);
 //! * [`calib`] — versioned, serializable calibration artifacts: fit
 //!   the lookup tables and block library from a trace once
 //!   (`lumos calibrate`), then answer predict/search/replay/mfu
 //!   queries from the artifact without re-ingesting the trace;
-//! * [`dpro`] — the dPRO baseline replayer;
 //! * [`serve`] — the persistent estimation daemon behind
 //!   `lumos serve`: a calibration-artifact registry with atomic hot
 //!   reload, a bounded worker pool with load shedding and per-request
@@ -88,18 +88,11 @@ pub use lumos_search as search;
 pub use lumos_serve as serve;
 pub use lumos_trace as trace;
 
-/// The dPRO baseline replayer, [`lumos_core::Dpro`], at its facade
-/// path.
-pub mod dpro {
-    pub use lumos_core::Dpro;
-}
-
 /// The most commonly used items, importable in one line.
 pub mod prelude {
     pub use lumos_calib::{CalibrationArtifact, TraceFingerprint};
     pub use lumos_cluster::{GroundTruthCluster, JitterModel, SimConfig};
     pub use lumos_core::manipulate::Transform;
-    pub use lumos_core::Dpro;
     pub use lumos_core::{analysis, manipulate, Lumos, Replayed, SimOptions};
     pub use lumos_cost::{AnalyticalCostModel, CostModel, LookupCostModel};
     pub use lumos_model::{

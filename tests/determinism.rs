@@ -64,8 +64,8 @@ fn simulator_is_deterministic_across_rebuilds() {
 #[test]
 fn dpro_baseline_is_deterministic() {
     let (trace, _) = profiled(8, 0);
-    let a = Dpro::new().replay(&trace).unwrap().makespan();
-    let b = Dpro::new().replay(&trace).unwrap().makespan();
+    let a = Lumos::dpro_baseline().replay(&trace).unwrap().makespan();
+    let b = Lumos::dpro_baseline().replay(&trace).unwrap().makespan();
     assert_eq!(a, b);
 }
 

@@ -46,7 +46,7 @@ fn full_paper_loop_on_one_trace() {
         "same-iteration replay should be tight"
     );
 
-    let dpro = Dpro::new().replay(&trace).unwrap();
+    let dpro = Lumos::dpro_baseline().replay(&trace).unwrap();
     assert!(dpro.makespan() <= replayed.makespan());
 
     let prediction = lumos

@@ -4,7 +4,7 @@
 //! training.
 
 use lumos::prelude::*;
-use lumos_cluster::{execute, lower_inference, JitterModel as Jitter};
+use lumos_cluster::{lower_inference, JitterModel as Jitter, PreparedJob};
 use lumos_cost::HostOverheads;
 use lumos_model::inference::layer_decode_ops;
 use lumos_model::InferenceSetup;
@@ -22,14 +22,15 @@ fn serving_setup(tp: u32) -> InferenceSetup {
 
 fn profile(setup: &InferenceSetup, seed: u64) -> (ClusterTrace, Dur) {
     let job = lower_inference(setup).unwrap();
-    let out = execute(
-        &job,
-        &AnalyticalCostModel::h100(),
-        &HostOverheads::default(),
-        &Jitter::realistic(seed),
-        0,
-    )
-    .unwrap();
+    let out = PreparedJob::new(&job)
+        .unwrap()
+        .execute(
+            &AnalyticalCostModel::h100(),
+            &HostOverheads::default(),
+            &Jitter::realistic(seed),
+            0,
+        )
+        .unwrap();
     (out.trace, out.makespan)
 }
 

@@ -3,7 +3,10 @@
 //! compared with an actual profile of the target configuration, the
 //! way the paper's Figures 7 and 8 validate Lumos.
 
+use lumos::core::manipulate::{plan, reassemble_with_library, BlockLibrary};
 use lumos::prelude::*;
+use lumos::trace::{RankId, StreamId};
+use std::collections::BTreeMap;
 
 fn base_model() -> ModelConfig {
     ModelConfig::custom("xval-model", 4, 1024, 4096, 8, 128)
@@ -198,4 +201,58 @@ fn microbatch_scaling_predicts_ground_truth() {
         predict_vs_actual(&base, &[Transform::Microbatches { num: 8 }], 61);
     let err = predicted.relative_error(actual);
     assert!(err < 0.15, "microbatch prediction error {err:.3}");
+}
+
+/// Kernel counts by (rank, stream, kernel name).
+fn kernel_placement(trace: &ClusterTrace) -> BTreeMap<(RankId, StreamId, String), usize> {
+    let mut placement = BTreeMap::new();
+    for rank in trace.ranks() {
+        for k in rank.kernels() {
+            let stream = k.kind.stream().expect("kernels run on a stream");
+            *placement
+                .entry((rank.rank(), stream, k.name.to_string()))
+                .or_default() += 1;
+        }
+    }
+    placement
+}
+
+#[test]
+fn reassembly_places_kernels_where_the_ground_truth_does() {
+    // The ground-truth lowering and reassembly write the same program
+    // shape through the shared stream and thread ids: every kernel of
+    // an identity or scale-out reassembly must run on the rank and
+    // stream the target's own profile puts it on, as often.
+    let cases = [
+        ((1, 1, 1), 2, (1, 2, 2)),
+        ((2, 2, 1), 4, (2, 1, 2)),
+        ((2, 2, 2), 4, (2, 1, 4)),
+        ((1, 2, 2), 3, (1, 1, 4)),
+    ];
+    let truth = |setup: &TrainingSetup| {
+        GroundTruthCluster::new(setup, AnalyticalCostModel::h100())
+            .unwrap()
+            .profile_iteration(0)
+            .unwrap()
+            .trace
+    };
+    for ((tp, pp, dp), m, (to_tp, to_pp, to_dp)) in cases {
+        let mut base =
+            TrainingSetup::new(ModelConfig::tiny(), Parallelism::new(tp, pp, dp).unwrap());
+        base.batch.num_microbatches = m;
+        let trace = truth(&base);
+        let library = BlockLibrary::extract(&trace, base.parallelism).unwrap();
+        let lookup = LookupCostModel::fit_from_trace(&trace, AnalyticalCostModel::h100(), 8);
+        let mut scaled = base.clone();
+        scaled.parallelism = Parallelism::new(to_tp, to_pp, to_dp).unwrap();
+        for target in [base.clone(), scaled] {
+            let predicted =
+                reassemble_with_library(&library, &plan(&base, &target), &lookup).unwrap();
+            let (got, want) = (
+                kernel_placement(&predicted),
+                kernel_placement(&truth(&target)),
+            );
+            assert_eq!(got, want, "{} -> {}", base.label(), target.label());
+        }
+    }
 }

@@ -53,7 +53,7 @@ proptest! {
         let cluster = GroundTruthCluster::new(&setup, AnalyticalCostModel::h100()).unwrap();
         let out = cluster.profile_iteration(0).unwrap();
         let lumos = Lumos::new().replay(&out.trace).unwrap();
-        let dpro = Dpro::new().replay(&out.trace).unwrap();
+        let dpro = Lumos::dpro_baseline().replay(&out.trace).unwrap();
         prop_assert!(dpro.makespan() <= lumos.makespan());
     }
 
@@ -73,7 +73,8 @@ proptest! {
         // The reassembled trace behind the prediction is itself valid.
         let spec = manipulate::plan(&setup, &prediction.setup);
         let lookup = LookupCostModel::fit_from_trace(&out.trace, AnalyticalCostModel::h100(), 8);
-        manipulate::reassemble(&out.trace, &spec, &lookup)
+        let library = manipulate::BlockLibrary::extract(&out.trace, setup.parallelism).unwrap();
+        manipulate::reassemble_with_library(&library, &spec, &lookup)
             .unwrap()
             .validate()
             .unwrap();
