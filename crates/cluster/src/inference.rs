@@ -160,8 +160,8 @@ impl InferenceLowerer<'_> {
                 unreachable!("inference lowers only TP all-reduces")
             }
             ref body => {
-                let (kname, class) = kernel_of(body);
-                let name = self.intern(kname);
+                let class = kernel_of(body);
+                let name = self.intern(class.kernel_name());
                 self.push(HostOp::Launch {
                     spec: KernelSpec {
                         name,

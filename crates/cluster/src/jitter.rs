@@ -13,13 +13,12 @@
 use rand::distributions::Distribution;
 use rand::SeedableRng;
 use rand_distr::LogNormal;
-use serde::Serialize;
 
 /// Coefficient-of-variation-parameterized log-normal noise.
 ///
 /// Multipliers have mean 1.0, so jitter perturbs without biasing
 /// means.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JitterModel {
     /// Coefficient of variation of compute-kernel durations.
     pub kernel_cv: f64,

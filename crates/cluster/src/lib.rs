@@ -21,11 +21,11 @@
 //! (jitter replicas) share one prepared form. The engine has two
 //! execution modes sharing one simulation: full-trace
 //! ([`PreparedJob::execute`]) materializes the Kineto-style trace,
-//! while metrics-only ([`PreparedJob::execute_metrics`]) accumulates
-//! just the aggregates ([`EngineMetrics`]: makespan, per-rank spans,
-//! per-stream busy time, collective waits) without constructing a
-//! single trace event — the mode the simulation-refined configuration
-//! search runs in.
+//! while metrics-only ([`PreparedJob::execute_metrics`]) keeps just
+//! what refinement reads ([`EngineMetrics`]: the makespan and the
+//! pipeline-boundary SendRecv time) without constructing a single
+//! trace event — the mode the simulation-refined configuration search
+//! runs in.
 //!
 //! # Example
 //!
@@ -64,5 +64,5 @@ pub use lower::{lower, LoweredJob, SimConfig};
 pub use program::{HostOp, KernelSpec, NameId, NameTable, Program, ThreadProgram};
 pub use run::{profile, profile_inference, ClusterError, GroundTruthCluster, MeasuredStats};
 pub use scenario::{FaultSpec, Realization, RunScenario};
-pub use sink::{EngineMetrics, RankMetrics, StreamBusy};
+pub use sink::EngineMetrics;
 pub use verify::{verify, GroupEntry, PortableJob, VerifyError, VerifyReport};

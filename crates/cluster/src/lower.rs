@@ -231,8 +231,8 @@ impl RankLowerer<'_> {
                 self.emit_collective(th, coll_kind(coll), group, seq, bytes, stream, fence_back);
             }
             body => {
-                let (kname, class) = kernel_of(&body);
-                let name = self.intern(kname);
+                let class = kernel_of(&body);
+                let name = self.intern(class.kernel_name());
                 self.push(
                     th,
                     HostOp::Launch {
@@ -487,7 +487,7 @@ impl RankLowerer<'_> {
                 // backward compute. Kept in its own annotation so
                 // layer blocks stay pure compute + TP collectives.
                 self.annotate(Th::Bwd, format!("dp_grads layer={layer} mb={mb}"));
-                let op = OpDesc_dp_allreduce(layer_grad_params);
+                let op = dp_allreduce_op(layer_grad_params);
                 self.emit_op(Th::Bwd, &op, false);
                 self.end_annotation(Th::Bwd);
             }
@@ -501,7 +501,7 @@ impl RankLowerer<'_> {
             if is_last_mb && par.dp > 1 && !split {
                 self.annotate(Th::Bwd, format!("dp_grads embed mb={mb}"));
                 let emb_params = model.params_embedding() / par.tp as u64;
-                let op = OpDesc_dp_allreduce(emb_params);
+                let op = dp_allreduce_op(emb_params);
                 self.emit_op(Th::Bwd, &op, false);
                 self.end_annotation(Th::Bwd);
             }
@@ -555,7 +555,7 @@ impl RankLowerer<'_> {
             self.end_annotation(Th::Bwd);
             if is_last_mb && par.dp > 1 {
                 self.annotate(Th::Bwd, format!("dp_grads layer={layer} mb={mb}"));
-                let op = OpDesc_dp_allreduce(layer_grad_params);
+                let op = dp_allreduce_op(layer_grad_params);
                 self.emit_op(Th::Bwd, &op, false);
                 self.end_annotation(Th::Bwd);
             }
@@ -565,7 +565,7 @@ impl RankLowerer<'_> {
             // their reduction waits here with the other buckets.
             self.annotate(Th::Bwd, format!("dp_grads embed mb={mb}"));
             let emb_params = model.params_embedding() / par.tp as u64;
-            let op = OpDesc_dp_allreduce(emb_params);
+            let op = dp_allreduce_op(emb_params);
             self.emit_op(Th::Bwd, &op, false);
             self.end_annotation(Th::Bwd);
         }
@@ -628,8 +628,7 @@ fn is_wgrad(op: &OpDesc) -> bool {
 
 /// Builds the DP gradient-bucket all-reduce op for `params`
 /// parameters.
-#[allow(non_snake_case)]
-fn OpDesc_dp_allreduce(params: u64) -> OpDesc {
+fn dp_allreduce_op(params: u64) -> OpDesc {
     OpDesc {
         name: "nccl:all_reduce_dp_grads",
         body: OpBody::Collective {
@@ -650,66 +649,42 @@ fn coll_kind(op: CollOp) -> CollectiveKind {
     }
 }
 
-/// Maps a compute op body to a kernel name and class.
-pub(crate) fn kernel_of(body: &OpBody) -> (String, KernelClass) {
+/// Maps a compute op body to its kernel class.
+pub(crate) fn kernel_of(body: &OpBody) -> KernelClass {
     match *body {
-        OpBody::Gemm { m, n, k } => (
-            format!("sm90_xmma_gemm_bf16_{m}x{n}x{k}"),
-            KernelClass::Gemm { m, n, k },
-        ),
+        OpBody::Gemm { m, n, k } => KernelClass::Gemm { m, n, k },
         OpBody::AttentionFwd {
             batch_heads,
             seq,
             head_dim,
-        } => (
-            "flash_fwd_kernel".to_string(),
-            KernelClass::AttentionFwd {
-                batch_heads,
-                seq,
-                head_dim,
-            },
-        ),
+        } => KernelClass::AttentionFwd {
+            batch_heads,
+            seq,
+            head_dim,
+        },
         OpBody::AttentionBwd {
             batch_heads,
             seq,
             head_dim,
-        } => (
-            "flash_bwd_kernel".to_string(),
-            KernelClass::AttentionBwd {
-                batch_heads,
-                seq,
-                head_dim,
-            },
-        ),
+        } => KernelClass::AttentionBwd {
+            batch_heads,
+            seq,
+            head_dim,
+        },
         OpBody::AttentionDecode {
             batch_heads,
             kv_len,
             head_dim,
-        } => (
-            "paged_attention_decode_kernel".to_string(),
-            KernelClass::AttentionDecode {
-                batch_heads,
-                kv_len,
-                head_dim,
-            },
-        ),
-        OpBody::Elementwise { elems } => (
-            "vectorized_elementwise_kernel".to_string(),
-            KernelClass::Elementwise { elems },
-        ),
-        OpBody::Norm { elems } => ("ln_fwd_bwd_kernel".to_string(), KernelClass::Norm { elems }),
-        OpBody::Softmax { elems } => (
-            "softmax_xent_kernel".to_string(),
-            KernelClass::Softmax { elems },
-        ),
-        OpBody::Embedding { elems } => (
-            "embedding_kernel".to_string(),
-            KernelClass::Embedding { elems },
-        ),
-        OpBody::Optimizer { params } => (
-            "multi_tensor_adam".to_string(),
-            KernelClass::Optimizer { params },
-        ),
+        } => KernelClass::AttentionDecode {
+            batch_heads,
+            kv_len,
+            head_dim,
+        },
+        OpBody::Elementwise { elems } => KernelClass::Elementwise { elems },
+        OpBody::Norm { elems } => KernelClass::Norm { elems },
+        OpBody::Softmax { elems } => KernelClass::Softmax { elems },
+        OpBody::Embedding { elems } => KernelClass::Embedding { elems },
+        OpBody::Optimizer { params } => KernelClass::Optimizer { params },
         OpBody::Collective { .. } => unreachable!("collectives handled by emit_collective"),
     }
 }

@@ -6,17 +6,14 @@
 //! * [`FullTraceSink`] builds complete per-rank Kineto-style
 //!   [`TraceEvent`] streams — what `profile`/replay/trace-export
 //!   consumers need;
-//! * [`MetricsSink`] accumulates only the aggregates search consumes —
-//!   makespan, per-rank spans, per-stream busy time, collective
-//!   rendezvous waits, and pipeline-boundary SendRecv time — without
-//!   constructing a single [`TraceEvent`]. The simulated inner loop is
-//!   allocation-free: every callback is a handful of integer
-//!   min/max/add updates on pre-sized vectors.
+//! * [`MetricsSink`] keeps only what refinement reads — the makespan
+//!   and the pipeline-boundary SendRecv time — without constructing a
+//!   single [`TraceEvent`]. Every callback is a min/max or an add.
 //!
 //! Both sinks observe exactly the same callbacks in exactly the same
-//! order, so a [`MetricsSink`] run is bit-identical in every shared
-//! statistic to deriving the same numbers from a [`FullTraceSink`]
-//! trace (asserted by the `sink` equivalence test suite).
+//! order, so a [`MetricsSink`] run's statistics are bit-identical to
+//! the same numbers derived from a [`FullTraceSink`] trace (asserted by
+//! the `sink` equivalence test suite).
 
 use crate::exec::PreparedJob;
 use crate::program::NameId;
@@ -47,13 +44,11 @@ pub(crate) trait EventSink {
     );
     /// A user-annotation range on a host thread.
     fn annotation(&mut self, prog: u32, tid: ThreadId, name: NameId, ts: Ts, dur: Dur);
-    /// A kernel execution on a stream (`stream` is the dense index,
-    /// `sid` the original id).
+    /// A kernel execution on stream `sid`.
     #[allow(clippy::too_many_arguments)]
     fn kernel(
         &mut self,
         prog: u32,
-        stream: u32,
         sid: StreamId,
         name: NameId,
         class: KernelClass,
@@ -61,9 +56,6 @@ pub(crate) trait EventSink {
         ts: Ts,
         dur: Dur,
     );
-    /// Exposed rendezvous wait of one collective member (instance
-    /// start minus this member's ready time).
-    fn collective_wait(&mut self, prog: u32, wait: Dur);
 }
 
 // ---------------------------------------------------------------- //
@@ -133,7 +125,6 @@ impl EventSink for FullTraceSink<'_> {
     fn kernel(
         &mut self,
         prog: u32,
-        _stream: u32,
         sid: StreamId,
         name: NameId,
         class: KernelClass,
@@ -149,143 +140,73 @@ impl EventSink for FullTraceSink<'_> {
                 .with_class(class),
         );
     }
-
-    fn collective_wait(&mut self, _prog: u32, _wait: Dur) {}
 }
 
 // ---------------------------------------------------------------- //
 // Metrics-only sink
 // ---------------------------------------------------------------- //
 
-#[derive(Debug, Clone, Copy)]
-struct RankAgg {
+/// Accumulates the makespan and SendRecv time only; never constructs
+/// a [`TraceEvent`].
+pub(crate) struct MetricsSink {
+    /// Earliest event start and latest event end over every rank.
     min_ts: Ts,
     max_end: Ts,
-    events: usize,
-    coll_wait_ns: u128,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct StreamAgg {
-    busy_ns: u64,
-    kernels: usize,
-}
-
-/// Accumulates aggregates only; never constructs a [`TraceEvent`].
-pub(crate) struct MetricsSink {
-    ranks: Vec<RankAgg>,
-    streams: Vec<StreamAgg>,
     sendrecv_ns: u128,
-    total_events: usize,
+    programs: usize,
 }
 
 impl MetricsSink {
     pub(crate) fn new(prep: &PreparedJob<'_>) -> Self {
         MetricsSink {
-            ranks: vec![
-                RankAgg {
-                    min_ts: Ts(u64::MAX),
-                    max_end: Ts::ZERO,
-                    events: 0,
-                    coll_wait_ns: 0,
-                };
-                prep.ranks.len()
-            ],
-            streams: vec![StreamAgg::default(); prep.streams.len()],
+            min_ts: Ts(u64::MAX),
+            max_end: Ts::ZERO,
             sendrecv_ns: 0,
-            total_events: 0,
+            programs: prep.ranks.len(),
         }
     }
 
     #[inline]
-    fn observe(&mut self, prog: u32, ts: Ts, dur: Dur) {
-        let r = &mut self.ranks[prog as usize];
-        r.min_ts = r.min_ts.min(ts);
-        r.max_end = r.max_end.max(ts + dur);
-        r.events += 1;
-        self.total_events += 1;
+    fn observe(&mut self, ts: Ts, dur: Dur) {
+        self.min_ts = self.min_ts.min(ts);
+        self.max_end = self.max_end.max(ts + dur);
     }
 
-    pub(crate) fn finish(self, prep: &PreparedJob<'_>) -> EngineMetrics {
-        // Makespan = hull of per-rank spans, exactly as
-        // `ClusterTrace::makespan` computes it over a full trace
-        // (ranks without events contribute nothing).
-        let mut span: Option<(Ts, Ts)> = None;
-        let ranks: Vec<RankMetrics> = self
-            .ranks
-            .iter()
-            .zip(&prep.ranks)
-            .map(|(agg, &rank)| {
-                let (start, end) = if agg.events == 0 {
-                    (Ts::ZERO, Ts::ZERO)
-                } else {
-                    span = Some(match span {
-                        None => (agg.min_ts, agg.max_end),
-                        Some((lo, hi)) => (lo.min(agg.min_ts), hi.max(agg.max_end)),
-                    });
-                    (agg.min_ts, agg.max_end)
-                };
-                RankMetrics {
-                    rank,
-                    start,
-                    end,
-                    events: agg.events,
-                    collective_wait: dur_from_ns(agg.coll_wait_ns),
-                }
-            })
-            .collect();
-        let streams: Vec<StreamBusy> = self
-            .streams
-            .iter()
-            .zip(&prep.streams)
-            .map(|(agg, meta)| StreamBusy {
-                rank: meta.rank,
-                stream: meta.sid,
-                busy: Dur(agg.busy_ns),
-                kernels: agg.kernels,
-            })
-            .collect();
-        let collective_wait = dur_from_ns(self.ranks.iter().map(|r| r.coll_wait_ns).sum::<u128>());
+    pub(crate) fn finish(self) -> EngineMetrics {
         EngineMetrics {
-            makespan: span.map_or(Dur::ZERO, |(lo, hi)| hi - lo),
-            ranks,
-            streams,
-            collective_wait,
-            total_events: self.total_events,
+            // The hull of every event, as `ClusterTrace::makespan`
+            // computes it over a full trace (zero when nothing ran).
+            makespan: self.max_end.saturating_since(self.min_ts),
             sendrecv_ns: self.sendrecv_ns,
+            programs: self.programs,
         }
     }
 }
 
-fn dur_from_ns(ns: u128) -> Dur {
-    Dur(u64::try_from(ns).unwrap_or(u64::MAX))
-}
-
 impl EventSink for MetricsSink {
-    fn cpu_op(&mut self, prog: u32, _tid: ThreadId, _name: NameId, ts: Ts, dur: Dur) {
-        self.observe(prog, ts, dur);
+    fn cpu_op(&mut self, _prog: u32, _tid: ThreadId, _name: NameId, ts: Ts, dur: Dur) {
+        self.observe(ts, dur);
     }
 
     fn runtime(
         &mut self,
-        prog: u32,
+        _prog: u32,
         _tid: ThreadId,
         _kind: CudaRuntimeKind,
         _corr: u64,
         ts: Ts,
         dur: Dur,
     ) {
-        self.observe(prog, ts, dur);
+        self.observe(ts, dur);
     }
 
-    fn annotation(&mut self, prog: u32, _tid: ThreadId, _name: NameId, ts: Ts, dur: Dur) {
-        self.observe(prog, ts, dur);
+    fn annotation(&mut self, _prog: u32, _tid: ThreadId, _name: NameId, ts: Ts, dur: Dur) {
+        self.observe(ts, dur);
     }
 
     fn kernel(
         &mut self,
-        prog: u32,
-        stream: u32,
+        _prog: u32,
         _sid: StreamId,
         _name: NameId,
         class: KernelClass,
@@ -293,55 +214,18 @@ impl EventSink for MetricsSink {
         ts: Ts,
         dur: Dur,
     ) {
-        self.observe(prog, ts, dur);
-        let s = &mut self.streams[stream as usize];
-        s.busy_ns += dur.as_ns();
-        s.kernels += 1;
+        self.observe(ts, dur);
         if let KernelClass::Collective(meta) = class {
             if meta.kind == CollectiveKind::SendRecv {
                 self.sendrecv_ns += dur.as_ns() as u128;
             }
         }
     }
-
-    fn collective_wait(&mut self, prog: u32, wait: Dur) {
-        self.ranks[prog as usize].coll_wait_ns += wait.as_ns() as u128;
-    }
 }
 
 // ---------------------------------------------------------------- //
-// Public metrics types
+// Public metrics type
 // ---------------------------------------------------------------- //
-
-/// Aggregates of one rank's simulated timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RankMetrics {
-    /// Global rank.
-    pub rank: u32,
-    /// Earliest event start (`Ts::ZERO` when the rank emitted
-    /// nothing).
-    pub start: Ts,
-    /// Latest event end.
-    pub end: Ts,
-    /// Events the rank would have emitted under a full trace.
-    pub events: usize,
-    /// Total exposed collective rendezvous wait (instance start minus
-    /// member-ready, summed over this rank's collective kernels).
-    pub collective_wait: Dur,
-}
-
-/// Aggregates of one CUDA stream's simulated kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamBusy {
-    /// Owning global rank.
-    pub rank: u32,
-    /// Stream id.
-    pub stream: StreamId,
-    /// Summed kernel duration.
-    pub busy: Dur,
-    /// Kernel count.
-    pub kernels: usize,
-}
 
 /// The result of a metrics-only engine execution: everything the
 /// simulation-refined search consumes, with zero [`TraceEvent`]
@@ -351,18 +235,12 @@ pub struct EngineMetrics {
     /// End-to-end iteration time (bit-identical to
     /// [`ClusterTrace::makespan`] of the equivalent full trace).
     pub makespan: Dur,
-    /// Per-rank spans and event counts, in program order.
-    pub ranks: Vec<RankMetrics>,
-    /// Per-stream busy time, in stream-discovery order.
-    pub streams: Vec<StreamBusy>,
-    /// Total exposed collective rendezvous wait across all ranks.
-    pub collective_wait: Dur,
-    /// Events a full trace of this execution would contain.
-    pub total_events: usize,
     /// Total SendRecv kernel nanoseconds across all ranks (pipeline-
     /// boundary traffic; each member's kernel counts once, as in a
     /// trace).
     sendrecv_ns: u128,
+    /// Programs (ranks) the job ran.
+    programs: usize,
 }
 
 impl EngineMetrics {
@@ -371,7 +249,7 @@ impl EngineMetrics {
     /// `pipeline_comm_secs_per_rank` derives from a full trace, used
     /// by the search's interleaving adjustment.
     pub fn pipeline_comm_secs_per_rank(&self) -> f64 {
-        let world = self.ranks.len().max(1) as f64;
+        let world = self.programs.max(1) as f64;
         self.sendrecv_ns as f64 / 1e9 / world
     }
 

@@ -1,14 +1,14 @@
 //! Sink-equivalence suite: the metrics-only engine mode must be
-//! bit-identical, in every statistic both modes share, to deriving
-//! the same numbers from a full trace — across world sizes, schedules,
-//! jitter settings, and arbitrary small random programs.
+//! bit-identical, in every statistic it keeps, to deriving the same
+//! numbers from a full trace — across world sizes, schedules, jitter
+//! settings, and arbitrary small random programs.
 //!
 //! The engine computes one timeline; the sink only decides what is
 //! materialized. These tests pin that contract:
 //!
-//! * makespan, per-rank spans, per-rank event counts, per-stream busy
-//!   time, and pipeline-boundary SendRecv totals agree exactly with
-//!   the full trace for worlds of 1 / 2 / 4 / 7 ranks;
+//! * makespan, pipeline-boundary SendRecv total and its per-rank mean
+//!   agree exactly with the full trace for worlds of 1 / 2 / 4 / 7
+//!   ranks;
 //! * the equality holds under deterministic jitter, per iteration
 //!   index (the jitter-replica pattern the refined search runs);
 //! * property test: random single-rank host programs (kernels,
@@ -23,7 +23,7 @@ use lumos_cluster::{
 };
 use lumos_cost::{AnalyticalCostModel, HostOverheads, LookupCostModel};
 use lumos_model::{BatchConfig, ModelConfig, Parallelism, ScheduleKind};
-use lumos_trace::{streams, CollectiveKind, Dur, EventKind, KernelClass, RankId};
+use lumos_trace::{streams, CollectiveKind, Dur, EventKind, KernelClass};
 use proptest::prelude::*;
 use std::hint::black_box;
 use std::time::Instant;
@@ -41,40 +41,11 @@ fn config(tp: u32, pp: u32, dp: u32) -> SimConfig {
     }
 }
 
-/// Asserts every shared statistic matches between a full-trace run
-/// and a metrics-only run of the same job/iteration.
+/// Asserts every statistic of a metrics-only run matches the same
+/// number derived from a full-trace run of the same job/iteration.
 fn assert_equivalent(out: &EngineOutput, metrics: &EngineMetrics) {
     assert_eq!(metrics.makespan, out.makespan, "makespan");
-    assert_eq!(
-        metrics.total_events,
-        out.trace.total_events(),
-        "total event count"
-    );
-    assert_eq!(metrics.ranks.len(), out.trace.world_size(), "world size");
-
-    for rm in &metrics.ranks {
-        let rt = out.trace.rank(RankId(rm.rank)).expect("rank in trace");
-        assert_eq!(rm.events, rt.len(), "rank {} event count", rm.rank);
-        if rm.events > 0 {
-            let span = rt.span().expect("non-empty rank has a span");
-            assert_eq!(rm.start, span.start, "rank {} span start", rm.rank);
-            assert_eq!(rm.end, span.end, "rank {} span end", rm.rank);
-        }
-    }
-
-    for sb in &metrics.streams {
-        let rt = out.trace.rank(RankId(sb.rank)).expect("rank in trace");
-        let (busy, kernels) = rt
-            .kernels()
-            .filter(|e| e.kind.stream() == Some(sb.stream))
-            .fold((0u64, 0usize), |(b, k), e| (b + e.dur.as_ns(), k + 1));
-        assert_eq!(sb.busy, Dur(busy), "rank {} {} busy", sb.rank, sb.stream);
-        assert_eq!(
-            sb.kernels, kernels,
-            "rank {} {} kernel count",
-            sb.rank, sb.stream
-        );
-    }
+    assert_eq!(metrics.makespan, out.trace.makespan(), "makespan of trace");
 
     // Pipeline-boundary SendRecv accounting: bit-identical to the
     // trace walk the search's interleave adjustment used to perform.
@@ -128,7 +99,7 @@ fn equivalent_across_world_sizes() {
         let job = lower(&config(tp, pp, dp)).unwrap();
         let (out, metrics) = run_both(&job, &JitterModel::none(), 0);
         assert_eq!(
-            metrics.ranks.len() as u32,
+            out.trace.world_size() as u32,
             tp * pp * dp,
             "world size for tp={tp} pp={pp} dp={dp}"
         );
@@ -184,26 +155,6 @@ fn metrics_mode_is_deterministic() {
 }
 
 #[test]
-fn collective_wait_accounts_for_rendezvous_skew() {
-    // With TP=2, the two members of each all-reduce arrive at
-    // different times (host dispatch skew), so some exposed wait must
-    // be accumulated — and the total is identical across repeated
-    // runs.
-    let job = lower(&config(2, 1, 1)).unwrap();
-    let (_, metrics) = run_both(&job, &JitterModel::realistic(3), 0);
-    assert!(metrics.collective_wait >= Dur::ZERO);
-    let (_, again) = run_both(&job, &JitterModel::realistic(3), 0);
-    assert_eq!(metrics.collective_wait, again.collective_wait);
-    // Per-rank waits sum to the total.
-    let per_rank: u64 = metrics
-        .ranks
-        .iter()
-        .map(|r| r.collective_wait.as_ns())
-        .sum();
-    assert_eq!(Dur(per_rank), metrics.collective_wait);
-}
-
-#[test]
 fn empty_job_yields_zero_metrics() {
     let cfg = SimConfig::new(ModelConfig::tiny(), Parallelism::new(1, 1, 1).unwrap());
     let job = LoweredJob {
@@ -213,7 +164,7 @@ fn empty_job_yields_zero_metrics() {
     };
     let (out, metrics) = run_both(&job, &JitterModel::none(), 0);
     assert_eq!(metrics.makespan, Dur::ZERO);
-    assert_eq!(metrics.total_events, 0);
+    assert_eq!(metrics.sendrecv_ns(), 0);
     assert_equivalent(&out, &metrics);
 }
 

@@ -6,12 +6,11 @@ use crate::graph::ExecutionGraph;
 use crate::sim::SimResult;
 use crate::task::{TaskId, TaskKind};
 use lumos_trace::{Dur, Ts};
-use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One step of the critical path.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CriticalStep {
     /// Task id in the graph.
     pub task: TaskId,
@@ -26,7 +25,7 @@ pub struct CriticalStep {
 }
 
 /// The longest start-to-finish dependency chain of a replay.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CriticalPath {
     /// Steps from the beginning of the iteration to its end.
     pub steps: Vec<CriticalStep>,
@@ -188,7 +187,7 @@ pub fn bottleneck_kernels(
 mod tests {
     use super::*;
     use crate::sim::{simulate, SimOptions};
-    use crate::task::{DepKind, Processor, SegmentTag, Task};
+    use crate::task::{DepKind, Processor, Task};
     use lumos_trace::{KernelClass, RankId, StreamId, ThreadId, Ts};
 
     fn diamond_graph() -> ExecutionGraph {
@@ -214,7 +213,6 @@ mod tests {
                 duration: Dur(dur),
                 orig_start: Ts(0),
                 correlation: 0,
-                tag: SegmentTag::default(),
             })
         };
         let a = mk(&mut g, "a", th, 10, TaskKind::CpuOp);

@@ -24,7 +24,6 @@
 
 use crate::error::CoreError;
 use crate::graph::ExecutionGraph;
-use crate::segment::{parse_annotation, sort_scopes, sweep_thread};
 use crate::task::{DepKind, ProcIdx, Processor, SegmentTag, Task, TaskId, TaskKind};
 use lumos_trace::{
     ClusterTrace, CommMeta, CudaRuntimeKind, Dur, EventKind, KernelClass, RankId, RankTrace,
@@ -154,24 +153,24 @@ struct KernelOp {
 }
 
 /// One rank's program in the form [`build_rank`] consumes: its host
-/// calls, kernels and annotation scopes, with each kernel linked to
-/// the call that launched it. Built either from a trace
-/// ([`RankOps::of_trace`]) or op by op through its [`Sink`], as
-/// reassembly emits it, then [`RankOps::in_trace_order`].
+/// calls and kernels, with each kernel linked to the call that
+/// launched it. Annotations are not part of it: no task is made of
+/// them. Built either from a trace ([`RankOps::of_trace`]) or op by op
+/// through its [`Sink`], as reassembly emits it, then
+/// [`RankOps::in_trace_order`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RankOps {
     /// Host calls, ordered by start.
     host: Vec<HostOp>,
     /// Kernels, in trace order.
     kernels: Vec<KernelOp>,
-    /// Annotation scopes `(thread, start, end, tag)`, in trace order.
-    scopes: Vec<(ThreadId, Ts, Ts, SegmentTag)>,
 }
 
 /// Where one rank's program is written, op by op: host calls and
 /// kernels with their recorded (or placeholder) times, and annotation
-/// scopes as segment tags. [`RankOps`] collects them for
-/// [`build_rank`]; reassembly also writes them out as a trace.
+/// scopes as segment tags. [`RankOps`] collects the calls and kernels
+/// for [`build_rank`] and drops the scopes; reassembly's trace sink
+/// writes all three out as a trace, the scopes as annotations.
 pub(crate) trait Sink {
     /// A host call: a CUDA runtime call of kind `runtime`, or a CPU
     /// operator when `None`.
@@ -199,8 +198,7 @@ pub(crate) trait Sink {
 }
 
 /// Kernels are linked to their launches by
-/// [`RankOps::in_trace_order`]; scopes keep their tags, so no label is
-/// formatted or parsed.
+/// [`RankOps::in_trace_order`]; scopes are dropped.
 impl Sink for RankOps {
     fn host(
         &mut self,
@@ -241,14 +239,12 @@ impl Sink for RankOps {
         });
     }
 
-    fn scope(&mut self, tid: ThreadId, tag: SegmentTag, start: Ts, end: Ts) {
-        self.scopes.push((tid, start, end, tag));
-    }
+    fn scope(&mut self, _tid: ThreadId, _tag: SegmentTag, _start: Ts, _end: Ts) {}
 }
 
 impl RankOps {
     /// Reads a rank trace: host calls stably sorted by start, kernels
-    /// and annotations in trace order.
+    /// in trace order, annotations skipped.
     fn of_trace(trace: &RankTrace) -> RankOps {
         let mut ops = RankOps::default();
         for e in trace.events() {
@@ -265,9 +261,7 @@ impl RankOps {
                     correlation,
                     class,
                 } => ops.kernel(stream, class, name, e.ts, e.dur, correlation),
-                EventKind::UserAnnotation { tid } => {
-                    ops.scope(tid, parse_annotation(&e.name), e.ts, e.end());
-                }
+                EventKind::UserAnnotation { .. } => {}
             }
         }
         ops.host.sort_by_key(|h| h.start);
@@ -291,14 +285,13 @@ impl RankOps {
     /// communicator ids renamed one to one; if so, `rename` holds the
     /// renaming as `(this program's id, other's id)` pairs. Compares
     /// every field [`build_rank`] reads: host calls whole, kernels with
-    /// their communicators set aside, scopes whole. Equal programs in
-    /// emission order stay equal through [`RankOps::in_trace_order`],
-    /// so `build_rank` writes them as the same fragment up to ids.
+    /// their communicators set aside. Equal programs in emission order
+    /// stay equal through [`RankOps::in_trace_order`], so `build_rank`
+    /// writes them as the same fragment up to ids.
     pub(crate) fn same_program(&self, other: &RankOps, rename: &mut Vec<(u64, u64)>) -> bool {
         rename.clear();
         self.kernels.len() == other.kernels.len()
             && self.host == other.host
-            && self.scopes == other.scopes
             && self.kernels.iter().zip(&other.kernels).all(|(a, b)| {
                 (a.stream, a.start, a.dur, a.correlation)
                     == (b.stream, b.start, b.dur, b.correlation)
@@ -355,28 +348,11 @@ pub(crate) fn build_rank(
     ops: &RankOps,
     opts: &BuildOptions,
 ) {
-    // --- Segment tags, by annotation containment per thread. ---
-    let mut tags = vec![SegmentTag::default(); ops.host.len()];
-    let mut scopes_by_thread: BTreeMap<ThreadId, Vec<(Ts, Ts, SegmentTag)>> = BTreeMap::new();
-    for &(tid, start, end, tag) in &ops.scopes {
-        scopes_by_thread
-            .entry(tid)
-            .or_default()
-            .push((start, end, tag));
-    }
-    for (tid, scopes) in &mut scopes_by_thread {
-        sort_scopes(scopes);
-        let events = ops.host.iter().enumerate().filter(|(_, h)| h.tid == *tid);
-        sweep_thread(scopes, events.map(|(i, h)| (i, h.start)), |i, tag| {
-            tags[i] = tag;
-        });
-    }
-
     // --- Host tasks, in start order. ---
     let mut host_ids: Vec<TaskId> = Vec::with_capacity(ops.host.len());
     let mut threads: BTreeMap<ThreadId, Vec<TaskId>> = BTreeMap::new();
     let mut procs: Vec<(ThreadId, ProcIdx)> = Vec::new();
-    for (h, &tag) in ops.host.iter().zip(&tags) {
+    for h in &ops.host {
         let proc = match procs.iter().find(|&&(tid, _)| tid == h.tid) {
             Some(&(_, proc)) => proc,
             None => {
@@ -392,7 +368,6 @@ pub(crate) fn build_rank(
             duration: h.dur,
             orig_start: h.start,
             correlation: h.correlation,
-            tag,
         });
         host_ids.push(id);
         threads.entry(h.tid).or_default().push(id);
@@ -416,7 +391,6 @@ pub(crate) fn build_rank(
         for (launch_ts, i) in list {
             let k = &ops.kernels[i];
             let launch = k.launch.map(|l| host_ids[l]);
-            let tag = launch.map_or_else(SegmentTag::default, |l| graph.task(l).tag);
             let id = graph.add_task(Task {
                 name: k.name.clone(),
                 kind: TaskKind::Kernel(k.class),
@@ -424,7 +398,6 @@ pub(crate) fn build_rank(
                 duration: k.dur,
                 orig_start: k.start,
                 correlation: k.correlation,
-                tag,
             });
             if let Some(l) = launch {
                 graph.add_edge(l, id, DepKind::KernelLaunch);
@@ -793,37 +766,6 @@ mod tests {
         assert_eq!(g.stats().collective_instances, 1);
         assert_eq!(g.collectives()[&(42, 0)].len(), 2);
         assert_eq!(g.group_ranks(42).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn kernels_inherit_launch_tags() {
-        let mut r = RankTrace::new(0);
-        let tid = ThreadId(1);
-        r.push(TraceEvent::annotation(
-            "layer=3 fwd mb=1",
-            Ts::from_us(0),
-            Dur::from_us(100),
-            tid,
-        ));
-        r.push(
-            TraceEvent::cuda_runtime(
-                CudaRuntimeKind::LaunchKernel,
-                Ts::from_us(10),
-                Dur::from_us(2),
-                tid,
-            )
-            .with_correlation(1),
-        );
-        r.push(
-            TraceEvent::kernel("k", Ts::from_us(200), Dur::from_us(10), StreamId(7))
-                .with_correlation(1),
-        );
-        let mut c = ClusterTrace::new("tags");
-        c.push_rank(r);
-        let g = build_graph(&c, &BuildOptions::default()).unwrap();
-        let kernel = g.tasks().iter().find(|t| &*t.name == "k").unwrap();
-        assert_eq!(kernel.tag.layer, Some(3));
-        assert_eq!(kernel.tag.mb, Some(1));
     }
 
     #[test]

@@ -429,7 +429,6 @@ impl ExecutionGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::SegmentTag;
     use lumos_trace::{CollectiveKind, CommMeta, StreamId, ThreadId, Ts};
 
     fn mk_task(g: &mut ExecutionGraph, proc: Processor, kind: TaskKind) -> TaskId {
@@ -441,7 +440,6 @@ mod tests {
             duration: Dur(10),
             orig_start: Ts(0),
             correlation: 0,
-            tag: SegmentTag::default(),
         })
     }
 
@@ -585,6 +583,14 @@ mod tests {
             std::mem::size_of::<Successors>(),
             std::mem::size_of::<Vec<Edge>>()
         );
+    }
+
+    /// Stamps copy every task of a repeated rank, so its size is most
+    /// of a stamp's cost.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn task_fits_in_80_bytes() {
+        assert!(std::mem::size_of::<Task>() <= 80);
     }
 
     #[test]

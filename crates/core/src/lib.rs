@@ -69,7 +69,7 @@ pub use build::{build_graph, BuildOptions, InterStreamMode};
 pub use error::CoreError;
 pub use graph::{Edge, ExecutionGraph, GraphStats};
 pub use replay::{Lumos, Replayed};
-pub use segment::{merge, parse_annotation, tag_host_events};
+pub use segment::parse_annotation;
 #[doc(hidden)]
 pub use sim::quotient_classes;
 pub use sim::{simulate, RendezvousMode, SimOptions, SimResult};

@@ -57,9 +57,10 @@
 //!   task-id offset, the processor offset and the rank;
 //! * a match compares every field the builder reads (host calls:
 //!   thread, kind, name, start, duration, correlation; kernels:
-//!   stream, class, name, start, duration, correlation; scopes), with
+//!   stream, class, name, start, duration, correlation), with
 //!   communicator ids allowed to differ under a one-to-one renaming,
-//!   which the stamp applies. A rank that differs in any of these
+//!   which the stamp applies. Annotation scopes are not compared: the
+//!   builder drops them. A rank that differs in any of these
 //!   fields, such as a collective priced differently because its
 //!   members span nodes differently, is built.
 //!
@@ -1039,8 +1040,7 @@ impl<'a, C: CostModel, S: Sink> RankEmitter<'a, C, S> {
             self.emit_cpu_op(MAIN, op.name);
             if let Some(class) = class_of_body(&op.body) {
                 let dur = self.cost.compute_cost(&class);
-                let name = kernel_name_of(&op.body);
-                self.emit_launch(MAIN, &name, class, streams::COMPUTE, dur);
+                self.emit_launch(MAIN, &class.kernel_name(), class, streams::COMPUTE, dur);
             }
         }
         self.emit_sync(MAIN, CudaRuntimeKind::DeviceSynchronize);
@@ -1133,21 +1133,6 @@ fn class_of_body(body: &OpBody) -> Option<KernelClass> {
         OpBody::Optimizer { params } => KernelClass::Optimizer { params },
         OpBody::Collective { .. } => return None,
     })
-}
-
-fn kernel_name_of(body: &OpBody) -> String {
-    match body {
-        OpBody::Gemm { m, n, k } => format!("sm90_xmma_gemm_bf16_{m}x{n}x{k}"),
-        OpBody::AttentionFwd { .. } => "flash_fwd_kernel".to_string(),
-        OpBody::AttentionBwd { .. } => "flash_bwd_kernel".to_string(),
-        OpBody::AttentionDecode { .. } => "paged_attention_decode_kernel".to_string(),
-        OpBody::Elementwise { .. } => "vectorized_elementwise_kernel".to_string(),
-        OpBody::Norm { .. } => "ln_fwd_bwd_kernel".to_string(),
-        OpBody::Softmax { .. } => "softmax_xent_kernel".to_string(),
-        OpBody::Embedding { .. } => "embedding_kernel".to_string(),
-        OpBody::Optimizer { .. } => "multi_tensor_adam".to_string(),
-        OpBody::Collective { op, .. } => format!("nccl_{op:?}"),
-    }
 }
 
 #[cfg(test)]

@@ -97,44 +97,6 @@ pub fn is_fusible(class: &KernelClass) -> bool {
     )
 }
 
-/// Re-prices every classified kernel under a different hardware cost
-/// model — the cross-hardware what-if ("how would this job run on
-/// A100s?") that analytical co-design tools like Calculon answer, here
-/// grounded in a recorded execution structure.
-///
-/// Compute kernels are priced by their shape class; collectives by
-/// payload and the membership recorded in the graph. Unclassified
-/// kernels ([`KernelClass::Other`]) and host tasks keep their recorded
-/// durations (host dispatch does not move between GPU generations).
-/// Returns the number of kernels re-priced.
-pub fn recost_hardware<C: lumos_cost::CostModel>(graph: &mut ExecutionGraph, cost: &C) -> usize {
-    // Collective membership: group id -> member rank count is not
-    // enough, the cost model wants global rank ids.
-    let group_members: std::collections::HashMap<u64, Vec<u32>> = graph
-        .groups()
-        .map(|(g, ranks)| (g, ranks.iter().map(|r| r.0).collect()))
-        .collect();
-    let mut touched = 0;
-    for task in graph.tasks_mut() {
-        let TaskKind::Kernel(class) = &task.kind else {
-            continue;
-        };
-        task.duration = match class {
-            KernelClass::Other => continue,
-            KernelClass::Collective(meta) => {
-                let members = group_members
-                    .get(&meta.group)
-                    .map(Vec::as_slice)
-                    .unwrap_or(&[]);
-                cost.collective_cost(meta.kind, meta.bytes, members)
-            }
-            compute => cost.compute_cost(compute),
-        };
-        touched += 1;
-    }
-    touched
-}
-
 /// Models a pointwise operator-fusion pass (the §5 example of a
 /// change "not supported by the framework" that developers would
 /// otherwise have to hack in): every maximal run of ≥ 2 consecutive
@@ -189,7 +151,7 @@ pub fn fuse_pointwise(graph: &mut ExecutionGraph, per_kernel_overhead: lumos_tra
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::{Processor, SegmentTag};
+    use crate::task::Processor;
     use lumos_trace::{Dur, RankId, StreamId, ThreadId, Ts};
 
     fn graph_with_kernels() -> ExecutionGraph {
@@ -209,7 +171,6 @@ mod tests {
             duration: Dur(100),
             orig_start: Ts(0),
             correlation: 1,
-            tag: SegmentTag::default(),
         });
         g.add_task(Task {
             name: "nccl".into(),
@@ -223,7 +184,6 @@ mod tests {
             duration: Dur(200),
             orig_start: Ts(0),
             correlation: 2,
-            tag: SegmentTag::default(),
         });
         g.add_task(Task {
             name: "op".into(),
@@ -232,7 +192,6 @@ mod tests {
             duration: Dur(50),
             orig_start: Ts(0),
             correlation: 0,
-            tag: SegmentTag::default(),
         });
         g
     }
@@ -315,7 +274,6 @@ mod tests {
                 duration: Dur(4_000),
                 orig_start: Ts(i as u64 * 10_000),
                 correlation: corr,
-                tag: SegmentTag::default(),
             });
             let kernel = g.add_task(Task {
                 name: "k".into(),
@@ -324,7 +282,6 @@ mod tests {
                 duration: Dur(10_000),
                 orig_start: Ts(i as u64 * 10_000 + 5_000),
                 correlation: corr,
-                tag: SegmentTag::default(),
             });
             g.register_kernel(kernel, launch);
         }
@@ -364,40 +321,5 @@ mod tests {
     fn fuse_pointwise_ignores_streams_without_runs() {
         let mut g = graph_with_kernels(); // gemm + nccl + cpu op
         assert_eq!(fuse_pointwise(&mut g, Dur(2_000)), 0);
-    }
-
-    use lumos_cost::CostModel as _;
-
-    #[test]
-    fn recost_hardware_touches_classified_kernels_only() {
-        let mut g = graph_with_kernels(); // gemm + collective + cpu op
-        let cost = lumos_cost::AnalyticalCostModel::h100();
-        let touched = recost_hardware(&mut g, &cost);
-        assert_eq!(touched, 2); // gemm + collective, not the cpu op
-        assert_eq!(
-            g.task(0).duration,
-            cost.compute_cost(&KernelClass::Gemm { m: 8, n: 8, k: 8 })
-        );
-        assert_eq!(g.task(2).duration, Dur(50)); // host untouched
-    }
-
-    #[test]
-    fn recost_hardware_a100_slower_than_h100() {
-        let price = |cost: &lumos_cost::AnalyticalCostModel| {
-            let mut g = graph_with_pointwise_run();
-            recost_hardware(&mut g, cost);
-            g.total_work()
-        };
-        let h100 = price(&lumos_cost::AnalyticalCostModel::h100());
-        let a100 = price(&lumos_cost::AnalyticalCostModel::new(
-            lumos_cost::ClusterSpec {
-                node: lumos_cost::NodeSpec {
-                    gpu: lumos_cost::GpuSpec::a100_sxm(),
-                    gpus_per_node: 8,
-                },
-                ..lumos_cost::ClusterSpec::h100_roce()
-            },
-        ));
-        assert!(a100 > h100, "a100 {a100} !> h100 {h100}");
     }
 }

@@ -1051,7 +1051,7 @@ mod oracle;
 mod tests {
     use super::*;
     use crate::build::{build_graph, BuildOptions};
-    use crate::task::{SegmentTag, Task};
+    use crate::task::Task;
     use crate::Lumos;
     use lumos_trace::KernelClass;
 
@@ -1068,7 +1068,6 @@ mod tests {
             duration: Dur(dur),
             orig_start: Ts(orig),
             correlation: 0,
-            tag: SegmentTag::default(),
         })
     }
 

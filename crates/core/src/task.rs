@@ -5,8 +5,8 @@
 //! thread) and GPU tasks (kernels, placed on a CUDA stream). Each task
 //! records the metadata Lumos extracted from the trace: name, recorded
 //! duration, original start time (used for deterministic scheduling
-//! tie-breaks), correlation id, and the segment tag recovered from
-//! user annotations.
+//! tie-breaks) and correlation id. User annotations never become
+//! tasks; block extraction reads them from the trace instead.
 
 use lumos_trace::{CudaRuntimeKind, Dur, KernelClass, RankId, StreamId, ThreadId, Ts};
 use serde::{Deserialize, Serialize};
@@ -21,7 +21,7 @@ pub type ProcIdx = u32;
 
 /// An execution resource: a host thread or a CUDA stream on a
 /// specific rank (Algorithm 1's "task processors").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Processor {
     /// A host thread.
     Thread {
@@ -63,8 +63,8 @@ impl fmt::Display for Processor {
 }
 
 /// What a task is (mirrors the trace event kinds, minus annotations,
-/// which become tags rather than tasks).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+/// which never become tasks).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskKind {
     /// A framework operator on a thread.
     CpuOp,
@@ -95,7 +95,7 @@ impl TaskKind {
     }
 }
 
-/// The training phase a task belongs to, recovered from annotations.
+/// The training phase an annotation scope or a block belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Phase {
     /// Forward pass.
@@ -110,8 +110,9 @@ pub enum Phase {
     Other,
 }
 
-/// Logical position of a task within the training iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
+/// The position an annotation scope names within the training
+/// iteration: what [`crate::parse_annotation`] reads from its label.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SegmentTag {
     /// Micro-batch index, when inside a micro-batch scope.
     pub mb: Option<u32>,
@@ -125,19 +126,8 @@ pub struct SegmentTag {
     pub phase: Option<Phase>,
 }
 
-impl SegmentTag {
-    /// Returns `true` when no information was recovered.
-    pub fn is_empty(&self) -> bool {
-        self.mb.is_none()
-            && self.layer.is_none()
-            && !self.embed
-            && !self.head
-            && self.phase.is_none()
-    }
-}
-
 /// One node of the execution graph.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Task {
     /// Display name from the trace.
     pub name: Arc<str>,
@@ -153,8 +143,6 @@ pub struct Task {
     pub orig_start: Ts,
     /// Correlation id linking launches and kernels (0 = none).
     pub correlation: u64,
-    /// Segment tag from annotations.
-    pub tag: SegmentTag,
 }
 
 impl Task {
@@ -176,7 +164,7 @@ impl Task {
 
 /// The dependency classes of §3.3.2, used for graph statistics,
 /// validation, and ablation (dPRO drops `InterStreamEvent`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DepKind {
     /// CPU→CPU within one thread (program order).
     IntraThread,
@@ -218,15 +206,5 @@ mod tests {
         assert!(!TaskKind::CpuOp.is_gpu());
         assert!(TaskKind::Runtime(CudaRuntimeKind::DeviceSynchronize).is_blocking_sync());
         assert!(!TaskKind::Runtime(CudaRuntimeKind::LaunchKernel).is_blocking_sync());
-    }
-
-    #[test]
-    fn empty_tag() {
-        assert!(SegmentTag::default().is_empty());
-        let tagged = SegmentTag {
-            mb: Some(1),
-            ..Default::default()
-        };
-        assert!(!tagged.is_empty());
     }
 }

@@ -42,7 +42,8 @@
 //! Refinement runs the engine in **metrics-only mode**
 //! ([`lumos_cluster::PreparedJob::execute_metrics`]): search consumes
 //! only the makespan and the pipeline-boundary communication total,
-//! so no per-rank `TraceEvent` stream is ever materialized, and each
+//! which are all that mode keeps, so no per-rank `TraceEvent` stream
+//! is ever materialized, and each
 //! finalist's program is lowered and prepared **once** and shared
 //! across the zero-jitter base run and all jitter replicas (jitter is
 //! applied at execution time via iteration-indexed multipliers). The

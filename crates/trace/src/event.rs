@@ -207,6 +207,29 @@ impl KernelClass {
             _ => None,
         }
     }
+
+    /// The kernel name the lowering and reassembly give a kernel of
+    /// this class: a GEMM's name carries its shape, a collective's is
+    /// [`CollectiveKind::kernel_name`], copies and memsets take
+    /// Kineto's names.
+    pub fn kernel_name(&self) -> String {
+        let name = match self {
+            KernelClass::Gemm { m, n, k } => return format!("sm90_xmma_gemm_bf16_{m}x{n}x{k}"),
+            KernelClass::AttentionFwd { .. } => "flash_fwd_kernel",
+            KernelClass::AttentionBwd { .. } => "flash_bwd_kernel",
+            KernelClass::AttentionDecode { .. } => "paged_attention_decode_kernel",
+            KernelClass::Elementwise { .. } => "vectorized_elementwise_kernel",
+            KernelClass::Norm { .. } => "ln_fwd_bwd_kernel",
+            KernelClass::Softmax { .. } => "softmax_xent_kernel",
+            KernelClass::Embedding { .. } => "embedding_kernel",
+            KernelClass::Optimizer { .. } => "multi_tensor_adam",
+            KernelClass::Memcpy { .. } => "Memcpy DtoD (Device -> Device)",
+            KernelClass::Memset { .. } => "Memset (Device)",
+            KernelClass::Collective(meta) => meta.kind.kernel_name(),
+            KernelClass::Other => "kernel",
+        };
+        name.to_string()
+    }
 }
 
 /// Host-side CUDA runtime API calls captured by the profiler.
@@ -898,5 +921,21 @@ mod tests {
                 assert_ne!(a.to_string(), b.to_string());
             }
         }
+    }
+
+    #[test]
+    fn kernel_class_names() {
+        let gemm = KernelClass::Gemm { m: 8, n: 16, k: 32 };
+        assert_eq!(gemm.kernel_name(), "sm90_xmma_gemm_bf16_8x16x32");
+        let meta = CommMeta {
+            kind: CollectiveKind::SendRecv,
+            group: 3,
+            seq: 0,
+            bytes: 64,
+        };
+        assert_eq!(
+            KernelClass::Collective(meta).kernel_name(),
+            CollectiveKind::SendRecv.kernel_name()
+        );
     }
 }

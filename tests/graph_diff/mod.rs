@@ -26,7 +26,7 @@ pub fn first_difference(a: &ExecutionGraph, b: &ExecutionGraph) -> Option<String
     let task = |g: &ExecutionGraph, id: u32| {
         let t = g.task(id);
         let kind = (t.kind, t.processor, t.duration, t.orig_start, t.correlation);
-        (t.name.to_string(), kind, t.tag)
+        (t.name.to_string(), kind)
     };
     if a.len() != b.len() {
         return Some(format!("tasks: {} vs {}", a.len(), b.len()));

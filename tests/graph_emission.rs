@@ -7,6 +7,8 @@
 //! Enough cases must repeat a rank's program that the stamp is
 //! exercised, and a cost model that prices each collective by its
 //! members must make otherwise-equal ranks be built, not stamped.
+//! Annotations never reach the graph: a profile stripped of them
+//! replays to the same graph and schedule.
 
 mod graph_diff;
 
@@ -221,5 +223,47 @@ fn ranks_that_differ_in_a_collective_duration_are_built_not_stamped() {
         let priced = MemberPriced(&lookup);
         let repeated = check(&lumos, &base, &library, &priced, &transforms).unwrap();
         assert_eq!(repeated, 0);
+    }
+}
+
+#[test]
+fn annotations_never_reach_the_graph() {
+    // The tiny bases of tests/manipulation.rs, with their micro-batch
+    // counts.
+    let bases = [
+        ((1, 1, 1), 2),
+        ((2, 2, 1), 4),
+        ((2, 2, 2), 4),
+        ((1, 2, 2), 3),
+    ];
+    for ((tp, pp, dp), microbatches) in bases {
+        let base = base_setup(tp, pp, dp, microbatches);
+        for jitter in [JitterModel::none(), JitterModel::realistic(17)] {
+            let trace = GroundTruthCluster::new(&base, AnalyticalCostModel::h100())
+                .unwrap()
+                .with_jitter(jitter)
+                .profile_iteration(0)
+                .unwrap()
+                .trace;
+            let mut stripped = trace.clone();
+            for rank in stripped.ranks_mut() {
+                rank.events_mut()
+                    .retain(|e| !matches!(e.kind, EventKind::UserAnnotation { .. }));
+            }
+            assert!(stripped.total_events() < trace.total_events());
+            for lumos in [Lumos::new(), Lumos::dpro_baseline()] {
+                let case = format!("{} under {:?}", base.label(), lumos.build.interstream);
+                let (a, b) = (
+                    lumos.replay(&trace).unwrap(),
+                    lumos.replay(&stripped).unwrap(),
+                );
+                if let Some(difference) = first_difference(&a.graph, &b.graph) {
+                    panic!("{case}: {difference}");
+                }
+                assert_eq!(a.result.starts, b.result.starts, "{case}");
+                assert_eq!(a.result.ends, b.result.ends, "{case}");
+                assert_eq!(a.breakdown(), b.breakdown(), "{case}");
+            }
+        }
     }
 }
